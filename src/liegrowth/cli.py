@@ -7,7 +7,9 @@ Subcommands:
 * ``euler-fit`` — enveloping-algebra coefficient growth and its stretched exponent
 * ``verify``    — relation/embedding/model-law suites with witness reporting
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error. A failed
+internal cross-check (an ``ArithmeticError``) is a verification failure;
+bad arguments and unreadable files are usage errors. Output is
 deterministic byte-for-byte for a fixed configuration: rows are emitted in a
 fixed order and JSON keys are written in a fixed order.
 """
@@ -299,9 +301,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--fit-n must be >= 1")
     if getattr(args, "bound_s", 0) < 0:
         parser.error("--bound-s must be >= 0")
+    if getattr(args, "suite", None) == "towers" and args.mode == MODE_W:
+        parser.error("--suite towers checks Wplus tower instances (they use u1); --mode W is not supported")
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except ArithmeticError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -71,6 +71,15 @@ class MetabelianElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, d: int, terms: dict[Monomial, Fraction]) -> "MetabelianElement":
+        """Wrap `terms` without validation: basis monomials over x1..xd with
+        nonzero coefficients, built from operands that were already checked."""
+        res = object.__new__(cls)
+        res.d = d
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls, d: int) -> "MetabelianElement":
         return cls(d)
 
@@ -209,19 +218,33 @@ def normalize_expr(e: LieExpr, d: int) -> MetabelianElement:
 
 
 def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
-    """Lie bracket of two normal-form elements, re-normalized."""
+    """Lie bracket of two normal-form elements, re-normalized.
+
+    The normal forms of the words w1 + w2 are summed into one term dict; a
+    pair of terms that both lie in the derived subalgebra brackets to 0.
+    """
     if p.d != q.d:
         raise ValueError("elements over different generator counts")
-    out = MetabelianElement.zero(p.d)
+    out: dict[Monomial, Fraction] = {}
+    get = out.get
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():
-            scale = c1 * c2
             if len(w2) == 1:
-                out = out + normalize_word(w1 + w2, p.d) * scale
+                word, scale = w1 + w2, c1 * c2
             elif len(w1) == 1:
-                out = out - normalize_word(w2 + w1, p.d) * scale
-            # both factors in the derived subalgebra: bracket is 0
-    return out
+                word, scale = w2 + w1, -(c1 * c2)
+            else:
+                continue
+            for mono, c in _normalize(word).items():
+                acc = c * scale
+                old = get(mono)
+                if old is not None:
+                    acc += old
+                if acc:
+                    out[mono] = acc
+                else:
+                    out.pop(mono, None)
+    return MetabelianElement._trusted(p.d, out)
 
 
 # ------------------------------------------------------------ basis and growth

@@ -5,6 +5,14 @@ vector carries one polynomial in the torus variables t1..tn. Exponent vectors
 are int tuples with one slot per variable, coefficients are
 `fractions.Fraction`, and zero coefficients are never stored. Instances are
 immutable by convention; every operation returns a fresh polynomial.
+
+The public constructor `MultiPoly(nvars, terms)` validates arity, signs and
+coefficients. Results of arithmetic go through the trusted constructor
+`MultiPoly._trusted(nvars, terms)` instead, which stores `terms` as given. Its
+invariant, kept by every caller: `terms` maps exponent tuples to nonzero
+`Fraction`s (it stores no zero coefficient), and `nvars` and the exponent
+arities come from operands that were already checked, so validating them
+again would only cost time.
 """
 
 from __future__ import annotations
@@ -35,6 +43,14 @@ class MultiPoly:
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """Wrap `terms` without validation (see the module docstring)."""
+        res = object.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -77,27 +93,23 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps, _ZERO) + c
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        res = MultiPoly.zero(self.nvars)
-        res.terms = out
-        return res
+        _add_into(out, other.terms)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly.zero(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check_arity(other)
+        out = dict(self.terms)
+        _add_into(out, other.terms, -1)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
         if isinstance(other, MultiPoly):
             self._check_arity(other)
+            if not self.terms or not other.terms:
+                return MultiPoly._trusted(self.nvars, {})
             out: dict[Exponents, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -107,15 +119,11 @@ class MultiPoly:
                         out[key] = acc
                     else:
                         out.pop(key, None)
-            res = MultiPoly.zero(self.nvars)
-            res.terms = out
-            return res
+            return MultiPoly._trusted(self.nvars, out)
         c = Fraction(other)
         if not c:
-            return MultiPoly.zero(self.nvars)
-        res = MultiPoly.zero(self.nvars)
-        res.terms = {e: cc * c for e, cc in self.terms.items()}
-        return res
+            return MultiPoly._trusted(self.nvars, {})
+        return MultiPoly._trusted(self.nvars, {e: cc * c for e, cc in self.terms.items()})
 
     def __rmul__(self, other: "Fraction | int") -> "MultiPoly":
         return self * other
@@ -126,18 +134,14 @@ class MultiPoly:
             return self
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        res = MultiPoly.zero(self.nvars)
-        res.terms = {
-            e[:index] + (e[index] + power,) + e[index + 1:]: c
-            for e, c in self.terms.items()
-        }
-        return res
+        return MultiPoly._trusted(
+            self.nvars,
+            {e[:index] + (e[index] + power,) + e[index + 1:]: c for e, c in self.terms.items()},
+        )
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms)) if self.terms else -1
 
     def __str__(self) -> str:
         if not self.terms:
@@ -164,3 +168,20 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self!s})"
+
+
+def _add_into(
+    out: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction], sign: int = 1
+) -> None:
+    """out += sign * terms, in place; sign is 1 or -1 and out keeps no zeros."""
+    get = out.get
+    for e, c in terms.items():
+        old = get(e)
+        if old is None:
+            out[e] = c if sign == 1 else -c
+        else:
+            acc = old + c if sign == 1 else old - c
+            if acc:
+                out[e] = acc
+            else:
+                del out[e]

@@ -9,7 +9,17 @@ The bracket of p = (b_p, tau_p) and q = (b_q, tau_q) is
     [p, q] = b_p * act(tau_q) - b_q * act(tau_p)
 
 with zero torus part: the torus is abelian and B is an abelian ideal, so
-every commutator lands inside B.
+every commutator lands inside B. Each torus letter acts by a single monomial
+(t_i by t_i, u_i by t_i^2), so the bracket is a sum of shifted copies of the
+two module parts; it is accumulated into one term dict per module component,
+and a product with an empty factor is never formed.
+
+The public constructor `WreathElement(...)` validates shapes and converts
+coefficients. Brackets and the arithmetic operators build their results with
+the trusted constructor `WreathElement._trusted(...)` instead, under the same
+invariant as `MultiPoly._trusted`: no stored polynomial holds a zero
+coefficient, and m, n and every arity come from operands that were already
+checked.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -27,7 +37,7 @@ from typing import Iterable, Mapping
 from . import metabelian
 from .expr import Generator, LieExpr, evaluate, left_normed, random_expr
 from .metabelian import MetabelianElement
-from .poly import MultiPoly
+from .poly import Exponents, MultiPoly
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -66,12 +76,31 @@ class WreathElement:
         if len(mod) != m or any(p.nvars != n for p in mod):
             raise ValueError("module part must be m polynomials in n variables")
         self.module = mod
-        tt = tuple(Fraction(c) for c in tor_t) if tor_t is not None else (_ZERO,) * n
-        tu = tuple(Fraction(c) for c in tor_u) if tor_u is not None else (_ZERO,) * n
+        # zeros are stored as `_ZERO` itself, which coords and brackets skip by identity
+        tt = tuple(Fraction(c) or _ZERO for c in tor_t) if tor_t is not None else (_ZERO,) * n
+        tu = tuple(Fraction(c) or _ZERO for c in tor_u) if tor_u is not None else (_ZERO,) * n
         if len(tt) != n or len(tu) != n:
             raise ValueError("torus parts must have length n")
         self.tor_t = tt
         self.tor_u = tu
+
+    @classmethod
+    def _trusted(
+        cls,
+        m: int,
+        n: int,
+        module: tuple[MultiPoly, ...],
+        tor_t: tuple[Fraction, ...],
+        tor_u: tuple[Fraction, ...],
+    ) -> "WreathElement":
+        """Wrap already-checked parts without validation (see the module docstring)."""
+        res = object.__new__(cls)
+        res.m = m
+        res.n = n
+        res.module = module
+        res.tor_t = tor_t
+        res.tor_u = tor_u
+        return res
 
     @classmethod
     def zero(cls, m: int, n: int) -> "WreathElement":
@@ -132,34 +161,41 @@ class WreathElement:
 
     def __add__(self, other: "WreathElement") -> "WreathElement":
         self._check_shape(other)
-        return WreathElement(
+        return WreathElement._trusted(
             self.m,
             self.n,
-            [p + q for p, q in zip(self.module, other.module)],
-            [a + b for a, b in zip(self.tor_t, other.tor_t)],
-            [a + b for a, b in zip(self.tor_u, other.tor_u)],
+            tuple(p + q for p, q in zip(self.module, other.module)),
+            tuple(a + b for a, b in zip(self.tor_t, other.tor_t)),
+            tuple(a + b for a, b in zip(self.tor_u, other.tor_u)),
         )
 
     def __neg__(self) -> "WreathElement":
-        return WreathElement(
+        return WreathElement._trusted(
             self.m,
             self.n,
-            [-p for p in self.module],
-            [-c for c in self.tor_t],
-            [-c for c in self.tor_u],
+            tuple(-p for p in self.module),
+            tuple(-c for c in self.tor_t),
+            tuple(-c for c in self.tor_u),
         )
 
     def __sub__(self, other: "WreathElement") -> "WreathElement":
-        return self + (-other)
+        self._check_shape(other)
+        return WreathElement._trusted(
+            self.m,
+            self.n,
+            tuple(p - q for p, q in zip(self.module, other.module)),
+            tuple(a - b for a, b in zip(self.tor_t, other.tor_t)),
+            tuple(a - b for a, b in zip(self.tor_u, other.tor_u)),
+        )
 
     def __mul__(self, scalar: Fraction | int) -> "WreathElement":
         c = Fraction(scalar)
-        return WreathElement(
+        return WreathElement._trusted(
             self.m,
             self.n,
-            [p * c for p in self.module],
-            [a * c for a in self.tor_t],
-            [a * c for a in self.tor_u],
+            tuple(p * c for p in self.module),
+            tuple(a * c for a in self.tor_t),
+            tuple(a * c for a in self.tor_u),
         )
 
     __rmul__ = __mul__
@@ -178,11 +214,12 @@ class WreathElement:
         for k, poly in enumerate(self.module):
             for exps, c in poly.terms.items():
                 vec[("m", k, exps)] = c
+        # `c is not _ZERO` skips the stored zeros without a Fraction truth test
         for i, c in enumerate(self.tor_t):
-            if c:
+            if c is not _ZERO and c:
                 vec[("t", i)] = c
         for i, c in enumerate(self.tor_u):
-            if c:
+            if c is not _ZERO and c:
                 vec[("u", i)] = c
         return vec
 
@@ -223,16 +260,57 @@ class WreathElement:
 
 # --------------------------------------------------------------------- bracket
 
+
+def _action_terms(e: WreathElement) -> list[tuple[int, int, Fraction]]:
+    """The torus part of e as (variable index, power, coefficient) triples.
+
+    Listed as the terms of `action_poly(e)`: t-letters first, then u-letters,
+    each block by index.
+    """
+    out = []
+    for i, c in enumerate(e.tor_t):
+        if c is not _ZERO and c:
+            out.append((i, 1, c))
+    for i, c in enumerate(e.tor_u):
+        if c is not _ZERO and c:
+            out.append((i, 2, c))
+    return out
+
+
 def action_poly(e: WreathElement) -> MultiPoly:
     """The polynomial by which the torus part of e acts on the module."""
-    out = MultiPoly.zero(e.n)
-    for i, c in enumerate(e.tor_t):
-        if c:
-            out = out + MultiPoly.variable(e.n, i) * c
-    for i, c in enumerate(e.tor_u):
-        if c:
-            out = out + MultiPoly.variable(e.n, i, 2) * c
-    return out
+    terms: dict[Exponents, Fraction] = {}
+    for i, power, c in _action_terms(e):
+        exps = [0] * e.n
+        exps[i] = power
+        terms[tuple(exps)] = c
+    return MultiPoly._trusted(e.n, terms)
+
+
+def _add_product(
+    out: dict[Exponents, Fraction],
+    terms: dict[Exponents, Fraction],
+    action: list[tuple[int, int, Fraction]],
+    negate: bool,
+) -> None:
+    """out += (-1 if negate else 1) * terms * act, with act from `_action_terms`."""
+    get = out.get
+    for i, power, a in action:
+        if negate:
+            a = -a
+        unit = a == 1
+        for e, c in terms.items():
+            key = e[:i] + (e[i] + power,) + e[i + 1:]
+            prod = c if unit else c * a
+            old = get(key)
+            if old is None:
+                out[key] = prod
+            else:
+                acc = old + prod
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
 
 
 def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -> WreathElement:
@@ -240,12 +318,22 @@ def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -
     if mode not in MODES:
         raise ModeMismatchError(f"unknown mode {mode!r}")
     p._check_shape(q)
-    if mode == MODE_W and (p.has_u_component() or q.has_u_component()):
+    act_p = _action_terms(p)
+    act_q = _action_terms(q)
+    # u-letters are the power-2 terms of an action, listed last
+    if mode == MODE_W and ((act_p and act_p[-1][1] == 2) or (act_q and act_q[-1][1] == 2)):
         raise ModeMismatchError("u-component present in mode W")
-    act_p = action_poly(p)
-    act_q = action_poly(q)
-    module = [bp * act_q - bq * act_p for bp, bq in zip(p.module, q.module)]
-    return WreathElement(p.m, p.n, module)
+    n = p.n
+    module = []
+    for bp, bq in zip(p.module, q.module):
+        out: dict[Exponents, Fraction] = {}
+        if act_q and bp.terms:
+            _add_product(out, bp.terms, act_q, False)
+        if act_p and bq.terms:
+            _add_product(out, bq.terms, act_p, True)
+        module.append(MultiPoly._trusted(n, out))
+    zero = (_ZERO,) * n
+    return WreathElement._trusted(p.m, n, tuple(module), zero, zero)
 
 
 def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generator, WreathElement]:

@@ -186,3 +186,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n,dim,gamma\n1,2,2\n2,1,3\n3,2,5\n"
+
+
+def test_failed_cross_check_exits_1(monkeypatch, capsys):
+    def disagreeing(*args, **kwargs):
+        raise ArithmeticError("filtration search disagrees with the closed-form count")
+
+    monkeypatch.setattr(growthmod, "growth_bfs", disagreeing)
+    assert main(["growth", "--d", "2", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closed-form" in captured.err
+
+
+def test_verify_towers_rejects_mode_w(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "towers", "--mode", "W", "--d", "2"])
+    assert exc.value.code == 2
+    assert "--mode W" in capsys.readouterr().err
+    # without --mode, and with the explicit default, the suite runs as before
+    for extra in ([], ["--mode", "Wplus"]):
+        code, out = run_cli(["verify", "--suite", "towers", "--d", "2", "--bound-s", "2"] + extra, capsys)
+        assert code == 0
+        assert json.loads(out)["mode"] == "Wplus"
