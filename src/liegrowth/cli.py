@@ -164,7 +164,10 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
 
 
 def _read_graded_csv(path: str) -> list[int]:
-    """Read `n,a_n` rows into the indexed-list convention (a[0] = 0)."""
+    """Read `n,a_n` rows into the indexed-list convention (a[0] = 0).
+
+    Each n >= 1 may appear once; a missing n reads as a_n = 0.
+    """
     values: dict[int, int] = {}
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -173,7 +176,12 @@ def _read_graded_csv(path: str) -> list[int]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad csv row: {ln!r}")
-        values[int(parts[0])] = int(parts[1])
+        n = int(parts[0])
+        if n < 1:
+            raise ValueError(f"bad csv row: {ln!r} (n must be >= 1)")
+        if n in values:
+            raise ValueError(f"bad csv row: {ln!r} (n = {n} given twice)")
+        values[n] = int(parts[1])
     if not values:
         raise ValueError("empty sequence file")
     n_max = max(values)

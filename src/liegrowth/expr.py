@@ -13,7 +13,7 @@ The text format writes ``x1`` for leaves and ``[e1,e2]`` for brackets, and a
 flat list ``[a1,t2,t2]`` abbreviates the left-nested ``[[a1,t2],t2]``, so
 ``format_expr`` and ``parse_expr`` round-trip exactly.
 
-``left_normalize`` rewrites any expression as an exact rational combination of
+``left_normalize`` rewrites any expression as an exact integer combination of
 left-normed words (words w = (w0, w1, ..., wk) standing for the iterated
 bracket [[..[w0,w1],..],wk]). The rewrite uses the Jacobi identity on the
 right factor, [p,[q,r]] = [[p,q],r] - [[p,r],q], recursing until every right
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 KINDS = ("x", "a", "t", "u")
@@ -70,7 +69,7 @@ class Bracket:
 LieExpr = Union[Leaf, Bracket]
 
 Word = tuple[Generator, ...]
-Combination = dict[Word, Fraction]
+Combination = dict[Word, int]
 
 
 def leaves(e: LieExpr) -> Iterator[Generator]:
@@ -177,13 +176,13 @@ def _parse(tokens: list[str], pos: int) -> tuple[int, LieExpr]:
 # ------------------------------------------------------- left-normed spanning
 
 def left_normalize(e: LieExpr) -> Combination:
-    """Expand into left-normed words with rational coefficients.
+    """Expand into left-normed words with (nonzero) integer coefficients.
 
     Length-homogeneous: every word in the result has length(e) letters.
     Deterministic: the Jacobi rewrite always splits the right factor first.
     """
     if isinstance(e, Leaf):
-        return {(e.gen,): Fraction(1)}
+        return {(e.gen,): 1}
     out: Combination = {}
     for w1, c1 in left_normalize(e.left).items():
         for w2, c2 in left_normalize(e.right).items():
@@ -196,7 +195,7 @@ def left_normalize(e: LieExpr) -> Combination:
 def _bracket_words(w1: Word, w2: Word) -> Combination:
     # [w1, w2] with both factors left-normed; right length strictly decreases.
     if len(w2) == 1:
-        return {w1 + w2: Fraction(1)}
+        return {w1 + w2: 1}
     prefix, last = w2[:-1], w2[-1]
     out: Combination = {}
     for w, c in _bracket_words(w1, prefix).items():
@@ -206,8 +205,8 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
     return out
 
 
-def _accumulate(comb: Combination, word: Word, coeff: Fraction) -> None:
-    acc = comb.get(word, Fraction(0)) + coeff
+def _accumulate(comb: Combination, word: Word, coeff: int) -> None:
+    acc = comb.get(word, 0) + coeff
     if acc:
         comb[word] = acc
     else:

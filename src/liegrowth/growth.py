@@ -59,7 +59,10 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
 
     generator_order optionally permutes the generating set before the search;
     the resulting dimensions are identical (the span does not depend on
-    insertion order), which the tests exercise.
+    insertion order), which the tests exercise. The result is checked
+    against the closed form of its mode (`wplus_gamma_closed`,
+    `w_gamma_closed` or `metabelian.growth`); a mismatch raises
+    ArithmeticError.
     """
     if mode not in GROWTH_MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
@@ -112,7 +115,13 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
         gamma.append(space.rank)
         frontier = fresh
     graded = [0] + [gamma[k] - gamma[k - 1] for k in range(1, n_max + 1)]
-    if mode == MODE_WPLUS and gamma != wplus_gamma_closed(d, n_max):
+    if mode == MODE_WPLUS:
+        closed = wplus_gamma_closed(d, n_max)
+    elif mode == MODE_W:
+        closed = w_gamma_closed(d, n_max)
+    else:
+        closed = metabelian.growth(d, n_max)
+    if gamma != closed:
         raise ArithmeticError("filtration search disagrees with the closed-form count")
     return GrowthReport(mode=mode, d=d, gamma=gamma, graded=graded)
 

@@ -1,8 +1,10 @@
 """The free metabelian Lie algebra on d generators, with exact normal forms.
 
-Elements are rational combinations of basis monomials. A basis monomial of
-degree n >= 2 is a left-normed word (w0, w1, ..., w_{n-1}) of generator
-indices with
+Elements are rational combinations of basis monomials, with coefficients
+under the convention of `poly`: an `int` where the value is integral, a
+`fractions.Fraction` where it is not, never zero and never a `float`. A basis
+monomial of degree n >= 2 is a left-normed word (w0, w1, ..., w_{n-1}) of
+generator indices with
 
     w0 > w1 <= w2 <= ... <= w_{n-1},
 
@@ -24,11 +26,11 @@ normal form is certified externally by the wreath-model embedding (see
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .expr import Generator, LieExpr, left_normalize
+from .poly import Rational, exact, scaled
 
 Monomial = tuple[int, ...]
 
@@ -54,24 +56,24 @@ class MetabelianElement:
 
     __slots__ = ("d", "terms")
 
-    def __init__(self, d: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, d: int, terms: dict[Monomial, Rational] | None = None):
         if d < 1:
             raise ValueError("d must be >= 1")
         self.d = d
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         if terms:
             for word, coeff in terms.items():
                 if not is_basis_monomial(word):
                     raise ValueError(f"not a basis monomial: {word}")
                 if any(not 0 <= i < d for i in word):
                     raise ValueError(f"generator index out of range in {word}")
-                c = Fraction(coeff)
+                c = exact(coeff)
                 if c:
                     clean[tuple(word)] = c
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, d: int, terms: dict[Monomial, Fraction]) -> "MetabelianElement":
+    def _trusted(cls, d: int, terms: dict[Monomial, Rational]) -> "MetabelianElement":
         """Wrap `terms` without validation: basis monomials over x1..xd with
         nonzero coefficients, built from operands that were already checked."""
         res = object.__new__(cls)
@@ -85,7 +87,7 @@ class MetabelianElement:
 
     @classmethod
     def generator(cls, i: int, d: int) -> "MetabelianElement":
-        return cls(d, {(i,): Fraction(1)})
+        return cls(d, {(i,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,29 +107,24 @@ class MetabelianElement:
             raise ValueError("elements over different generator counts")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, Fraction(0)) + c
+            acc = out.get(w, 0) + c
             if acc:
                 out[w] = acc
             else:
                 out.pop(w, None)
-        res = MetabelianElement.zero(self.d)
-        res.terms = out
-        return res
+        return MetabelianElement._trusted(self.d, out)
 
     def __neg__(self) -> "MetabelianElement":
-        res = MetabelianElement.zero(self.d)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return MetabelianElement._trusted(self.d, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "MetabelianElement") -> "MetabelianElement":
         return self + (-other)
 
-    def __mul__(self, scalar: Fraction | int) -> "MetabelianElement":
-        c = Fraction(scalar)
-        res = MetabelianElement.zero(self.d)
-        if c:
-            res.terms = {w: cc * c for w, cc in self.terms.items()}
-        return res
+    def __mul__(self, scalar: Rational) -> "MetabelianElement":
+        c = exact(scalar)
+        if not c:
+            return MetabelianElement._trusted(self.d, {})
+        return MetabelianElement._trusted(self.d, scaled(self.terms, c))
 
     __rmul__ = __mul__
 
@@ -167,16 +164,16 @@ def normalize_word(word: Sequence[int], d: int) -> MetabelianElement:
     return out
 
 
-def _normalize(w: Monomial) -> dict[Monomial, Fraction]:
+def _normalize(w: Monomial) -> dict[Monomial, int]:
     if len(w) == 1:
-        return {w: Fraction(1)}
+        return {w: 1}
     if len(w) == 2:
         i, j = w
         if i == j:
             return {}
         if i > j:
-            return {w: Fraction(1)}
-        return {(j, i): Fraction(-1)}
+            return {w: 1}
+        return {(j, i): -1}
     head, second = w[0], w[1]
     rest = tuple(sorted(w[2:]))  # positions >= 2 commute freely
     if head == second:
@@ -184,15 +181,15 @@ def _normalize(w: Monomial) -> dict[Monomial, Fraction]:
     if head < second:
         return {m: -c for m, c in _normalize((second, head) + rest).items()}
     if second <= rest[0]:
-        return {(head, second) + rest: Fraction(1)}
+        return {(head, second) + rest: 1}
     # move the minimum into position 1: for a <= b <= c,
     # [c,b,a,...] = [c,a,b,...] - [b,a,c,...]
     small, remainder = rest[0], rest[1:]
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for m, c in _normalize((head, small, second) + remainder).items():
-        out[m] = out.get(m, Fraction(0)) + c
+        out[m] = out.get(m, 0) + c
     for m, c in _normalize((second, small, head) + remainder).items():
-        acc = out.get(m, Fraction(0)) - c
+        acc = out.get(m, 0) - c
         if acc:
             out[m] = acc
         else:
@@ -225,7 +222,7 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
     """
     if p.d != q.d:
         raise ValueError("elements over different generator counts")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Rational] = {}
     get = out.get
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():

@@ -2,50 +2,80 @@
 
 These are the coefficients of the wreath-product module: every module basis
 vector carries one polynomial in the torus variables t1..tn. Exponent vectors
-are int tuples with one slot per variable, coefficients are
-`fractions.Fraction`, and zero coefficients are never stored. Instances are
-immutable by convention; every operation returns a fresh polynomial.
+are int tuples with one slot per variable. Instances are immutable by
+convention; every operation returns a fresh polynomial.
+
+Coefficients are exact rationals: an `int` where the value is integral, a
+`fractions.Fraction` where it is not. Most coefficients in this package are
+integers, and `int` arithmetic runs in C while `Fraction` arithmetic runs in
+Python and calls `gcd`. Invariant: no stored coefficient is zero, and each is
+an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`;
+an operation on a non-integral `Fraction` may leave an integral `Fraction`,
+which compares and hashes equal to its `int`.
 
 The public constructor `MultiPoly(nvars, terms)` validates arity, signs and
-coefficients. Results of arithmetic go through the trusted constructor
-`MultiPoly._trusted(nvars, terms)` instead, which stores `terms` as given. Its
-invariant, kept by every caller: `terms` maps exponent tuples to nonzero
-`Fraction`s (it stores no zero coefficient), and `nvars` and the exponent
-arities come from operands that were already checked, so validating them
-again would only cost time.
+coefficients, and stores an integral coefficient (an `int` or an integral
+`Fraction`) as `int`; see `exact`. Results of arithmetic go through the
+trusted constructor `MultiPoly._trusted(nvars, terms)` instead, which stores
+`terms` as given. Its invariant, kept by every caller: `terms` holds
+coefficients as above, and `nvars` and the exponent arities come from operands
+that were already checked, so validating them again would only cost time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 Exponents = tuple[int, ...]
+Rational = int | Fraction
+K = TypeVar("K")
 
-_ZERO = Fraction(0)
+
+def exact(value: Fraction | int | float | str) -> Rational:
+    """`value` as an exact rational: an `int` if integral, else a `Fraction`.
+
+    Anything `Fraction` accepts is accepted; a `float` is converted exactly.
+    """
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
+    """The products coeff * c of a term dict, integral ones stored as `int`.
+
+    `c` must be nonzero, so no product is zero.
+    """
+    out = {k: v * c for k, v in terms.items()}
+    for k, v in out.items():
+        if type(v) is not int and v.denominator == 1:
+            out[k] = v.numerator
+    return out
 
 
 class MultiPoly:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction | int] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, Rational] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError(f"exponent vector {exps!r} has wrong arity (nvars={nvars})")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
-                c = Fraction(coeff)
+                c = exact(coeff)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Rational]) -> "MultiPoly":
         """Wrap `terms` without validation (see the module docstring)."""
         res = object.__new__(cls)
         res.nvars = nvars
@@ -57,8 +87,8 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, value: Fraction | int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+    def constant(cls, nvars: int, value: Rational) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int, power: int = 1) -> "MultiPoly":
@@ -67,11 +97,11 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff: Fraction | int = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+    def monomial(cls, nvars: int, exps: Iterable[int], coeff: Rational = 1) -> "MultiPoly":
+        return cls(nvars, {tuple(exps): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,27 +135,27 @@ class MultiPoly:
         _add_into(out, other.terms, -1)
         return MultiPoly._trusted(self.nvars, out)
 
-    def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
+    def __mul__(self, other: "MultiPoly | Rational") -> "MultiPoly":
         if isinstance(other, MultiPoly):
             self._check_arity(other)
             if not self.terms or not other.terms:
                 return MultiPoly._trusted(self.nvars, {})
-            out: dict[Exponents, Fraction] = {}
+            out: dict[Exponents, Rational] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(key, _ZERO) + c1 * c2
+                    acc = out.get(key, 0) + c1 * c2
                     if acc:
                         out[key] = acc
                     else:
                         out.pop(key, None)
             return MultiPoly._trusted(self.nvars, out)
-        c = Fraction(other)
+        c = exact(other)
         if not c:
             return MultiPoly._trusted(self.nvars, {})
-        return MultiPoly._trusted(self.nvars, {e: cc * c for e, cc in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, scaled(self.terms, c))
 
-    def __rmul__(self, other: "Fraction | int") -> "MultiPoly":
+    def __rmul__(self, other: Rational) -> "MultiPoly":
         return self * other
 
     def shift(self, index: int, power: int) -> "MultiPoly":
@@ -171,7 +201,7 @@ class MultiPoly:
 
 
 def _add_into(
-    out: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction], sign: int = 1
+    out: dict[Exponents, Rational], terms: Mapping[Exponents, Rational], sign: int = 1
 ) -> None:
     """out += sign * terms, in place; sign is 1 or -1 and out keeps no zeros."""
     get = out.get

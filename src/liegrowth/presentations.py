@@ -30,11 +30,24 @@ from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wrea
 
 @dataclass(frozen=True)
 class Relator:
-    """lhs = rhs as elements of the presented algebra; rhs None means 0."""
+    """lhs = rhs as elements of the presented algebra; rhs None means 0.
 
-    label: str
+    `label` names the relator in failure reports. Given as None, it is the
+    text format of the relation, ``format_expr(lhs)`` or ``"lhs = rhs"``,
+    made when read: a presentation holds thousands of relators, and a label
+    is wanted only for a relator that fails.
+    """
+
+    _label: str | None
     lhs: LieExpr
     rhs: LieExpr | None = None
+
+    @property
+    def label(self) -> str:
+        if self._label is not None:
+            return self._label
+        text = format_expr(self.lhs)
+        return text if self.rhs is None else f"{text} = {format_expr(self.rhs)}"
 
 
 @dataclass
@@ -89,7 +102,7 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
     for i in range(n):
         for j in range(n):
             lhs = Bracket(Leaf(_t(i)), Leaf(_t(j)))
-            relators.append(Relator(format_expr(lhs), lhs))
+            relators.append(Relator(None, lhs))
     for total in range(pair_len_max + 1):
         for r in range(total + 1):
             s = total - r
@@ -100,7 +113,7 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
                             left = left_normed([_a(k)] + [_t(i) for i in isub])
                             right = left_normed([_a(l)] + [_t(j) for j in jsub])
                             lhs = Bracket(left, right)
-                            relators.append(Relator(format_expr(lhs), lhs))
+                            relators.append(Relator(None, lhs))
     gens = tuple(_a(k) for k in range(m)) + tuple(_t(i) for i in range(n))
     return Presentation(gens, tuple(relators), {"pair_len_max": pair_len_max})
 
@@ -117,7 +130,7 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
             for k in range(m):
                 for l in range(m):
                     lhs = left_normed([_a(k)] + [_t(j) for j in js] + [_a(l)])
-                    relators.append(Relator(format_expr(lhs), lhs))
+                    relators.append(Relator(None, lhs))
     for i in range(n):
         for j in range(n):
             pairs = [
@@ -126,12 +139,12 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
                 Bracket(Leaf(_u(i)), Leaf(_u(j))),
             ]
             for lhs in pairs:
-                relators.append(Relator(format_expr(lhs), lhs))
+                relators.append(Relator(None, lhs))
     for k in range(m):
         for l in range(n):
             lhs = Bracket(Leaf(_a(k)), Leaf(_u(l)))
             rhs = left_normed([_a(k), _t(l), _t(l)])
-            relators.append(Relator(f"{format_expr(lhs)} = {format_expr(rhs)}", lhs, rhs))
+            relators.append(Relator(None, lhs, rhs))
     gens = (
         tuple(_a(k) for k in range(m))
         + tuple(_t(i) for i in range(n))

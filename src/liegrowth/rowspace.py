@@ -1,11 +1,15 @@
 """Incremental exact rank tracking by sparse Gaussian elimination.
 
-Vectors are sparse dicts mapping totally ordered coordinate keys to nonzero
-`Fraction`s. Each stored row is scaled so its smallest coordinate (its pivot)
-has coefficient 1, and pivots are distinct across rows, so reducing a vector
-means repeatedly cancelling its smallest coordinate until it is either empty
-or introduces a new pivot. All arithmetic is rational: rank decisions are
-exact, never a float tolerance.
+Vectors are sparse dicts mapping totally ordered coordinate keys to exact
+rationals. Invariant: no stored coefficient is zero, and each is an `int` or
+a `fractions.Fraction`, never a `float` (the convention of `poly`: integral
+values are mostly `int`, whose arithmetic runs in C). Each stored row is
+scaled so its smallest coordinate (its pivot) has coefficient 1, and pivots
+are distinct across rows, so reducing a vector means repeatedly cancelling its
+smallest coordinate until it is either empty or introduces a new pivot. All
+arithmetic is rational: rank decisions are exact, never a float tolerance.
+Scaling a new row by its pivot is the only division; a pivot of 1 or -1 keeps
+the row integral, any other pivot divides through `Fraction`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable
 
-Vector = dict[Hashable, Fraction]
+from .poly import Rational, exact
+
+Vector = dict[Hashable, Rational]
+
+
+def _divide(vec: dict, lead: Rational) -> dict:
+    """vec / lead exactly, with integral quotients stored as `int`.
+
+    A lead of 1 returns `vec` itself, so callers pass a dict they own.
+    """
+    if lead == 1:
+        return vec
+    if lead == -1:
+        return {k: -c for k, c in vec.items()}
+    inv = Fraction(1, lead)
+    return {k: exact(c * inv) for k, c in vec.items()}
 
 
 class RowSpace:
@@ -27,16 +46,16 @@ class RowSpace:
     def __init__(self, track: bool = False):
         self._rows: dict[Hashable, Vector] = {}  # pivot -> row (row[pivot] == 1)
         self._track = track
-        self._combos: dict[Hashable, dict[int, Fraction]] = {}
+        self._combos: dict[Hashable, dict[int, Rational]] = {}
         self._inserts = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector) -> tuple[Vector, dict[int, Fraction]]:
+    def _reduce(self, vec: Vector) -> tuple[Vector, dict[int, Rational]]:
         residual = dict(vec)
-        combo: dict[int, Fraction] = {}
+        combo: dict[int, Rational] = {}
         while residual:
             pivot = min(residual)
             row = self._rows.get(pivot)
@@ -44,14 +63,14 @@ class RowSpace:
                 break
             factor = residual[pivot]
             for key, c in row.items():
-                acc = residual.get(key, Fraction(0)) - factor * c
+                acc = residual.get(key, 0) - factor * c
                 if acc:
                     residual[key] = acc
                 else:
                     residual.pop(key, None)
             if self._track:
                 for idx, c in self._combos[pivot].items():
-                    acc = combo.get(idx, Fraction(0)) + factor * c
+                    acc = combo.get(idx, 0) + factor * c
                     if acc:
                         combo[idx] = acc
                     else:
@@ -71,7 +90,7 @@ class RowSpace:
         grew, _ = self.add_with_witness(vec)
         return grew
 
-    def add_with_witness(self, vec: Vector) -> tuple[bool, dict[int, Fraction]]:
+    def add_with_witness(self, vec: Vector) -> tuple[bool, dict[int, Rational]]:
         """Insert a vector.
 
         Returns (True, {}) when the rank grew. Returns (False, combo) when the
@@ -87,12 +106,13 @@ class RowSpace:
             return False, combo
         pivot = min(residual)
         lead = residual[pivot]
-        row = {k: c / lead for k, c in residual.items()}
+        row = _divide(residual, lead)
+        row[pivot] = 1
         self._rows[pivot] = row
         if self._track:
             # row = (vec - sum combo_i * inserted_i) / lead
-            expansion = {insert_id: Fraction(1) / lead}
+            expansion = {insert_id: 1}
             for idx, c in combo.items():
-                expansion[idx] = -c / lead
-            self._combos[pivot] = expansion
+                expansion[idx] = -c
+            self._combos[pivot] = _divide(expansion, lead)
         return True, {}

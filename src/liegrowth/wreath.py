@@ -14,12 +14,16 @@ every commutator lands inside B. Each torus letter acts by a single monomial
 two module parts; it is accumulated into one term dict per module component,
 and a product with an empty factor is never formed.
 
-The public constructor `WreathElement(...)` validates shapes and converts
-coefficients. Brackets and the arithmetic operators build their results with
-the trusted constructor `WreathElement._trusted(...)` instead, under the same
-invariant as `MultiPoly._trusted`: no stored polynomial holds a zero
-coefficient, and m, n and every arity come from operands that were already
-checked.
+Coefficients follow the convention of `poly`: an `int` where the value is
+integral, a `fractions.Fraction` where it is not, never a `float`. No stored
+module polynomial holds a zero coefficient; a torus coefficient may be zero
+(the integer 0), and code that walks the torus skips zeros by a plain truth
+test. The public constructor `WreathElement(...)` validates shapes and stores
+integral coefficients as `int` (see `poly.exact`). Brackets and the arithmetic
+operators build their results with the trusted constructor
+`WreathElement._trusted(...)` instead, under the same invariant as
+`MultiPoly._trusted`: coefficients as above, and m, n and every arity come
+from operands that were already checked.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -31,20 +35,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import metabelian
 from .expr import Generator, LieExpr, evaluate, left_normed, random_expr
 from .metabelian import MetabelianElement
-from .poly import Exponents, MultiPoly
+from .poly import Exponents, MultiPoly, Rational, exact
 from .rowspace import RowSpace
 
 MODE_W = "W"
 MODE_WPLUS = "Wplus"
 MODES = (MODE_W, MODE_WPLUS)
-
-_ZERO = Fraction(0)
 
 
 class ModeMismatchError(ValueError):
@@ -65,8 +66,8 @@ class WreathElement:
         m: int,
         n: int,
         module: Iterable[MultiPoly] | None = None,
-        tor_t: Iterable[Fraction | int] | None = None,
-        tor_u: Iterable[Fraction | int] | None = None,
+        tor_t: Iterable[Rational] | None = None,
+        tor_u: Iterable[Rational] | None = None,
     ):
         if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
@@ -76,9 +77,8 @@ class WreathElement:
         if len(mod) != m or any(p.nvars != n for p in mod):
             raise ValueError("module part must be m polynomials in n variables")
         self.module = mod
-        # zeros are stored as `_ZERO` itself, which coords and brackets skip by identity
-        tt = tuple(Fraction(c) or _ZERO for c in tor_t) if tor_t is not None else (_ZERO,) * n
-        tu = tuple(Fraction(c) or _ZERO for c in tor_u) if tor_u is not None else (_ZERO,) * n
+        tt = tuple(map(exact, tor_t)) if tor_t is not None else (0,) * n
+        tu = tuple(map(exact, tor_u)) if tor_u is not None else (0,) * n
         if len(tt) != n or len(tu) != n:
             raise ValueError("torus parts must have length n")
         self.tor_t = tt
@@ -90,8 +90,8 @@ class WreathElement:
         m: int,
         n: int,
         module: tuple[MultiPoly, ...],
-        tor_t: tuple[Fraction, ...],
-        tor_u: tuple[Fraction, ...],
+        tor_t: tuple[Rational, ...],
+        tor_u: tuple[Rational, ...],
     ) -> "WreathElement":
         """Wrap already-checked parts without validation (see the module docstring)."""
         res = object.__new__(cls)
@@ -118,16 +118,16 @@ class WreathElement:
     def gen_t(cls, i: int, m: int, n: int) -> "WreathElement":
         if not 0 <= i < n:
             raise ValueError(f"torus index {i} out of range")
-        tt = [_ZERO] * n
-        tt[i] = Fraction(1)
+        tt = [0] * n
+        tt[i] = 1
         return cls(m, n, None, tt)
 
     @classmethod
     def gen_u(cls, i: int, m: int, n: int) -> "WreathElement":
         if not 0 <= i < n:
             raise ValueError(f"torus index {i} out of range")
-        tu = [_ZERO] * n
-        tu[i] = Fraction(1)
+        tu = [0] * n
+        tu[i] = 1
         return cls(m, n, None, None, tu)
 
     def is_zero(self) -> bool:
@@ -188,14 +188,14 @@ class WreathElement:
             tuple(a - b for a, b in zip(self.tor_u, other.tor_u)),
         )
 
-    def __mul__(self, scalar: Fraction | int) -> "WreathElement":
-        c = Fraction(scalar)
+    def __mul__(self, scalar: Rational) -> "WreathElement":
+        c = exact(scalar)
         return WreathElement._trusted(
             self.m,
             self.n,
             tuple(p * c for p in self.module),
-            tuple(a * c for a in self.tor_t),
-            tuple(a * c for a in self.tor_u),
+            tuple(exact(a * c) for a in self.tor_t),
+            tuple(exact(a * c) for a in self.tor_u),
         )
 
     __rmul__ = __mul__
@@ -214,12 +214,11 @@ class WreathElement:
         for k, poly in enumerate(self.module):
             for exps, c in poly.terms.items():
                 vec[("m", k, exps)] = c
-        # `c is not _ZERO` skips the stored zeros without a Fraction truth test
         for i, c in enumerate(self.tor_t):
-            if c is not _ZERO and c:
+            if c:
                 vec[("t", i)] = c
         for i, c in enumerate(self.tor_u):
-            if c is not _ZERO and c:
+            if c:
                 vec[("u", i)] = c
         return vec
 
@@ -261,7 +260,7 @@ class WreathElement:
 # --------------------------------------------------------------------- bracket
 
 
-def _action_terms(e: WreathElement) -> list[tuple[int, int, Fraction]]:
+def _action_terms(e: WreathElement) -> list[tuple[int, int, Rational]]:
     """The torus part of e as (variable index, power, coefficient) triples.
 
     Listed as the terms of `action_poly(e)`: t-letters first, then u-letters,
@@ -269,17 +268,17 @@ def _action_terms(e: WreathElement) -> list[tuple[int, int, Fraction]]:
     """
     out = []
     for i, c in enumerate(e.tor_t):
-        if c is not _ZERO and c:
+        if c:
             out.append((i, 1, c))
     for i, c in enumerate(e.tor_u):
-        if c is not _ZERO and c:
+        if c:
             out.append((i, 2, c))
     return out
 
 
 def action_poly(e: WreathElement) -> MultiPoly:
     """The polynomial by which the torus part of e acts on the module."""
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Rational] = {}
     for i, power, c in _action_terms(e):
         exps = [0] * e.n
         exps[i] = power
@@ -288,9 +287,9 @@ def action_poly(e: WreathElement) -> MultiPoly:
 
 
 def _add_product(
-    out: dict[Exponents, Fraction],
-    terms: dict[Exponents, Fraction],
-    action: list[tuple[int, int, Fraction]],
+    out: dict[Exponents, Rational],
+    terms: dict[Exponents, Rational],
+    action: list[tuple[int, int, Rational]],
     negate: bool,
 ) -> None:
     """out += (-1 if negate else 1) * terms * act, with act from `_action_terms`."""
@@ -326,13 +325,13 @@ def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -
     n = p.n
     module = []
     for bp, bq in zip(p.module, q.module):
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Rational] = {}
         if act_q and bp.terms:
             _add_product(out, bp.terms, act_q, False)
         if act_p and bq.terms:
             _add_product(out, bq.terms, act_p, True)
         module.append(MultiPoly._trusted(n, out))
-    zero = (_ZERO,) * n
+    zero = (0,) * n
     return WreathElement._trusted(p.m, n, tuple(module), zero, zero)
 
 
@@ -407,7 +406,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
         space = RowSpace(track=True)
         rank = 0
         for mono in monos:
-            elem = MetabelianElement(d, {mono: Fraction(1)})
+            elem = MetabelianElement(d, {mono: 1})
             image = magnus_embedding(elem)
             grew, combo = space.add_with_witness(image.coords())
             if grew:
@@ -457,13 +456,13 @@ def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElem
         terms = {}
         for _ in range(rng.randint(0, 2)):
             exps = tuple(rng.randint(0, 2) for _ in range(n))
-            terms[exps] = Fraction(rng.randint(-3, 3))
+            terms[exps] = rng.randint(-3, 3)
         module.append(MultiPoly(n, terms))
-    tor_t = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    tor_t = [rng.randint(-2, 2) for _ in range(n)]
     if mode == MODE_WPLUS:
-        tor_u = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        tor_u = [rng.randint(-2, 2) for _ in range(n)]
     else:
-        tor_u = [_ZERO] * n
+        tor_u = [0] * n
     return WreathElement(m, n, module, tor_t, tor_u)
 
 

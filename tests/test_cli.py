@@ -209,3 +209,29 @@ def test_verify_towers_rejects_mode_w(capsys):
         code, out = run_cli(["verify", "--suite", "towers", "--d", "2", "--bound-s", "2"] + extra, capsys)
         assert code == 0
         assert json.loads(out)["mode"] == "Wplus"
+
+
+def test_failed_w_closed_form_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(growthmod, "w_gamma_closed", lambda d, n_max: [0] * (n_max + 1))
+    assert main(["growth", "--mode", "W", "--d", "2", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closed-form" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    (
+        ("n,a_n\n1,2\n1,5\n2,3\n", "given twice"),
+        ("1,2\n2,3\n2,3\n", "given twice"),
+        ("n,a_n\n0,7\n1,2\n2,3\n", "n must be >= 1"),
+        ("n,a_n\n1,2\n-3,1\n2,3\n", "n must be >= 1"),
+    ),
+)
+def test_euler_fit_input_rejects_bad_rows(tmp_path, capsys, rows, message):
+    src = tmp_path / "bad.csv"
+    src.write_text(rows)
+    with pytest.raises(SystemExit) as exc:
+        main(["euler-fit", "--input", str(src), "--fit-n", "1"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

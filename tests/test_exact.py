@@ -1,0 +1,228 @@
+"""Exact coefficients: integral values stay `int`, others are `Fraction`.
+
+The invariant of `poly`, `wreath`, `metabelian` and `rowspace`: every stored
+coefficient is an `int` or a `Fraction` (never a `float`), and the public
+constructors and scalar products store integral values as `int`. Integer
+inputs therefore give integer results everywhere except where rank
+elimination divides by a pivot, and those results must equal the ones the
+same inputs give as `Fraction`s.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from liegrowth import metabelian
+from liegrowth.expr import Generator, left_normalize, random_expr
+from liegrowth.growth import growth_bfs
+from liegrowth.metabelian import MetabelianElement, basis_monomials, normalize_expr, normalize_word
+from liegrowth.poly import MultiPoly, exact
+from liegrowth.rowspace import RowSpace
+from liegrowth.wreath import (
+    MODE_W,
+    MODE_WPLUS,
+    MODES,
+    WreathElement,
+    certify_embedding,
+    magnus_embedding,
+    wreath_bracket,
+)
+
+
+def _is_exact(c) -> bool:
+    return type(c) in (int, Fraction)
+
+
+def _wreath_coeffs(e: WreathElement) -> list:
+    return [c for p in e.module for c in p.terms.values()] + list(e.tor_t + e.tor_u)
+
+
+# ---------------------------------------------------------------- constructors
+
+
+def test_exact_keeps_integral_values_as_int():
+    for value, expected in (
+        (3, 3), (Fraction(6, 2), 3), (Fraction(-4, 1), -4), (True, 1), (2.0, 2), (0, 0),
+    ):
+        got = exact(value)
+        assert type(got) is int and got == expected
+    for value, expected in ((Fraction(1, 2), Fraction(1, 2)), (0.25, Fraction(1, 4)), ("-2/3", Fraction(-2, 3))):
+        got = exact(value)
+        assert type(got) is Fraction and got == expected
+
+
+def test_public_constructors_store_int_or_fraction():
+    p = MultiPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): 0.5, (2, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    assert type(p.terms[(0, 1)]) is Fraction and type(p.terms[(0, 0)]) is Fraction
+    for q in (MultiPoly.constant(2, Fraction(3)), MultiPoly.variable(2, 1), MultiPoly.monomial(2, (1, 1), 2.0)):
+        assert all(type(c) is int for c in q.terms.values())
+
+    e = WreathElement(2, 2, [p, MultiPoly.zero(2)], [Fraction(2), 0.5], [0, Fraction(-3, 3)])
+    assert e.tor_t == (2, Fraction(1, 2)) and e.tor_u == (0, -1)
+    assert [type(c) for c in e.tor_t + e.tor_u] == [int, Fraction, int, int]
+    for g in (WreathElement.gen_a(0, 2, 2), WreathElement.gen_t(1, 2, 2), WreathElement.gen_u(0, 2, 2)):
+        assert all(type(c) is int for c in _wreath_coeffs(g))
+
+    m = MetabelianElement(2, {(0,): Fraction(2, 2), (1, 0): Fraction(1, 3), (1,): 0})
+    assert m.terms == {(0,): 1, (1, 0): Fraction(1, 3)}
+    assert type(m.terms[(0,)]) is int
+    assert type(MetabelianElement.generator(1, 2).terms[(1,)]) is int
+
+
+def test_scalar_products_store_integral_values_as_int():
+    p = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    e = WreathElement(1, 2, [p], [1, Fraction(2, 3)], [0, 0])
+    m = MetabelianElement(2, {(0,): 3, (1, 0): Fraction(1, 2)})
+    for scalar in (Fraction(2), 2, 2.0):
+        assert (p * scalar).terms == {(1, 0): 6, (0, 1): 1}
+        assert all(type(c) is int for c in (p * scalar).terms.values())
+        assert (scalar * m).terms == {(0,): 6, (1, 0): 1}
+        assert all(type(c) is int for c in (m * scalar).terms.values())
+        assert (e * scalar).tor_t == (2, Fraction(4, 3))
+    for result in (p * Fraction(1, 3), p * 0.5):
+        assert all(_is_exact(c) and c for c in result.terms.values())
+    assert (p * 0).is_zero() and (m * Fraction(0)).is_zero() and (e * 0.0).is_zero()
+
+
+# ------------------------------------------------------- int in, int out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_wreath_brackets_of_int_elements_are_int(mode):
+    rng = random.Random(len(mode))
+    d = 3
+    for _ in range(100):
+        els = []
+        for _ in range(3):
+            module = [
+                MultiPoly(d, {tuple(rng.randint(0, 2) for _ in range(d)): rng.randint(-4, 4) for _ in range(2)})
+                for _ in range(d)
+            ]
+            tor_u = [rng.randint(-2, 2) for _ in range(d)] if mode == MODE_WPLUS else None
+            els.append(WreathElement(d, d, module, [rng.randint(-2, 2) for _ in range(d)], tor_u))
+        p, q, r = els
+        for result in (wreath_bracket(p, q, mode), wreath_bracket(wreath_bracket(p, q, mode), r, mode), p - q, -p + q):
+            assert all(type(c) is int for c in _wreath_coeffs(result))
+            assert all(c for poly in result.module for c in poly.terms.values())
+        assert all(type(c) is int for c in result.coords().values())
+
+
+def test_normal_forms_and_expansions_of_int_inputs_are_int():
+    rng = random.Random(5)
+    for d in (2, 3, 4):
+        gens = [Generator("x", i) for i in range(d)]
+        for _ in range(40):
+            e = random_expr(rng, gens, rng.randint(1, 6))
+            assert all(type(c) is int and c for c in left_normalize(e).values())
+            nf = normalize_expr(e, d)
+            assert all(type(c) is int and c for c in nf.terms.values())
+            assert all(type(c) is int for c in _wreath_coeffs(magnus_embedding(nf)))
+        for n in (1, 2, 3, 4):
+            for word in basis_monomials(d, n):
+                assert all(type(c) is int for c in normalize_word(word[::-1], d).terms.values())
+
+
+def test_metabelian_brackets_of_int_elements_are_int():
+    rng = random.Random(9)
+    for d in (2, 3):
+        words = [w for n in (1, 2, 3) for w in basis_monomials(d, n)]
+        for _ in range(60):
+            p = MetabelianElement(d, {w: rng.randint(-3, 3) for w in rng.sample(words, 3)})
+            q = MetabelianElement(d, {w: rng.randint(-3, 3) for w in rng.sample(words, 3)})
+            for result in (metabelian.bracket(p, q), p + q, p - q, -p):
+                assert all(type(c) is int and c for c in result.terms.values())
+
+
+def test_search_and_certificates_hold_no_float():
+    for mode in ("metabelian", MODE_W, MODE_WPLUS):
+        rep = growth_bfs(mode, 2, 5)
+        assert all(type(g) is int for g in rep.gamma + rep.graded)
+    rep = certify_embedding(2, 4, trials=10)
+    assert rep.passed and all(type(v) is int for row in rep.ranks for v in row)
+
+
+# ------------------------------------------------------------------ rowspace
+
+
+def _random_int_vectors(rng: random.Random, count: int, keys: int) -> list[dict]:
+    """Sparse int vectors whose entries include non-unit and negative pivots."""
+    coeffs = [c for c in range(-6, 7) if c]
+    out = []
+    for _ in range(count):
+        support = rng.sample(range(keys), rng.randint(1, min(4, keys)))
+        out.append({k: rng.choice(coeffs) for k in support})
+    return out
+
+
+def _combine(combo: dict, inserted: list[dict]) -> dict:
+    total: dict = {}
+    for idx, c in combo.items():
+        for k, v in inserted[idx].items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v}
+
+
+def _assert_exact_vector(vec: dict) -> None:
+    assert all(_is_exact(c) and c for c in vec.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rowspace_int_inputs_match_fraction_inputs(seed):
+    rng = random.Random(seed)
+    keys = rng.choice((4, 6, 8))
+    vectors = _random_int_vectors(rng, 3 * keys, keys)
+    # dependent vectors: integer combinations of earlier ones
+    for _ in range(keys):
+        a, b = rng.sample(vectors, 2)
+        combo = _combine({0: rng.randint(-3, 3), 1: rng.randint(-3, 3)}, [a, b])
+        if combo:
+            vectors.insert(rng.randint(0, len(vectors)), combo)
+    as_int = RowSpace(track=True)
+    as_frac = RowSpace(track=True)
+    inserted: list[dict] = []
+    probes = _random_int_vectors(rng, 10, keys)
+    for vec in vectors:
+        frac = {k: Fraction(c) for k, c in vec.items()}
+        grew_i, combo_i = as_int.add_with_witness(vec)
+        grew_f, combo_f = as_frac.add_with_witness(frac)
+        inserted.append(vec)
+        assert grew_i == grew_f
+        assert combo_i == combo_f
+        assert as_int.rank == as_frac.rank
+        if not grew_i:
+            _assert_exact_vector(combo_i)
+            assert _combine(combo_i, inserted) == vec
+        for probe in probes:
+            res_i = as_int.reduce(probe)
+            assert res_i == as_frac.reduce({k: Fraction(c) for k, c in probe.items()})
+            _assert_exact_vector(res_i)
+    for vec in inserted:
+        assert as_int.contains(vec)
+
+
+def test_rowspace_non_unit_and_negative_pivots():
+    rs = RowSpace(track=True)
+    inserted = [{0: 2, 1: 3}, {1: -3, 2: 5}, {2: -1, 3: 4}]  # pivots 2, -3, -1
+    for vec in inserted:
+        assert rs.add(vec)
+    assert rs.rank == 3
+    assert rs.reduce({0: 1}) == {3: -10}
+    assert rs.reduce({1: 1, 3: 1}) == {3: Fraction(23, 3)}
+    # the row of pivot -1 keeps integer entries
+    assert rs.reduce({2: 1}) == {3: 4} and type(rs.reduce({2: 1})[3]) is int
+    for target, expected in (
+        ({0: 4, 1: 3, 2: 5}, {0: 2, 1: 1}),
+        ({0: 1, 1: 3, 2: Fraction(-15, 2), 3: 20}, {0: Fraction(1, 2), 1: Fraction(-1, 2), 2: 5}),
+        ({2: 3, 3: -12}, {2: -3}),
+    ):
+        grew, combo = rs.add_with_witness(target)
+        inserted.append(target)
+        assert not grew
+        assert combo == expected
+        _assert_exact_vector(combo)
+        assert _combine(combo, inserted) == target

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from liegrowth import growth as growthmod
+from liegrowth import metabelian
 from liegrowth.growth import (
     MODE_METABELIAN,
     growth_bfs,
@@ -16,13 +18,13 @@ from liegrowth.wreath import MODE_W, MODE_WPLUS
 
 
 def test_metabelian_search_matches_formula_growth():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         rep = growth_bfs(MODE_METABELIAN, d, 7)
         assert rep.gamma == metabelian_growth(d, 7)
 
 
 def test_w_search_matches_closed_form():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         rep = growth_bfs(MODE_W, d, 6)
         assert rep.gamma == w_gamma_closed(d, 6)
 
@@ -90,3 +92,20 @@ def test_rejects_bad_arguments():
         growth_bfs(MODE_WPLUS, 0, 4)
     with pytest.raises(ValueError):
         growth_bfs(MODE_WPLUS, 2, 4, generator_order=[0, 1])
+
+
+@pytest.mark.parametrize(
+    "mode,target",
+    ((MODE_W, "w_gamma_closed"), (MODE_WPLUS, "wplus_gamma_closed"), (MODE_METABELIAN, None)),
+)
+def test_search_is_cross_checked_against_its_closed_form(monkeypatch, mode, target):
+    def wrong(d, n_max):
+        return [0] + [1] * n_max
+
+    if target is None:
+        monkeypatch.setattr(metabelian, "growth", wrong)
+    else:
+        monkeypatch.setattr(growthmod, target, wrong)
+    with pytest.raises(ArithmeticError, match="closed-form"):
+        growth_bfs(mode, 2, 4)
+

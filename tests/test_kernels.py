@@ -61,6 +61,11 @@ def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElem
     return WreathElement(m, n, module, _random_block(rng, n), tor_u)
 
 
+def _exact_nonzero(c) -> bool:
+    """The coefficient invariant: nonzero, and an `int` or a `Fraction`."""
+    return type(c) in (int, Fraction) and c != 0
+
+
 def _rebuilt(e: WreathElement) -> WreathElement:
     """A copy of e made through the public, validating constructors."""
     return WreathElement(
@@ -77,8 +82,9 @@ def _assert_well_formed(e: WreathElement) -> None:
     assert isinstance(e.module, tuple) and len(e.module) == e.m
     for p in e.module:
         assert p.nvars == e.n
-        assert all(type(c) is Fraction and c for c in p.terms.values())
-    assert all(type(c) is Fraction for c in e.tor_t + e.tor_u)
+        assert all(_exact_nonzero(c) for c in p.terms.values())
+    # torus coefficients may be zero, but are still exact
+    assert all(type(c) in (int, Fraction) for c in e.tor_t + e.tor_u)
 
 
 def _reference_bracket(p: WreathElement, q: WreathElement) -> WreathElement:
@@ -201,7 +207,7 @@ def test_poly_operators_match_term_by_term_reference():
             assert f - g == f + (-g)
             for result in (f * g, f - g, f + g, -f, f * _coeff(rng), f.shift(0, 2)):
                 assert result == MultiPoly(n, dict(result.terms))
-                assert all(type(c) is Fraction and c for c in result.terms.values())
+                assert all(_exact_nonzero(c) for c in result.terms.values())
 
 
 def test_poly_zero_factor_and_arity_checks():
@@ -252,7 +258,7 @@ def test_metabelian_bracket_matches_word_sum(d):
         result = metabelian.bracket(p, q)
         assert result == _reference_metabelian_bracket(p, q)
         assert result == MetabelianElement(d, dict(result.terms))
-        assert all(type(c) is Fraction and c for c in result.terms.values())
+        assert all(_exact_nonzero(c) for c in result.terms.values())
 
 
 def test_metabelian_bracket_is_a_wreath_bracket_under_the_embedding():

@@ -94,3 +94,56 @@ def test_report_dict_schema():
     d = rep.to_dict()
     assert set(d) == {"suite", "mode", "d", "m", "n", "bounds", "checked", "failures"}
     assert d["failures"] == []
+
+
+def test_relator_labels_are_formatted_only_when_read(monkeypatch):
+    from liegrowth import presentations
+    from liegrowth.expr import format_expr
+
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return format_expr(e)
+
+    monkeypatch.setattr(presentations, "format_expr", counting)
+    wplus = wplus_presentation(2, 2, s_max=2)
+    plain = wreath_presentation(2, 2, pair_len_max=2)
+    assert check_presentation(wplus, MODE_WPLUS, 2, 2).passed
+    assert check_presentation(plain, MODE_W, 2, 2).passed
+    assert calls == []
+    # read, a label is the text format of the relation, as when it was built eagerly
+    for rel in wplus.relators + plain.relators:
+        if rel.rhs is None:
+            assert rel.label == format_expr(rel.lhs)
+        else:
+            assert rel.label == f"{format_expr(rel.lhs)} = {format_expr(rel.rhs)}"
+    assert "[a1,u2] = [a1,t2,t2]" in [r.label for r in wplus.relators]
+    assert "[a1,[a2,t1]]" in [r.label for r in plain.relators]
+
+
+def test_failure_strings_of_built_relators(monkeypatch):
+    from liegrowth import presentations
+
+    pres = wplus_presentation(1, 2, s_max=0)
+    real = presentations.wreath_bracket
+
+    def torus_not_abelian(p, q, mode):
+        out = real(p, q, mode)
+        return out + WreathElement.gen_a(0, p.m, p.n) if not (p.module[0] or q.module[0]) else out
+
+    monkeypatch.setattr(presentations, "wreath_bracket", torus_not_abelian)
+    pairs = [("t", "t"), ("t", "u"), ("u", "u")]
+    expected = [
+        f"[{x}{i},{y}{j}] evaluated to a1" for i in (1, 2) for j in (1, 2) for x, y in pairs
+    ]
+    assert check_presentation(pres, MODE_WPLUS, 1, 2).failures == expected
+
+    def u1_doubles(p, q, mode):
+        out = real(p, q, mode)
+        return out * 2 if q.tor_u[0] else out
+
+    monkeypatch.setattr(presentations, "wreath_bracket", u1_doubles)
+    assert check_presentation(pres, MODE_WPLUS, 1, 2).failures == [
+        "[a1,u1] = [a1,t1,t1] evaluated to a1*t1^2"
+    ]
