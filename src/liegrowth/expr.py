@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
+
+from .poly import add_into
 
 KINDS = ("x", "a", "t", "u")
 
@@ -70,14 +72,6 @@ LieExpr = Union[Leaf, Bracket]
 
 Word = tuple[Generator, ...]
 Combination = dict[Word, int]
-
-
-def leaves(e: LieExpr) -> Iterator[Generator]:
-    if isinstance(e, Leaf):
-        yield e.gen
-    else:
-        yield from leaves(e.left)
-        yield from leaves(e.right)
 
 
 def length(e: LieExpr) -> int:
@@ -186,9 +180,7 @@ def left_normalize(e: LieExpr) -> Combination:
     out: Combination = {}
     for w1, c1 in left_normalize(e.left).items():
         for w2, c2 in left_normalize(e.right).items():
-            scale = c1 * c2
-            for w, c in _bracket_words(w1, w2).items():
-                _accumulate(out, w, c * scale)
+            add_into(out, _bracket_words(w1, w2), c1 * c2)
     return out
 
 
@@ -197,37 +189,8 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
     if len(w2) == 1:
         return {w1 + w2: 1}
     prefix, last = w2[:-1], w2[-1]
-    out: Combination = {}
-    for w, c in _bracket_words(w1, prefix).items():
-        _accumulate(out, w + (last,), c)
-    for w, c in _bracket_words(w1 + (last,), prefix).items():
-        _accumulate(out, w, -c)
-    return out
-
-
-def _accumulate(comb: Combination, word: Word, coeff: int) -> None:
-    acc = comb.get(word, 0) + coeff
-    if acc:
-        comb[word] = acc
-    else:
-        comb.pop(word, None)
-
-
-def combination_str(comb: Combination) -> str:
-    if not comb:
-        return "0"
-    pieces = []
-    for word, coeff in sorted(comb.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        w = "[" + ",".join(str(g) for g in word) + "]" if len(word) > 1 else str(word[0])
-        if coeff == 1:
-            pieces.append(w)
-        elif coeff == -1:
-            pieces.append(f"-{w}")
-        else:
-            pieces.append(f"{coeff}*{w}")
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    out = {w + (last,): c for w, c in _bracket_words(w1, prefix).items()}
+    add_into(out, _bracket_words(w1 + (last,), prefix), -1)
     return out
 
 

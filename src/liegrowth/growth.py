@@ -71,7 +71,7 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     if mode == MODE_METABELIAN:
         gens: list = [MetabelianElement.generator(i, d) for i in range(d)]
         brack: Callable = metabelian.bracket
-        coords = lambda e: dict(e.terms)
+        coords = lambda e: e.terms
         guard = None
     else:
         gens = [WreathElement.gen_a(k, d, d) for k in range(d)]

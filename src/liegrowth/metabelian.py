@@ -26,11 +26,12 @@ normal form is certified externally by the wreath-model embedding (see
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-from .expr import Generator, LieExpr, left_normalize
-from .poly import Rational, exact, scaled
+from .expr import LieExpr, left_normalize
+from .poly import Rational, add_into, exact, format_terms, scaled
 
 Monomial = tuple[int, ...]
 
@@ -106,12 +107,7 @@ class MetabelianElement:
         if self.d != other.d:
             raise ValueError("elements over different generator counts")
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w, 0) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        add_into(out, other.terms)
         return MetabelianElement._trusted(self.d, out)
 
     def __neg__(self) -> "MetabelianElement":
@@ -129,21 +125,10 @@ class MetabelianElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word, coeff in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            m = format_monomial(word)
-            if coeff == 1:
-                pieces.append(m)
-            elif coeff == -1:
-                pieces.append(f"-{m}")
-            else:
-                pieces.append(f"{coeff}*{m}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms(
+            (format_monomial(w), c)
+            for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        )
 
     def __repr__(self) -> str:
         return f"MetabelianElement(d={self.d}, {self!s})"
@@ -158,10 +143,7 @@ def normalize_word(word: Sequence[int], d: int) -> MetabelianElement:
         raise ValueError("empty word")
     if any(not 0 <= i < d for i in w):
         raise ValueError(f"generator index out of range in {w}")
-    out = MetabelianElement.zero(d)
-    for mono, coeff in _normalize(w).items():
-        out = out + MetabelianElement(d, {mono: coeff})
-    return out
+    return MetabelianElement._trusted(d, _normalize(w))
 
 
 def _normalize(w: Monomial) -> dict[Monomial, int]:
@@ -185,16 +167,9 @@ def _normalize(w: Monomial) -> dict[Monomial, int]:
     # move the minimum into position 1: for a <= b <= c,
     # [c,b,a,...] = [c,a,b,...] - [b,a,c,...]
     small, remainder = rest[0], rest[1:]
-    out: dict[Monomial, int] = {}
-    for m, c in _normalize((head, small, second) + remainder).items():
-        out[m] = out.get(m, 0) + c
-    for m, c in _normalize((second, small, head) + remainder).items():
-        acc = out.get(m, 0) - c
-        if acc:
-            out[m] = acc
-        else:
-            out.pop(m, None)
-    return {m: c for m, c in out.items() if c}
+    out = _normalize((head, small, second) + remainder)
+    add_into(out, _normalize((second, small, head) + remainder), -1)
+    return out
 
 
 def normalize_expr(e: LieExpr, d: int) -> MetabelianElement:
@@ -203,14 +178,14 @@ def normalize_expr(e: LieExpr, d: int) -> MetabelianElement:
     The kernel is exactly the second derived ideal: any expression containing
     a bracket of two degree->=2 subtrees maps to 0.
     """
-    out = MetabelianElement.zero(d)
+    out = MetabelianElement.zero(d)  # fresh, so its terms are summed into in place
     for word, coeff in left_normalize(e).items():
         indices = []
         for g in word:
             if g.kind != "x":
                 raise ValueError(f"expected x-generators only, found {g}")
             indices.append(g.index)
-        out = out + normalize_word(indices, d) * coeff
+        add_into(out.terms, normalize_word(indices, d).terms, coeff)
     return out
 
 
@@ -223,7 +198,6 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
     if p.d != q.d:
         raise ValueError("elements over different generator counts")
     out: dict[Monomial, Rational] = {}
-    get = out.get
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():
             if len(w2) == 1:
@@ -232,15 +206,7 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
                 word, scale = w2 + w1, -(c1 * c2)
             else:
                 continue
-            for mono, c in _normalize(word).items():
-                acc = c * scale
-                old = get(mono)
-                if old is not None:
-                    acc += old
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+            add_into(out, _normalize(word), scale)
     return MetabelianElement._trusted(p.d, out)
 
 
@@ -261,16 +227,10 @@ def basis_monomials(d: int, n: int) -> list[Monomial]:
     if n == 1:
         return [(i,) for i in range(d)]
     out: list[Monomial] = []
-    for tail in sorted(_nondecreasing_words(d, n - 1), key=lambda t: t[::-1]):
+    for tail in sorted(combinations_with_replacement(range(d), n - 1), key=lambda t: t[::-1]):
         for head in range(tail[0] + 1, d):
             out.append((head,) + tail)
     return out
-
-
-def _nondecreasing_words(d: int, k: int) -> Iterator[Monomial]:
-    from itertools import combinations_with_replacement
-
-    yield from combinations_with_replacement(range(d), k)
 
 
 def graded_dim(d: int, n: int) -> int:

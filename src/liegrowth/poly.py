@@ -13,6 +13,13 @@ an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`;
 an operation on a non-integral `Fraction` may leave an integral `Fraction`,
 which compares and hashes equal to its `int`.
 
+Every sparse term dict in the package (polynomials here, metabelian normal
+forms, left-normed combinations, `rowspace` vectors) keeps that rule through
+this module: `add_into` is the one in-place sum, and it deletes a key whose
+sum is 0; `format_terms` is the one place that writes a term dict as the
+signed string `c*m + m - ...`. The only other accumulate loop is
+`wreath._add_product`, which adds shifted copies rather than a plain sum.
+
 The public constructor `MultiPoly(nvars, terms)` validates arity, signs and
 coefficients, and stores an integral coefficient (an `int` or an integral
 `Fraction`) as `int`; see `exact`. Results of arithmetic go through the
@@ -53,6 +60,54 @@ def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
         if type(v) is not int and v.denominator == 1:
             out[k] = v.numerator
     return out
+
+
+def add_into(out: dict[K, Rational], terms: Mapping[K, Rational], c: Rational = 1) -> None:
+    """out += c * terms, in place; `c` must be nonzero, and out keeps no zeros."""
+    unit = c == 1
+    get = out.get
+    for k, v in terms.items():
+        if not unit:
+            v = v * c
+        old = get(k)
+        if old is None:
+            out[k] = v
+        else:
+            acc = old + v
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
+
+
+def monomial_text(exps: Exponents) -> str:
+    """`t1*t2^2` for the exponents (1, 2); "" for the unit monomial."""
+    return "*".join(f"t{i + 1}" if p == 1 else f"t{i + 1}^{p}" for i, p in enumerate(exps) if p)
+
+
+def format_terms(pairs: Iterable[tuple[str, Rational]]) -> str:
+    """The signed sum `c*m + m - m - ...` of (monomial text, coefficient) pairs.
+
+    A monomial text of "" is the unit monomial and prints the bare coefficient;
+    no pairs print "0".
+    """
+    out = []
+    for text, c in pairs:
+        if not text:
+            piece = str(c)
+        elif c == 1:
+            piece = text
+        elif c == -1:
+            piece = f"-{text}"
+        else:
+            piece = f"{c}*{text}"
+        if not out:
+            out.append(piece)
+        elif piece.startswith("-"):
+            out.append(f" - {piece[1:]}")
+        else:
+            out.append(f" + {piece}")
+    return "".join(out) if out else "0"
 
 
 class MultiPoly:
@@ -123,7 +178,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        add_into(out, other.terms)
         return MultiPoly._trusted(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -132,7 +187,7 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_arity(other)
         out = dict(self.terms)
-        _add_into(out, other.terms, -1)
+        add_into(out, other.terms, -1)
         return MultiPoly._trusted(self.nvars, out)
 
     def __mul__(self, other: "MultiPoly | Rational") -> "MultiPoly":
@@ -142,13 +197,11 @@ class MultiPoly:
                 return MultiPoly._trusted(self.nvars, {})
             out: dict[Exponents, Rational] = {}
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(key, 0) + c1 * c2
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                add_into(
+                    out,
+                    {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in other.terms.items()},
+                    c1,
+                )
             return MultiPoly._trusted(self.nvars, out)
         c = exact(other)
         if not c:
@@ -159,11 +212,17 @@ class MultiPoly:
         return self * other
 
     def shift(self, index: int, power: int) -> "MultiPoly":
-        """Multiply by t_{index}^power without a general convolution."""
-        if power == 0:
-            return self
+        """Multiply by t_{index}^power without a general convolution.
+
+        A negative power divides by t_{index}^-power, which every term must
+        contain; otherwise a negative exponent would be left and this raises.
+        """
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
+        if power == 0:
+            return self
+        if power < 0 and any(e[index] < -power for e in self.terms):
+            raise ValueError(f"t{index + 1}^{power} leaves a negative exponent")
         return MultiPoly._trusted(
             self.nvars,
             {e[:index] + (e[index] + power,) + e[index + 1:]: c for e, c in self.terms.items()},
@@ -174,44 +233,8 @@ class MultiPoly:
         return max(map(sum, self.terms)) if self.terms else -1
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, coeff in sorted(self.terms.items()):
-            vars_part = "*".join(
-                f"t{i + 1}" if p == 1 else f"t{i + 1}^{p}"
-                for i, p in enumerate(exps)
-                if p
-            )
-            if not vars_part:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append(vars_part)
-            elif coeff == -1:
-                pieces.append(f"-{vars_part}")
-            else:
-                pieces.append(f"{coeff}*{vars_part}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((monomial_text(e), c) for e, c in sorted(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self!s})"
 
-
-def _add_into(
-    out: dict[Exponents, Rational], terms: Mapping[Exponents, Rational], sign: int = 1
-) -> None:
-    """out += sign * terms, in place; sign is 1 or -1 and out keeps no zeros."""
-    get = out.get
-    for e, c in terms.items():
-        old = get(e)
-        if old is None:
-            out[e] = c if sign == 1 else -c
-        else:
-            acc = old + c if sign == 1 else old - c
-            if acc:
-                out[e] = acc
-            else:
-                del out[e]

@@ -1,15 +1,17 @@
 """Incremental exact rank tracking by sparse Gaussian elimination.
 
 Vectors are sparse dicts mapping totally ordered coordinate keys to exact
-rationals. Invariant: no stored coefficient is zero, and each is an `int` or
-a `fractions.Fraction`, never a `float` (the convention of `poly`: integral
-values are mostly `int`, whose arithmetic runs in C). Each stored row is
-scaled so its smallest coordinate (its pivot) has coefficient 1, and pivots
-are distinct across rows, so reducing a vector means repeatedly cancelling its
-smallest coordinate until it is either empty or introduces a new pivot. All
-arithmetic is rational: rank decisions are exact, never a float tolerance.
-Scaling a new row by its pivot is the only division; a pivot of 1 or -1 keeps
-the row integral, any other pivot divides through `Fraction`.
+rationals; a zero entry of an input vector is dropped on entry, and every sum
+goes through `poly.add_into`. Invariant: no stored coefficient is zero, and
+each is an `int` or a `fractions.Fraction`, never a `float` (the convention
+of `poly`: integral values are mostly `int`, whose arithmetic runs in C).
+Each stored row is scaled so its smallest coordinate (its pivot) has
+coefficient 1, and pivots are distinct across rows, so reducing a vector
+means repeatedly cancelling its smallest coordinate until it is either empty
+or introduces a new pivot. All arithmetic is rational: rank decisions are
+exact, never a float tolerance. Scaling a new row by its pivot is the only
+division; a pivot of 1 or -1 keeps the row integral, any other pivot divides
+through `Fraction`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable
 
-from .poly import Rational, exact
+from .poly import Rational, add_into, scaled
 
 Vector = dict[Hashable, Rational]
 
@@ -31,8 +33,7 @@ def _divide(vec: dict, lead: Rational) -> dict:
         return vec
     if lead == -1:
         return {k: -c for k, c in vec.items()}
-    inv = Fraction(1, lead)
-    return {k: exact(c * inv) for k, c in vec.items()}
+    return scaled(vec, Fraction(1, lead))
 
 
 class RowSpace:
@@ -54,7 +55,7 @@ class RowSpace:
         return len(self._rows)
 
     def _reduce(self, vec: Vector) -> tuple[Vector, dict[int, Rational]]:
-        residual = dict(vec)
+        residual = dict(vec) if all(vec.values()) else {k: c for k, c in vec.items() if c}
         combo: dict[int, Rational] = {}
         while residual:
             pivot = min(residual)
@@ -62,19 +63,9 @@ class RowSpace:
             if row is None:
                 break
             factor = residual[pivot]
-            for key, c in row.items():
-                acc = residual.get(key, 0) - factor * c
-                if acc:
-                    residual[key] = acc
-                else:
-                    residual.pop(key, None)
+            add_into(residual, row, -factor)
             if self._track:
-                for idx, c in self._combos[pivot].items():
-                    acc = combo.get(idx, 0) + factor * c
-                    if acc:
-                        combo[idx] = acc
-                    else:
-                        combo.pop(idx, None)
+                add_into(combo, self._combos[pivot], factor)
         return residual, combo
 
     def reduce(self, vec: Vector) -> Vector:

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 from . import metabelian
 from .expr import Generator, LieExpr, evaluate, left_normed, random_expr
 from .metabelian import MetabelianElement
-from .poly import Exponents, MultiPoly, Rational, exact
+from .poly import Exponents, MultiPoly, Rational, exact, format_terms, monomial_text
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -140,9 +140,6 @@ class WreathElement:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def has_u_component(self) -> bool:
-        return any(self.tor_u)
-
     def _check_shape(self, other: "WreathElement") -> None:
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("elements from different models")
@@ -223,35 +220,14 @@ class WreathElement:
         return vec
 
     def __str__(self) -> str:
-        pieces = []
+        pairs = []
         for k, poly in enumerate(self.module):
             for exps, coeff in sorted(poly.terms.items()):
-                mono = MultiPoly.monomial(self.n, exps, 1)
-                unit = str(mono) if any(exps) else ""
-                body = f"a{k + 1}" + (f"*{unit}" if unit else "")
-                if coeff == 1:
-                    pieces.append(body)
-                elif coeff == -1:
-                    pieces.append(f"-{body}")
-                else:
-                    pieces.append(f"{coeff}*{body}")
+                mono = monomial_text(exps)
+                pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", coeff))
         for sym, block in (("t", self.tor_t), ("u", self.tor_u)):
-            for i, coeff in enumerate(block):
-                if not coeff:
-                    continue
-                body = f"{sym}{i + 1}"
-                if coeff == 1:
-                    pieces.append(body)
-                elif coeff == -1:
-                    pieces.append(f"-{body}")
-                else:
-                    pieces.append(f"{coeff}*{body}")
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            pairs.extend((f"{sym}{i + 1}", coeff) for i, coeff in enumerate(block) if coeff)
+        return format_terms(pairs)
 
     def __repr__(self) -> str:
         return f"WreathElement(m={self.m}, n={self.n}, {self!s})"

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from liegrowth.metabelian import MetabelianElement
 from liegrowth.poly import MultiPoly
 from liegrowth.rowspace import RowSpace
+from liegrowth.wreath import WreathElement
+
+F = Fraction
 
 
 def test_poly_arithmetic_and_normalization():
@@ -30,6 +34,22 @@ def test_poly_shift_matches_variable_multiplication():
     assert p.shift(2, 2) == p * MultiPoly.variable(3, 2, 2)
 
 
+def test_poly_shift_by_negative_power_and_zero():
+    p = MultiPoly(2, {(2, 1): 3, (1, 0): -1})
+    assert p.shift(0, -1) == MultiPoly(2, {(1, 1): 3, (0, 0): -1})
+    assert p.shift(1, 0) == p
+    with pytest.raises(ValueError, match="negative exponent"):
+        p.shift(1, -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly.constant(2, 1).shift(0, -1)
+
+
+def test_poly_shift_checks_index_before_zero_power():
+    for index in (5, -1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.constant(2, 1).shift(index, 0)
+
+
 def test_poly_total_degree():
     assert MultiPoly.zero(2).total_degree() == -1
     assert MultiPoly.constant(2, 5).total_degree() == 0
@@ -46,6 +66,76 @@ def test_poly_rejects_bad_exponents():
 def test_poly_str_is_deterministic():
     p = MultiPoly(2, {(1, 0): Fraction(-1), (0, 2): Fraction(1, 3)})
     assert str(p) == "1/3*t2^2 - t1"
+
+
+@pytest.mark.parametrize(
+    "elem, text, rep",
+    [
+        (MultiPoly(2), "0", "MultiPoly(2, 0)"),
+        (MultiPoly(0, {(): 5}), "5", "MultiPoly(0, 5)"),
+        (MultiPoly.constant(1, 1), "1", "MultiPoly(1, 1)"),
+        (MultiPoly(1, {(0,): F(-7, 2)}), "-7/2", "MultiPoly(1, -7/2)"),
+        (
+            MultiPoly(2, {(0, 0): -3, (1, 0): 1, (0, 2): F(-1, 3), (2, 1): 4}),
+            "-3 - 1/3*t2^2 + t1 + 4*t1^2*t2",
+            "MultiPoly(2, -3 - 1/3*t2^2 + t1 + 4*t1^2*t2)",
+        ),
+        (
+            MultiPoly(3, {(1, 1, 1): -1, (0, 0, 0): F(5, 2), (0, 3, 0): F(-4, 1)}),
+            "5/2 - 4*t2^3 - t1*t2*t3",
+            "MultiPoly(3, 5/2 - 4*t2^3 - t1*t2*t3)",
+        ),
+        # a product of Fractions leaves integral Fraction coefficients
+        (
+            MultiPoly(1, {(1,): F(1, 2), (0,): F(-1, 2)}) * MultiPoly(1, {(0,): 2}),
+            "-1 + t1",
+            "MultiPoly(1, -1 + t1)",
+        ),
+        (WreathElement(2, 2), "0", "WreathElement(m=2, n=2, 0)"),
+        (
+            WreathElement(
+                2,
+                2,
+                [MultiPoly(2, {(0, 0): 1, (1, 2): F(-2, 3)}), MultiPoly(2, {(0, 1): -1})],
+                [0, 3],
+                [F(1, 2), -1],
+            ),
+            "a1 - 2/3*a1*t1*t2^2 - a2*t2 + 3*t2 + 1/2*u1 - u2",
+            "WreathElement(m=2, n=2, a1 - 2/3*a1*t1*t2^2 - a2*t2 + 3*t2 + 1/2*u1 - u2)",
+        ),
+        (
+            WreathElement(1, 1, [MultiPoly(1, {(0,): -1})], [-2]),
+            "-a1 - 2*t1",
+            "WreathElement(m=1, n=1, -a1 - 2*t1)",
+        ),
+        (
+            WreathElement(1, 2, None, [0, F(-3, 4)], [5, 0]),
+            "-3/4*t2 + 5*u1",
+            "WreathElement(m=1, n=2, -3/4*t2 + 5*u1)",
+        ),
+        (
+            WreathElement(2, 1, [MultiPoly(1), MultiPoly(1, {(2,): F(7, 3), (0,): -5})]),
+            "-5*a2 + 7/3*a2*t1^2",
+            "WreathElement(m=2, n=1, -5*a2 + 7/3*a2*t1^2)",
+        ),
+        (MetabelianElement(2), "0", "MetabelianElement(d=2, 0)"),
+        (
+            MetabelianElement(
+                3, {(0,): -1, (1, 0): 2, (2, 0, 1): F(1, 3), (2, 1, 1, 2): -1, (1,): 1}
+            ),
+            "-x1 + x2 + 2*[x2,x1] + 1/3*[x3,x1,x2] - [x3,x2,x2,x3]",
+            "MetabelianElement(d=3, -x1 + x2 + 2*[x2,x1] + 1/3*[x3,x1,x2] - [x3,x2,x2,x3])",
+        ),
+        (
+            MetabelianElement(2, {(1, 0, 0): F(-5, 2), (1, 0): F(-1, 1)}),
+            "-[x2,x1] - 5/2*[x2,x1,x1]",
+            "MetabelianElement(d=2, -[x2,x1] - 5/2*[x2,x1,x1])",
+        ),
+    ],
+)
+def test_str_and_repr_are_pinned(elem, text, rep):
+    assert str(elem) == text
+    assert repr(elem) == rep
 
 
 def test_rowspace_rank_and_reduce():
@@ -85,3 +175,26 @@ def test_rowspace_mixed_tuple_keys():
     assert rs.add({("m", 0, (1, 0)): Fraction(1)})
     assert rs.add({("t", 0): Fraction(1), ("m", 0, (1, 0)): Fraction(4)})
     assert rs.rank == 2
+
+
+def test_rowspace_ignores_zero_entries():
+    rs = RowSpace()
+    assert not rs.add({"a": 0})
+    assert rs.rank == 0
+    assert rs.reduce({"a": 0}) == {}
+    assert rs.add({"a": 0, "b": 1})
+    assert rs.rank == 1
+    assert rs.reduce({"a": 0, "b": 2, "c": 0}) == {}
+    assert rs.reduce({"a": 0, "c": F(1, 2)}) == {"c": F(1, 2)}
+    assert not rs.add({"a": 0, "b": -3})
+    assert rs.add({"a": 2, "b": 0})
+    assert rs.rank == 2
+
+
+def test_rowspace_witness_ignores_zero_entries():
+    rs = RowSpace(track=True)
+    assert rs.add_with_witness({"x": 0, "y": 2}) == (True, {})
+    assert rs.add_with_witness({"x": 0}) == (False, {})
+    assert rs.add_with_witness({"x": 0, "y": 6, "z": 0}) == (False, {0: 3})
+    assert rs.add_with_witness({"x": 1, "y": 0}) == (True, {})
+    assert rs.add_with_witness({"x": -1, "y": 1}) == (False, {0: F(1, 2), 3: -1})
