@@ -50,9 +50,6 @@ class GrowthReport:
     gamma: list[int]  # gamma[0] == 0
     graded: list[int]  # graded[n] = gamma[n] - gamma[n-1]
 
-    def n_max(self) -> int:
-        return len(self.gamma) - 1
-
 
 def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | None = None) -> GrowthReport:
     """Exact gamma(1..n_max) for the chosen mode.
@@ -122,7 +119,11 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     else:
         closed = metabelian.growth(d, n_max)
     if gamma != closed:
-        raise ArithmeticError("filtration search disagrees with the closed-form count")
+        n = next(n for n in range(n_max + 1) if gamma[n] != closed[n])
+        raise ArithmeticError(
+            "filtration search disagrees with the closed-form count"
+            f" at n={n}: search {gamma[n]}, closed form {closed[n]}"
+        )
     return GrowthReport(mode=mode, d=d, gamma=gamma, graded=graded)
 
 
@@ -170,14 +171,20 @@ def wplus_gamma_closed(d: int, n_max: int) -> list[int]:
 
 def w_gamma_closed(d: int, n_max: int) -> list[int]:
     """Plain model: gamma(n) = d + d * C(n-1+d, d) (torus plus module monomials)."""
+    if d < 1 or n_max < 1:
+        raise ValueError("d and n must be >= 1")
     return [0] + [d + d * comb(n - 1 + d, d) for n in range(1, n_max + 1)]
 
 
 def wplus_spanning_count(d: int, n: int) -> int:
     """Letter count of the module towers of torus length < n, plus generators."""
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be >= 1")
     return 3 * d + d * sum(comb(s + d - 1, d - 1) for s in range(1, n))
 
 
 def wplus_growth_bound(d: int, n: int) -> int:
     """Valid exact upper bound for gamma(n): tower length capped at 2(n-1)."""
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be >= 1")
     return 3 * d + d * sum(comb(s + d - 1, d - 1) for s in range(1, 2 * (n - 1) + 1))

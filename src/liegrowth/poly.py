@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over the rationals.
 
-These are the coefficients of the wreath-product module: every module basis
-vector carries one polynomial in the torus variables t1..tn. Exponent vectors
+These are the coefficients of the wreath-product module as polynomials: every
+module basis vector carries one polynomial in the torus variables t1..tn
+(`WreathElement.module` and `wreath.action_poly` give this view; an element
+itself stores one term dict keyed (k, exps), see `wreath`). Exponent vectors
 are int tuples with one slot per variable. Instances are immutable by
 convention; every operation returns a fresh polynomial.
 
@@ -18,7 +20,9 @@ forms, left-normed combinations, `rowspace` vectors) keeps that rule through
 this module: `add_into` is the one in-place sum, and it deletes a key whose
 sum is 0; `format_terms` is the one place that writes a term dict as the
 signed string `c*m + m - ...`. The only other accumulate loop is
-`wreath._add_product`, which adds shifted copies rather than a plain sum.
+`wreath._add_product(out, terms, torus, sign)`, which adds into one (k, exps)
+term dict the copies of a module term dict shifted by each torus letter,
+rather than a plain sum.
 
 The public constructor `MultiPoly(nvars, terms)` validates arity, signs and
 coefficients, and stores an integral coefficient (an `int` or an integral

@@ -1,8 +1,9 @@
 """Incremental exact rank tracking by sparse Gaussian elimination.
 
 Vectors are sparse dicts mapping totally ordered coordinate keys to exact
-rationals; a zero entry of an input vector is dropped on entry, and every sum
-goes through `poly.add_into`. Invariant: no stored coefficient is zero, and
+rationals; a zero entry of an input vector is dropped on entry, a `float`
+entry is converted exactly by `poly.exact` (the rule of the public
+constructors), and every sum goes through `poly.add_into`. Invariant: no stored coefficient is zero, and
 each is an `int` or a `fractions.Fraction`, never a `float` (the convention
 of `poly`: integral values are mostly `int`, whose arithmetic runs in C).
 Each stored row is scaled so its smallest coordinate (its pivot) has
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable
 
-from .poly import Rational, add_into, scaled
+from .poly import Rational, add_into, exact, scaled
 
 Vector = dict[Hashable, Rational]
 
@@ -55,7 +56,11 @@ class RowSpace:
         return len(self._rows)
 
     def _reduce(self, vec: Vector) -> tuple[Vector, dict[int, Rational]]:
-        residual = dict(vec) if all(vec.values()) else {k: c for k, c in vec.items() if c}
+        vals = vec.values()
+        if all(vals) and float not in map(type, vals):
+            residual = dict(vec)
+        else:
+            residual = {k: exact(c) for k, c in vec.items() if c}
         combo: dict[int, Rational] = {}
         while residual:
             pivot = min(residual)

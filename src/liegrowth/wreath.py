@@ -11,19 +11,24 @@ The bracket of p = (b_p, tau_p) and q = (b_q, tau_q) is
 with zero torus part: the torus is abelian and B is an abelian ideal, so
 every commutator lands inside B. Each torus letter acts by a single monomial
 (t_i by t_i, u_i by t_i^2), so the bracket is a sum of shifted copies of the
-two module parts; it is accumulated into one term dict per module component,
-and a product with an empty factor is never formed.
+two module parts, accumulated into one term dict; a product with an empty
+factor is never formed.
+
+An element is two sparse term dicts, the layout of the paper's basis:
+`terms` maps (k, exps) to the coefficient of a_{k+1} * t^exps, and `torus`
+maps (-power, i) to the coefficient of the torus letter acting by
+t_{i+1}^power: (-1, i) for t_{i+1} and (-2, i) for u_{i+1}. Every torus key
+sorts before every module key and all keys are mutually comparable, so the
+merged dict is a `rowspace` vector as it stands. Neither dict stores a zero.
 
 Coefficients follow the convention of `poly`: an `int` where the value is
-integral, a `fractions.Fraction` where it is not, never a `float`. No stored
-module polynomial holds a zero coefficient; a torus coefficient may be zero
-(the integer 0), and code that walks the torus skips zeros by a plain truth
-test. The public constructor `WreathElement(...)` validates shapes and stores
-integral coefficients as `int` (see `poly.exact`). Brackets and the arithmetic
-operators build their results with the trusted constructor
-`WreathElement._trusted(...)` instead, under the same invariant as
-`MultiPoly._trusted`: coefficients as above, and m, n and every arity come
-from operands that were already checked.
+integral, a `fractions.Fraction` where it is not, never a `float`. The public
+constructor `WreathElement(m, n, module, tor_t, tor_u)` validates shapes and
+stores integral coefficients as `int` (see `poly.exact`). Brackets and the
+arithmetic operators build their results with the trusted constructor
+`WreathElement._trusted(m, n, terms, torus)` instead, under the same invariant
+as `MultiPoly._trusted`: coefficients as above, no zeros, and m, n and every
+arity come from operands that were already checked.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -35,17 +40,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import combinations_with_replacement
+from math import comb
+from typing import Iterable
 
 from . import metabelian
-from .expr import Generator, LieExpr, evaluate, left_normed, random_expr
+from .expr import Generator, evaluate, random_expr
 from .metabelian import MetabelianElement
-from .poly import Exponents, MultiPoly, Rational, exact, format_terms, monomial_text
+from .poly import Exponents, MultiPoly, Rational, add_into, exact, format_terms, monomial_text, scaled
 from .rowspace import RowSpace
 
 MODE_W = "W"
 MODE_WPLUS = "Wplus"
 MODES = (MODE_W, MODE_WPLUS)
+
+# a term dict: (k, exps) -> c for module terms, (-power, i) -> c for torus letters
+Terms = dict[tuple, Rational]
 
 
 class ModeMismatchError(ValueError):
@@ -53,13 +63,13 @@ class ModeMismatchError(ValueError):
 
 
 class WreathElement:
-    """Module part (m polynomials in t1..tn) plus torus coefficients.
+    """Module terms {(k, exps): c} plus torus letters {(-power, i): c}.
 
-    tor_t[i] and tor_u[i] are the coefficients of t_{i+1} and u_{i+1}. The
-    u-block must stay zero when the element is used in mode "W".
+    See the module docstring for the layout. The torus must hold no u-letter
+    (key (-2, i)) when the element is used in mode "W".
     """
 
-    __slots__ = ("m", "n", "module", "tor_t", "tor_u")
+    __slots__ = ("m", "n", "terms", "torus")
 
     def __init__(
         self,
@@ -69,37 +79,31 @@ class WreathElement:
         tor_t: Iterable[Rational] | None = None,
         tor_u: Iterable[Rational] | None = None,
     ):
+        """m polynomials in n variables, and the t- and u-coefficients by index."""
         if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
         self.m = m
         self.n = n
-        mod = tuple(module) if module is not None else tuple(MultiPoly.zero(n) for _ in range(m))
+        mod = tuple(module) if module is not None else (MultiPoly.zero(n),) * m
         if len(mod) != m or any(p.nvars != n for p in mod):
             raise ValueError("module part must be m polynomials in n variables")
-        self.module = mod
+        self.terms = {(k, exps): c for k, p in enumerate(mod) for exps, c in p.terms.items()}
         tt = tuple(map(exact, tor_t)) if tor_t is not None else (0,) * n
         tu = tuple(map(exact, tor_u)) if tor_u is not None else (0,) * n
         if len(tt) != n or len(tu) != n:
             raise ValueError("torus parts must have length n")
-        self.tor_t = tt
-        self.tor_u = tu
+        self.torus = {
+            (-power, i): c for power, block in ((1, tt), (2, tu)) for i, c in enumerate(block) if c
+        }
 
     @classmethod
-    def _trusted(
-        cls,
-        m: int,
-        n: int,
-        module: tuple[MultiPoly, ...],
-        tor_t: tuple[Rational, ...],
-        tor_u: tuple[Rational, ...],
-    ) -> "WreathElement":
-        """Wrap already-checked parts without validation (see the module docstring)."""
+    def _trusted(cls, m: int, n: int, terms: Terms, torus: Terms) -> "WreathElement":
+        """Wrap already-checked term dicts without validation (see the module docstring)."""
         res = object.__new__(cls)
         res.m = m
         res.n = n
-        res.module = module
-        res.tor_t = tor_t
-        res.tor_u = tor_u
+        res.terms = terms
+        res.torus = torus
         return res
 
     @classmethod
@@ -110,32 +114,46 @@ class WreathElement:
     def gen_a(cls, k: int, m: int, n: int) -> "WreathElement":
         if not 0 <= k < m:
             raise ValueError(f"module index {k} out of range")
-        mod = [MultiPoly.zero(n) for _ in range(m)]
-        mod[k] = MultiPoly.constant(n, 1)
-        return cls(m, n, mod)
+        res = cls(m, n)
+        res.terms[(k, (0,) * n)] = 1
+        return res
+
+    @classmethod
+    def _gen_torus(cls, power: int, i: int, m: int, n: int) -> "WreathElement":
+        if not 0 <= i < n:
+            raise ValueError(f"torus index {i} out of range")
+        res = cls(m, n)
+        res.torus[(-power, i)] = 1
+        return res
 
     @classmethod
     def gen_t(cls, i: int, m: int, n: int) -> "WreathElement":
-        if not 0 <= i < n:
-            raise ValueError(f"torus index {i} out of range")
-        tt = [0] * n
-        tt[i] = 1
-        return cls(m, n, None, tt)
+        return cls._gen_torus(1, i, m, n)
 
     @classmethod
     def gen_u(cls, i: int, m: int, n: int) -> "WreathElement":
-        if not 0 <= i < n:
-            raise ValueError(f"torus index {i} out of range")
-        tu = [0] * n
-        tu[i] = 1
-        return cls(m, n, None, None, tu)
+        return cls._gen_torus(2, i, m, n)
+
+    @property
+    def module(self) -> tuple[MultiPoly, ...]:
+        """The module part as m polynomials, a_{k+1}'s at index k."""
+        parts: list[dict[Exponents, Rational]] = [{} for _ in range(self.m)]
+        for (k, exps), c in self.terms.items():
+            parts[k][exps] = c
+        return tuple(MultiPoly._trusted(self.n, part) for part in parts)
+
+    @property
+    def tor_t(self) -> tuple[Rational, ...]:
+        """The coefficients of t1..tn, zeros included."""
+        return tuple(self.torus.get((-1, i), 0) for i in range(self.n))
+
+    @property
+    def tor_u(self) -> tuple[Rational, ...]:
+        """The coefficients of u1..un, zeros included."""
+        return tuple(self.torus.get((-2, i), 0) for i in range(self.n))
 
     def is_zero(self) -> bool:
-        return (
-            all(p.is_zero() for p in self.module)
-            and not any(self.tor_t)
-            and not any(self.tor_u)
-        )
+        return not self.terms and not self.torus
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -147,84 +165,56 @@ class WreathElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WreathElement):
             return NotImplemented
-        return (
-            (self.m, self.n) == (other.m, other.n)
-            and self.module == other.module
-            and self.tor_t == other.tor_t
-            and self.tor_u == other.tor_u
-        )
+        return (self.m, self.n, self.terms, self.torus) == (other.m, other.n, other.terms, other.torus)
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "WreathElement") -> "WreathElement":
+    def _plus(self, other: "WreathElement", c: Rational) -> "WreathElement":
+        """self + c * other, for c = 1 or -1."""
         self._check_shape(other)
-        return WreathElement._trusted(
-            self.m,
-            self.n,
-            tuple(p + q for p, q in zip(self.module, other.module)),
-            tuple(a + b for a, b in zip(self.tor_t, other.tor_t)),
-            tuple(a + b for a, b in zip(self.tor_u, other.tor_u)),
-        )
+        terms = dict(self.terms)
+        add_into(terms, other.terms, c)
+        torus = dict(self.torus)
+        add_into(torus, other.torus, c)
+        return WreathElement._trusted(self.m, self.n, terms, torus)
 
-    def __neg__(self) -> "WreathElement":
-        return WreathElement._trusted(
-            self.m,
-            self.n,
-            tuple(-p for p in self.module),
-            tuple(-c for c in self.tor_t),
-            tuple(-c for c in self.tor_u),
-        )
+    def __add__(self, other: "WreathElement") -> "WreathElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "WreathElement") -> "WreathElement":
-        self._check_shape(other)
-        return WreathElement._trusted(
-            self.m,
-            self.n,
-            tuple(p - q for p, q in zip(self.module, other.module)),
-            tuple(a - b for a, b in zip(self.tor_t, other.tor_t)),
-            tuple(a - b for a, b in zip(self.tor_u, other.tor_u)),
-        )
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "WreathElement":
+        return self * -1
 
     def __mul__(self, scalar: Rational) -> "WreathElement":
         c = exact(scalar)
-        return WreathElement._trusted(
-            self.m,
-            self.n,
-            tuple(p * c for p in self.module),
-            tuple(exact(a * c) for a in self.tor_t),
-            tuple(exact(a * c) for a in self.tor_u),
-        )
+        if not c:
+            return WreathElement._trusted(self.m, self.n, {}, {})
+        return WreathElement._trusted(self.m, self.n, scaled(self.terms, c), scaled(self.torus, c))
 
     __rmul__ = __mul__
 
     def module_degree(self) -> int:
-        """Max total degree across module polynomials; -1 if the module part is 0."""
-        return max(p.total_degree() for p in self.module)
+        """Max total degree of a module term; -1 if the module part is 0."""
+        return max((sum(exps) for _, exps in self.terms), default=-1)
 
-    def coords(self) -> dict:
-        """Flatten to a sparse vector over disjoint coordinate keys.
+    def coords(self) -> Terms:
+        """The element as one sparse vector over mutually comparable keys.
 
-        Keys: ("m", k, exps) for module terms, ("t", i) and ("u", i) for the
-        torus; all keys are mutually comparable, as the rank engine requires.
+        With a zero torus this is `terms` itself, not a copy: `RowSpace`
+        copies a vector before it reduces it, so the result may go there as
+        it is, but must not be mutated. Otherwise it is a merged copy.
         """
-        vec: dict = {}
-        for k, poly in enumerate(self.module):
-            for exps, c in poly.terms.items():
-                vec[("m", k, exps)] = c
-        for i, c in enumerate(self.tor_t):
-            if c:
-                vec[("t", i)] = c
-        for i, c in enumerate(self.tor_u):
-            if c:
-                vec[("u", i)] = c
-        return vec
+        if not self.torus:
+            return self.terms
+        return {**self.torus, **self.terms}
 
     def __str__(self) -> str:
         pairs = []
-        for k, poly in enumerate(self.module):
-            for exps, coeff in sorted(poly.terms.items()):
-                mono = monomial_text(exps)
-                pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", coeff))
+        for (k, exps), coeff in sorted(self.terms.items()):
+            mono = monomial_text(exps)
+            pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", coeff))
         for sym, block in (("t", self.tor_t), ("u", self.tor_u)):
             pairs.extend((f"{sym}{i + 1}", coeff) for i, coeff in enumerate(block) if coeff)
         return format_terms(pairs)
@@ -236,46 +226,25 @@ class WreathElement:
 # --------------------------------------------------------------------- bracket
 
 
-def _action_terms(e: WreathElement) -> list[tuple[int, int, Rational]]:
-    """The torus part of e as (variable index, power, coefficient) triples.
-
-    Listed as the terms of `action_poly(e)`: t-letters first, then u-letters,
-    each block by index.
-    """
-    out = []
-    for i, c in enumerate(e.tor_t):
-        if c:
-            out.append((i, 1, c))
-    for i, c in enumerate(e.tor_u):
-        if c:
-            out.append((i, 2, c))
-    return out
-
-
 def action_poly(e: WreathElement) -> MultiPoly:
     """The polynomial by which the torus part of e acts on the module."""
     terms: dict[Exponents, Rational] = {}
-    for i, power, c in _action_terms(e):
+    for (neg_power, i), c in e.torus.items():
         exps = [0] * e.n
-        exps[i] = power
+        exps[i] = -neg_power
         terms[tuple(exps)] = c
     return MultiPoly._trusted(e.n, terms)
 
 
-def _add_product(
-    out: dict[Exponents, Rational],
-    terms: dict[Exponents, Rational],
-    action: list[tuple[int, int, Rational]],
-    negate: bool,
-) -> None:
-    """out += (-1 if negate else 1) * terms * act, with act from `_action_terms`."""
+def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
+    """out += sign * terms * act(torus), for sign = 1 or -1, keeping no zeros."""
     get = out.get
-    for i, power, a in action:
-        if negate:
-            a = -a
+    for (neg_power, i), a in torus.items():
+        power = -neg_power
+        a = a * sign
         unit = a == 1
-        for e, c in terms.items():
-            key = e[:i] + (e[i] + power,) + e[i + 1:]
+        for (k, e), c in terms.items():
+            key = (k, e[:i] + (e[i] + power,) + e[i + 1:])
             prod = c if unit else c * a
             old = get(key)
             if old is None:
@@ -293,22 +262,16 @@ def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -
     if mode not in MODES:
         raise ModeMismatchError(f"unknown mode {mode!r}")
     p._check_shape(q)
-    act_p = _action_terms(p)
-    act_q = _action_terms(q)
-    # u-letters are the power-2 terms of an action, listed last
-    if mode == MODE_W and ((act_p and act_p[-1][1] == 2) or (act_q and act_q[-1][1] == 2)):
+    tp = p.torus
+    tq = q.torus
+    if mode == MODE_W and any(neg_power == -2 for neg_power, _ in (*tp, *tq)):
         raise ModeMismatchError("u-component present in mode W")
-    n = p.n
-    module = []
-    for bp, bq in zip(p.module, q.module):
-        out: dict[Exponents, Rational] = {}
-        if act_q and bp.terms:
-            _add_product(out, bp.terms, act_q, False)
-        if act_p and bq.terms:
-            _add_product(out, bq.terms, act_p, True)
-        module.append(MultiPoly._trusted(n, out))
-    zero = (0,) * n
-    return WreathElement._trusted(p.m, n, tuple(module), zero, zero)
+    out: Terms = {}
+    if tq and p.terms:
+        _add_product(out, p.terms, tq, 1)
+    if tp and q.terms:
+        _add_product(out, q.terms, tp, -1)
+    return WreathElement._trusted(p.m, p.n, out, {})
 
 
 def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generator, WreathElement]:
@@ -385,15 +348,16 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
             elem = MetabelianElement(d, {mono: 1})
             image = magnus_embedding(elem)
             grew, combo = space.add_with_witness(image.coords())
+            image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
             if grew:
                 rank += 1
-            else:
+            elif combo:
                 deps = " + ".join(
                     f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(combo.items())
                 )
-                report.failures.append(
-                    f"degree {n}: image of {metabelian.format_monomial(mono)} depends on {deps}"
-                )
+                report.failures.append(f"{image_of} depends on {deps}")
+            else:
+                report.failures.append(f"{image_of} is 0")
         report.ranks.append((n, rank, expected))
         if rank != expected:
             report.failures.append(f"degree {n}: rank {rank} != expected {expected}")
@@ -435,10 +399,7 @@ def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElem
             terms[exps] = rng.randint(-3, 3)
         module.append(MultiPoly(n, terms))
     tor_t = [rng.randint(-2, 2) for _ in range(n)]
-    if mode == MODE_WPLUS:
-        tor_u = [rng.randint(-2, 2) for _ in range(n)]
-    else:
-        tor_u = [0] * n
+    tor_u = [rng.randint(-2, 2) for _ in range(n)] if mode == MODE_WPLUS else None
     return WreathElement(m, n, module, tor_t, tor_u)
 
 
@@ -474,17 +435,12 @@ def model_laws_report(
         jac = brack(brack(p, q), r) + brack(brack(q, r), p) + brack(brack(r, p), q)
         check(jac.is_zero(), f"Jacobi failed: p={p}, q={q}, r={r}")
         pq = brack(p, q)
-        check(
-            not any(pq.tor_t) and not any(pq.tor_u),
-            f"commutator left the module: [{p}, {q}] = {pq}",
-        )
+        check(not pq.torus, f"commutator left the module: [{p}, {q}] = {pq}")
         b1 = WreathElement(d, d, p.module)
         b2 = WreathElement(d, d, q.module)
         check(brack(b1, b2).is_zero(), f"module part not abelian: {b1}, {b2}")
 
     # towers [a_l, t_{j1}, ..., t_{js}] against explicit monomials, per degree
-    from itertools import combinations_with_replacement
-
     for s in range(0, span_degree + 1):
         space = RowSpace()
         count = 0
@@ -504,8 +460,6 @@ def model_laws_report(
                 )
                 if space.add(val.coords()):
                     count += 1
-        from math import comb
-
         expected = d * comb(s + d - 1, d - 1)
         check(
             count == expected,

@@ -177,6 +177,113 @@ def test_output_bytes_are_stable(tmp_path):
     assert growth_outputs[0] == growth_outputs[1]
 
 
+# stdout of three commands at a fixed configuration, byte for byte
+GROWTH_W_CSV = """\
+n,gamma,a_n
+1,4,4
+2,8,4
+3,14,6
+4,22,8
+5,32,10
+6,44,12
+"""
+
+GROWTH_WPLUS_JSON = """\
+{
+  "command": "growth",
+  "mode": "Wplus",
+  "d": 2,
+  "max_n": 5,
+  "rows": [
+    {
+      "n": 1,
+      "gamma": 6,
+      "a_n": 6,
+      "spanning_count": 6,
+      "growth_bound": 6
+    },
+    {
+      "n": 2,
+      "gamma": 14,
+      "a_n": 8,
+      "spanning_count": 10,
+      "growth_bound": 16
+    },
+    {
+      "n": 3,
+      "gamma": 30,
+      "a_n": 16,
+      "spanning_count": 16,
+      "growth_bound": 34
+    },
+    {
+      "n": 4,
+      "gamma": 54,
+      "a_n": 24,
+      "spanning_count": 24,
+      "growth_bound": 60
+    },
+    {
+      "n": 5,
+      "gamma": 86,
+      "a_n": 32,
+      "spanning_count": 34,
+      "growth_bound": 94
+    }
+  ]
+}
+"""
+
+EMBEDDING_JSON = """\
+{
+  "suite": "embedding",
+  "mode": "W",
+  "d": 2,
+  "bounds": {
+    "max_n": 4
+  },
+  "checked": 29,
+  "ranks": [
+    {
+      "n": 1,
+      "rank": 2,
+      "expected": 2
+    },
+    {
+      "n": 2,
+      "rank": 1,
+      "expected": 1
+    },
+    {
+      "n": 3,
+      "rank": 2,
+      "expected": 2
+    },
+    {
+      "n": 4,
+      "rank": 3,
+      "expected": 3
+    }
+  ],
+  "failures": []
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    (
+        ("growth --mode W --d 2 --max-n 6", GROWTH_W_CSV),
+        ("growth --mode Wplus --d 2 --max-n 5 --format json", GROWTH_WPLUS_JSON),
+        ("verify --suite embedding --d 2 --max-n 4", EMBEDDING_JSON),
+    ),
+)
+def test_output_bytes_are_pinned(capsys, argv, expected):
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert out.encode() == expected.encode()
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "liegrowth", "dims", "--d", "2", "--max-n", "3"],

@@ -14,7 +14,7 @@ from liegrowth.growth import (
     wplus_spanning_count,
 )
 from liegrowth.metabelian import growth as metabelian_growth
-from liegrowth.wreath import MODE_W, MODE_WPLUS
+from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement
 
 
 def test_metabelian_search_matches_formula_growth():
@@ -92,6 +92,13 @@ def test_rejects_bad_arguments():
         growth_bfs(MODE_WPLUS, 0, 4)
     with pytest.raises(ValueError):
         growth_bfs(MODE_WPLUS, 2, 4, generator_order=[0, 1])
+    for closed_form, args in (
+        (wplus_growth_bound, (2, 0)),
+        (w_gamma_closed, (0, 3)),
+        (wplus_spanning_count, (0, 3)),
+    ):
+        with pytest.raises(ValueError, match=r"^d and n must be >= 1$"):
+            closed_form(*args)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +113,24 @@ def test_search_is_cross_checked_against_its_closed_form(monkeypatch, mode, targ
         monkeypatch.setattr(metabelian, "growth", wrong)
     else:
         monkeypatch.setattr(growthmod, target, wrong)
-    with pytest.raises(ArithmeticError, match="closed-form"):
+    search = {MODE_W: 4, MODE_WPLUS: 6, MODE_METABELIAN: 2}[mode]  # gamma(1) at d = 2
+    message = f"^filtration search disagrees with the closed-form count at n=1: search {search}, closed form 1$"
+    with pytest.raises(ArithmeticError, match=message):
         growth_bfs(mode, 2, 4)
 
+
+
+def test_module_degree_guard_fires(monkeypatch):
+    # every nonzero bracket is pushed two u1-letters further than a search can reach
+    real = growthmod.wreath_bracket
+
+    def overshooting(p, q, mode):
+        out = real(p, q, mode)
+        if out:
+            u1 = WreathElement.gen_u(0, p.m, p.n)
+            out = real(real(out, u1, mode), u1, mode)
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    with pytest.raises(ArithmeticError, match=r"^module degree 5 overflows the level-2 cap$"):
+        growth_bfs(MODE_WPLUS, 2, 4)

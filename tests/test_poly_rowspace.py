@@ -189,6 +189,12 @@ def test_rowspace_ignores_zero_entries():
     assert not rs.add({"a": 0, "b": -3})
     assert rs.add({"a": 2, "b": 0})
     assert rs.rank == 2
+    # a float entry is taken exactly, as the public constructors take it
+    floats = RowSpace()
+    assert floats.add({"a": 0.5})
+    assert not floats.add({"a": 2.0})
+    assert floats.reduce({"a": 2.0, "b": 1.5, "c": 0.0}) == {"b": F(3, 2)}
+    assert [type(c) for c in floats.reduce({"b": 2.0}).values()] == [int]
 
 
 def test_rowspace_witness_ignores_zero_entries():

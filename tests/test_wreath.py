@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import seeded_rng, x_gens
+from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
 from liegrowth.metabelian import basis_monomials, graded_dim, normalize_expr, normalize_word
 from liegrowth.poly import MultiPoly
@@ -129,6 +130,32 @@ def test_certify_embedding_small():
         rep = certify_embedding(d, 6)
         assert rep.passed, rep.failures
         assert all(rank == expected == graded_dim(d, n) for n, rank, expected in rep.ranks)
+
+
+def test_zero_image_is_reported_as_zero(monkeypatch):
+    # x2 -> 2 * image(x1) kills every basis monomial of degree >= 2
+    real = wreath.magnus_generator_images
+
+    def collapsed(d):
+        images = real(d)
+        images[Generator("x", 1)] = images[Generator("x", 0)] * 2
+        return images
+
+    monkeypatch.setattr(wreath, "magnus_generator_images", collapsed)
+    rep = certify_embedding(2, 4, trials=2)
+    assert rep.failures == [
+        "degree 1: image of x2 depends on 2*x1",
+        "degree 1: rank 1 != expected 2",
+        "degree 2: image of [x2,x1] is 0",
+        "degree 2: rank 0 != expected 1",
+        "degree 3: image of [x2,x1,x1] is 0",
+        "degree 3: image of [x2,x1,x2] is 0",
+        "degree 3: rank 0 != expected 2",
+        "degree 4: image of [x2,x1,x1,x1] is 0",
+        "degree 4: image of [x2,x1,x1,x2] is 0",
+        "degree 4: image of [x2,x1,x2,x2] is 0",
+        "degree 4: rank 0 != expected 3",
+    ]
 
 
 def test_embedding_commutes_with_normal_form():
