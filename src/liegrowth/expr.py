@@ -13,6 +13,12 @@ The text format writes ``x1`` for leaves and ``[e1,e2]`` for brackets, and a
 flat list ``[a1,t2,t2]`` abbreviates the left-nested ``[[a1,t2],t2]``, so
 ``format_expr`` and ``parse_expr`` round-trip exactly.
 
+Every walk over a tree is one iterative post-order fold, ``_fold``:
+``length``, ``format_expr``, ``left_normalize`` and ``evaluate`` differ only
+in what they do at a leaf and at a bracket. ``parse_expr`` is one loop over
+the tokens with a stack of open brackets. Neither recurses, so no depth of
+tree reaches the interpreter's recursion limit.
+
 ``left_normalize`` rewrites any expression as an exact integer combination of
 left-normed words (words w = (w0, w1, ..., wk) standing for the iterated
 bracket [[..[w0,w1],..],wk]). The rewrite uses the Jacobi identity on the
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .poly import add_into
@@ -74,44 +81,85 @@ Word = tuple[Generator, ...]
 Combination = dict[Word, int]
 
 
+def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], V]) -> V:
+    """Post-order fold: leaf(gen) at each leaf, bracket(left, right) at each bracket.
+
+    Iterative, so no depth of tree reaches the recursion limit. Going down a
+    left spine leaves a None and then the right subtree on `todo` for each
+    bracket passed; a None popped means the two values of its bracket top
+    `values`, which holds only values still waiting for their bracket.
+    """
+    todo: list[LieExpr | None] = []
+    values: list[V] = []
+    node: LieExpr | None = e
+    while True:
+        while type(node) is Bracket:
+            todo += (None, node.right)
+            node = node.left
+        values.append(leaf(node.gen))
+        while todo:
+            node = todo.pop()
+            if node is not None:
+                break
+            right = values.pop()
+            values[-1] = bracket(values[-1], right)
+        else:
+            return values[0]
+
+
 def length(e: LieExpr) -> int:
     """Number of generator occurrences."""
-    return 1 if isinstance(e, Leaf) else length(e.left) + length(e.right)
+    return _fold(e, lambda gen: 1, int.__add__)
 
 
 def left_normed(letters: Sequence[Generator]) -> LieExpr:
     """Build the left-nested bracket [[..[g0,g1],..],gk] from letters."""
     if not letters:
         raise ValueError("empty word")
-    e: LieExpr = Leaf(letters[0])
-    for g in letters[1:]:
-        e = Bracket(e, Leaf(g))
-    return e
+    return reduce(Bracket, map(Leaf, letters))
 
 
 # ---------------------------------------------------------------- text format
 
 def format_expr(e: LieExpr) -> str:
-    if isinstance(e, Leaf):
-        return str(e.gen)
-    # flatten the left spine so left-normed chains print as flat lists
-    parts: list[LieExpr] = []
-    node: LieExpr = e
-    while isinstance(node, Bracket):
-        parts.append(node.right)
-        node = node.left
-    parts.append(node)
-    parts.reverse()
-    return "[" + ",".join(format_expr(p) for p in parts) + "]"
+    # a left factor that is a bracket prints as a list, and the right factor
+    # joins that list, so left-normed chains print as flat lists
+    return _fold(e, str, lambda l, r: (l[:-1] if l[0] == "[" else "[" + l) + "," + r + "]")
 
 
 def parse_expr(text: str) -> LieExpr:
     """Parse the text format; inverse of format_expr."""
-    tokens = _tokenize(text)
-    pos, expr = _parse(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input at token {pos}")
-    return expr
+    # the entries read so far of each open bracket; open_lists[0] takes the whole input
+    open_lists: list[list[LieExpr]] = [[]]
+    want_entry = True
+    for pos, tok in enumerate(_tokenize(text)):
+        if want_entry:
+            if tok == "[":
+                open_lists.append([])
+                continue
+            if tok[0] not in KINDS:
+                raise ParseError(f"unexpected token {tok!r}")
+            index = int(tok[1:])
+            if index < 1:
+                raise ParseError(f"index in {tok!r} must be >= 1")
+            open_lists[-1].append(Leaf(Generator(tok[0], index - 1)))
+            want_entry = False
+        elif len(open_lists) == 1:
+            raise ParseError(f"trailing input at token {pos}")
+        elif tok == ",":
+            want_entry = True
+        elif tok != "]":
+            raise ParseError("expected ']'")
+        else:
+            items = open_lists.pop()
+            if len(items) < 2:
+                raise ParseError("a bracket needs at least two entries")
+            open_lists[-1].append(reduce(Bracket, items))
+    if want_entry:
+        raise ParseError("unexpected end of input")
+    if len(open_lists) > 1:
+        raise ParseError("expected ']'")
+    return open_lists[0][0]
 
 
 def _tokenize(text: str) -> list[str]:
@@ -139,34 +187,6 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse(tokens: list[str], pos: int) -> tuple[int, LieExpr]:
-    tok = tokens[pos] if pos < len(tokens) else None
-    if tok is None:
-        raise ParseError("unexpected end of input")
-    if tok == "[":
-        items: list[LieExpr] = []
-        pos += 1
-        pos, first = _parse(tokens, pos)
-        items.append(first)
-        while pos < len(tokens) and tokens[pos] == ",":
-            pos, nxt = _parse(tokens, pos + 1)
-            items.append(nxt)
-        if pos >= len(tokens) or tokens[pos] != "]":
-            raise ParseError("expected ']'")
-        if len(items) < 2:
-            raise ParseError("a bracket needs at least two entries")
-        expr: LieExpr = items[0]
-        for item in items[1:]:
-            expr = Bracket(expr, item)
-        return pos + 1, expr
-    if tok[0] in KINDS:
-        index = int(tok[1:])
-        if index < 1:
-            raise ParseError(f"index in {tok!r} must be >= 1")
-        return pos + 1, Leaf(Generator(tok[0], index - 1))
-    raise ParseError(f"unexpected token {tok!r}")
-
-
 # ------------------------------------------------------- left-normed spanning
 
 def left_normalize(e: LieExpr) -> Combination:
@@ -175,11 +195,13 @@ def left_normalize(e: LieExpr) -> Combination:
     Length-homogeneous: every word in the result has length(e) letters.
     Deterministic: the Jacobi rewrite always splits the right factor first.
     """
-    if isinstance(e, Leaf):
-        return {(e.gen,): 1}
+    return _fold(e, lambda gen: {(gen,): 1}, _bracket_combinations)
+
+
+def _bracket_combinations(left: Combination, right: Combination) -> Combination:
     out: Combination = {}
-    for w1, c1 in left_normalize(e.left).items():
-        for w2, c2 in left_normalize(e.right).items():
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
             add_into(out, _bracket_words(w1, w2), c1 * c2)
     return out
 
@@ -198,32 +220,14 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
 
 def evaluate(e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V]) -> V:
     """Structural fold: leaves via assignment, brackets via the callback."""
-    if isinstance(e, Leaf):
+
+    def leaf(gen: Generator) -> V:
         try:
-            return assignment[e.gen]
+            return assignment[gen]
         except KeyError:
-            raise UnboundGeneratorError(f"unbound generator: {e.gen}") from None
-    return bracket(
-        evaluate(e.left, assignment, bracket),
-        evaluate(e.right, assignment, bracket),
-    )
+            raise UnboundGeneratorError(f"unbound generator: {gen}") from None
 
-
-def evaluate_word(word: Word, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V]) -> V:
-    return evaluate(left_normed(word), assignment, bracket)
-
-
-def evaluate_combination(
-    comb: Combination,
-    assignment: Mapping[Generator, V],
-    bracket: Callable[[V, V], V],
-    zero: V,
-) -> V:
-    """Sum of coeff * value(word); V must support + and scalar *."""
-    total = zero
-    for word, coeff in sorted(comb.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        total = total + evaluate_word(word, assignment, bracket) * coeff
-    return total
+    return _fold(e, leaf, bracket)
 
 
 # ------------------------------------------------------------- random inputs

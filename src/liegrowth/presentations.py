@@ -13,6 +13,11 @@ the extended model the finite presentation consists of
     [t_i, t_j] = [t_i, u_j] = [u_i, u_j] = 0
     [a_k, u_l] = [a_k, t_l, t_l]
 
+A presentation has far more relators than towers (m^2 * sum n^(r+s) against
+m * sum n^r in the plain model). Both presentations build each tower once,
+from the tower one torus letter shorter, and relators share the tower objects;
+`check_presentation` makes each bracket once, keyed by its operands' ids.
+
 Checking never raises on a failed relation: failures come back as data
 (witness strings) inside a report, and an empty failure list means the suite
 passed.
@@ -21,10 +26,8 @@ passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Sequence
 
-from .expr import Bracket, Generator, Leaf, LieExpr, evaluate, format_expr, left_normed
+from .expr import Bracket, Generator, Leaf, LieExpr, evaluate, format_expr
 from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
 
 
@@ -84,38 +87,26 @@ class RelationReport:
         }
 
 
-def _a(k: int) -> Generator:
-    return Generator("a", k)
-
-
-def _t(i: int) -> Generator:
-    return Generator("t", i)
-
-
-def _u(i: int) -> Generator:
-    return Generator("u", i)
+def _leaves(kind: str, count: int) -> list[Leaf]:
+    return [Leaf(Generator(kind, i)) for i in range(count)]
 
 
 def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
     """Torus commutation plus commuting towers, with r + s <= pair_len_max."""
-    relators: list[Relator] = []
-    for i in range(n):
-        for j in range(n):
-            lhs = Bracket(Leaf(_t(i)), Leaf(_t(j)))
-            relators.append(Relator(None, lhs))
+    if pair_len_max < 0:
+        raise ValueError("pair_len_max must be >= 0")
+    a, t = _leaves("a", m), _leaves("t", n)
+    relators = [Relator(None, Bracket(ti, tj)) for ti in t for tj in t]
+    # towers[r][k]: every [a_k, t_i1, ..., t_ir], subscripts in lexicographic order
+    towers = [[[ak] for ak in a]]
+    for _ in range(pair_len_max):
+        towers.append([[Bracket(tw, ti) for tw in tws for ti in t] for tws in towers[-1]])
     for total in range(pair_len_max + 1):
         for r in range(total + 1):
-            s = total - r
-            for k in range(m):
-                for l in range(m):
-                    for isub in product(range(n), repeat=r):
-                        for jsub in product(range(n), repeat=s):
-                            left = left_normed([_a(k)] + [_t(i) for i in isub])
-                            right = left_normed([_a(l)] + [_t(j) for j in jsub])
-                            lhs = Bracket(left, right)
-                            relators.append(Relator(None, lhs))
-    gens = tuple(_a(k) for k in range(m)) + tuple(_t(i) for i in range(n))
-    return Presentation(gens, tuple(relators), {"pair_len_max": pair_len_max})
+            for left_k in towers[r]:
+                for right_l in towers[total - r]:
+                    relators += (Relator(None, Bracket(lt, rt)) for lt in left_k for rt in right_l)
+    return Presentation(tuple(leaf.gen for leaf in a + t), tuple(relators), {"pair_len_max": pair_len_max})
 
 
 def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
@@ -124,33 +115,23 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
     The separator family uses strictly increasing torus subscripts, so it is
     finite on its own; s_max only truncates it further when s_max < n.
     """
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
+    a, t, u = _leaves("a", m), _leaves("t", n), _leaves("u", n)
     relators: list[Relator] = []
+    # (js[-1], the tower [a_k, t_j1, ..., t_js] for each k) for j1 < ... < js,
+    # in lexicographic order of js; the empty js has last subscript -1
+    towers: list[tuple[int, list[LieExpr]]] = [(-1, a)]
     for s in range(min(s_max, n) + 1):
-        for js in combinations(range(n), s):
-            for k in range(m):
-                for l in range(m):
-                    lhs = left_normed([_a(k)] + [_t(j) for j in js] + [_a(l)])
-                    relators.append(Relator(None, lhs))
+        if s:
+            towers = [(j, [Bracket(tw, t[j]) for tw in tws]) for j0, tws in towers for j in range(j0 + 1, n)]
+        relators += (Relator(None, Bracket(tw, al)) for _, tws in towers for tw in tws for al in a)
     for i in range(n):
         for j in range(n):
-            pairs = [
-                Bracket(Leaf(_t(i)), Leaf(_t(j))),
-                Bracket(Leaf(_t(i)), Leaf(_u(j))),
-                Bracket(Leaf(_u(i)), Leaf(_u(j))),
-            ]
-            for lhs in pairs:
-                relators.append(Relator(None, lhs))
-    for k in range(m):
-        for l in range(n):
-            lhs = Bracket(Leaf(_a(k)), Leaf(_u(l)))
-            rhs = left_normed([_a(k), _t(l), _t(l)])
-            relators.append(Relator(None, lhs, rhs))
-    gens = (
-        tuple(_a(k) for k in range(m))
-        + tuple(_t(i) for i in range(n))
-        + tuple(_u(i) for i in range(n))
-    )
-    return Presentation(gens, tuple(relators), {"s_max": s_max})
+            relators += (Relator(None, Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
+    for ak in a:
+        relators += (Relator(None, Bracket(ak, ul), Bracket(Bracket(ak, tl), tl)) for tl, ul in zip(t, u))
+    return Presentation(tuple(leaf.gen for leaf in a + t + u), tuple(relators), {"s_max": s_max})
 
 
 def check_presentation(
@@ -162,7 +143,17 @@ def check_presentation(
 ) -> RelationReport:
     """Evaluate every relator in the model; nonzero values become witnesses."""
     assignment = standard_assignment(m, n, mode)
-    brack = lambda p, q: wreath_bracket(p, q, mode)
+    # a shared tower evaluates to the same objects each time, so a bracket is
+    # found by its operands' ids; an entry keeps its operands, so no id is reused
+    memo: dict[tuple[int, int], tuple[WreathElement, WreathElement, WreathElement]] = {}
+
+    def brack(p: WreathElement, q: WreathElement) -> WreathElement:
+        key = (id(p), id(q))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (p, q, wreath_bracket(p, q, mode))
+        return entry[2]
+
     report = RelationReport(suite=suite, mode=mode, m=m, n=n, bounds=dict(pres.bounds))
     for rel in pres.relators:
         lhs = evaluate(rel.lhs, assignment, brack)

@@ -44,19 +44,23 @@ def gamma_to_graded(gamma: Sequence[int]) -> list[int]:
     return out
 
 
-def _check_graded(a: Sequence[int]) -> None:
+def _graded_range(a: Sequence[int], n_max: int | None) -> int:
+    """Check a graded sequence and return N, the last degree to compute."""
     if not a or a[0] != 0:
         raise ValueError("graded sequence must have a[0] = 0")
     if any(v < 0 for v in a):
         raise ValueError("graded dimensions must be nonnegative")
+    N = len(a) - 1 if n_max is None else n_max
+    if N < 0:
+        raise ValueError("n_max must be >= 0")
+    if N >= len(a):
+        raise ValueError("n_max exceeds the given graded range")
+    return N
 
 
 def euler_transform(a: Sequence[int], n_max: int | None = None) -> list[int]:
     """Coefficients b_0..b_N of prod (1-t^n)^(-a_n), by divisor sums."""
-    _check_graded(a)
-    N = len(a) - 1 if n_max is None else n_max
-    if N >= len(a):
-        raise ValueError("n_max exceeds the given graded range")
+    N = _graded_range(a, n_max)
     c = [0] * (N + 1)
     for delta in range(1, N + 1):
         a_delta = a[delta]
@@ -79,10 +83,7 @@ def euler_product_direct(a: Sequence[int], n_max: int | None = None) -> list[int
     Each factor (1-t^k)^(-a_k) expands to sum_j C(a_k-1+j, j) t^(kj). Meant
     for moderate N; the recurrence is the fast path.
     """
-    _check_graded(a)
-    N = len(a) - 1 if n_max is None else n_max
-    if N >= len(a):
-        raise ValueError("n_max exceeds the given graded range")
+    N = _graded_range(a, n_max)
     b = [1] + [0] * N
     for k in range(1, N + 1):
         a_k = a[k]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from _oracles import evaluate_combination
 from conftest import lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
@@ -13,7 +14,6 @@ from liegrowth.expr import (
     ParseError,
     UnboundGeneratorError,
     evaluate,
-    evaluate_combination,
     format_expr,
     left_normalize,
     left_normed,
@@ -21,6 +21,7 @@ from liegrowth.expr import (
     parse_expr,
     random_expr,
 )
+from liegrowth.metabelian import normalize_expr, normalize_word
 from liegrowth.wreath import MODE_W, WreathElement, magnus_generator_images, wreath_bracket
 
 
@@ -39,9 +40,26 @@ def test_flat_list_is_left_nested():
 
 
 def test_parse_rejects_malformed():
-    for bad in ("", "[x1]", "[x1,", "x", "y1", "x0", "[x1,x2] x3", "x1]"):
-        with pytest.raises(ParseError):
+    table = [
+        ("", "empty input"),
+        ("[x1]", "a bracket needs at least two entries"),
+        ("[x1,", "unexpected end of input"),
+        ("x", "generator 'x' needs a 1-based index"),
+        ("y1", "unexpected character 'y' at position 0"),
+        ("x0", "index in 'x0' must be >= 1"),
+        ("[x1,x2] x3", "trailing input at token 5"),
+        ("x1]", "trailing input at token 1"),
+        ("[x1 x2]", "expected ']'"),
+        ("[[x1,x2]", "expected ']'"),
+        ("]", "unexpected token ']'"),
+        ("[,x1]", "unexpected token ','"),
+        ("[x1,,x2]", "unexpected token ','"),
+        ("[]", "unexpected token ']'"),
+    ]
+    for bad, message in table:
+        with pytest.raises(ParseError) as exc:
             parse_expr(bad)
+        assert str(exc.value) == message, bad
 
 
 def test_format_round_trip_examples():
@@ -111,3 +129,41 @@ def test_random_expr_is_reproducible():
     e1 = random_expr(seeded_rng(7), gens, 6)
     e2 = random_expr(seeded_rng(7), gens, 6)
     assert e1 == e2 and length(e1) == 6
+
+
+# Deep trees. The dataclass-generated == and hash of Leaf and Bracket recurse,
+# so these tests compare trees through their text.
+
+DEEP = 5000
+
+
+def _letters(count):
+    return [f"x{i % 3 + 1}" for i in range(count)]
+
+
+def test_deep_trees_parse_format_and_fold():
+    values = {Generator("x", i): 1000**i for i in range(3)}
+    flat = "[" + ",".join(_letters(DEEP)) + "]"
+    nested = _letters(DEEP + 1)  # DEEP levels of brackets
+    left = "[" * DEEP + nested[0] + "".join(f",{g}]" for g in nested[1:])
+    right = "".join(f"[{g}," for g in nested[:-1]) + nested[-1] + "]" * DEEP
+    flat_nested = "[" + ",".join(nested) + "]"
+    for text, printed, count in (
+        (flat, flat, DEEP),
+        (left, flat_nested, DEEP + 1),
+        (right, right, DEEP + 1),
+    ):
+        e = parse_expr(text)
+        assert format_expr(e) == printed
+        assert format_expr(parse_expr(printed)) == printed
+        assert length(e) == count
+        letters = _letters(count)
+        expected = sum(values[Generator("x", int(g[1:]) - 1)] for g in letters)
+        assert evaluate(e, values, int.__add__) == expected
+
+
+def test_left_normalize_and_normal_form_of_a_long_flat_word():
+    word = tuple(Generator("x", i % 3) for i in range(1200))
+    e = left_normed(word)
+    assert left_normalize(e) == {word: 1}
+    assert normalize_expr(e, 3) == normalize_word([g.index for g in word], 3)

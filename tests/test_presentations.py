@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import pytest
 from fractions import Fraction
+from itertools import combinations, product
 
-from liegrowth.expr import parse_expr
+from liegrowth import presentations
+from liegrowth.expr import Bracket, Generator, Leaf, left_normed, parse_expr
 from liegrowth.poly import MultiPoly
 from liegrowth.presentations import (
+    Relator,
     check_presentation,
     standard_tower_instances,
     tower_commutation_report,
@@ -147,3 +150,62 @@ def test_failure_strings_of_built_relators(monkeypatch):
     assert check_presentation(pres, MODE_WPLUS, 1, 2).failures == [
         "[a1,u1] = [a1,t1,t1] evaluated to a1*t1^2"
     ]
+
+
+def _left_normed_relators(m, n, bound, plus):
+    """The relators as they were once made: each from its own left_normed towers."""
+    a = [Generator("a", k) for k in range(m)]
+    t = [Generator("t", i) for i in range(n)]
+    u = [Generator("u", i) for i in range(n)]
+    out = []
+    if not plus:
+        out += [Relator(None, Bracket(Leaf(ti), Leaf(tj))) for ti in t for tj in t]
+        for total in range(bound + 1):
+            for r in range(total + 1):
+                for k, l in product(range(m), repeat=2):
+                    for isub in product(t, repeat=r):
+                        for jsub in product(t, repeat=total - r):
+                            lhs = Bracket(left_normed([a[k], *isub]), left_normed([a[l], *jsub]))
+                            out.append(Relator(None, lhs))
+        return out
+    for s in range(min(bound, n) + 1):
+        for js in combinations(t, s):
+            for k, l in product(range(m), repeat=2):
+                out.append(Relator(None, left_normed([a[k], *js, a[l]])))
+    for i, j in product(range(n), repeat=2):
+        for x, y in ((t, t), (t, u), (u, u)):
+            out.append(Relator(None, Bracket(Leaf(x[i]), Leaf(y[j]))))
+    for k, l in product(range(m), range(n)):
+        out.append(Relator(None, Bracket(Leaf(a[k]), Leaf(u[l])), left_normed([a[k], t[l], t[l]])))
+    return out
+
+
+def test_shared_towers_match_left_normed_relators():
+    for m, n in product((1, 2, 3), repeat=2):
+        for bound in range(5):
+            for build, plus in ((wreath_presentation, False), (wplus_presentation, True)):
+                labels = [r.label for r in build(m, n, bound).relators]
+                assert labels == [r.label for r in _left_normed_relators(m, n, bound, plus)], (m, n, bound)
+
+
+def test_check_presentation_makes_each_bracket_once(monkeypatch):
+    real = presentations.wreath_bracket
+    calls = []
+
+    def counting(p, q, mode):
+        calls.append(mode)
+        return real(p, q, mode)
+
+    monkeypatch.setattr(presentations, "wreath_bracket", counting)
+    rep = check_presentation(wreath_presentation(3, 3, pair_len_max=4), MODE_W, 3, 3)
+    assert rep.passed and rep.checked == 4932
+    # one bracket per relator, plus one per tower [a_k, t_i1, ..., t_ir] with
+    # 1 <= r <= 4: 4932 + 3 * (3 + 9 + 27 + 81)
+    assert len(calls) == 5292
+
+
+def test_presentations_reject_negative_bounds():
+    with pytest.raises(ValueError, match=r"^pair_len_max must be >= 0$"):
+        wreath_presentation(2, 2, -1)
+    with pytest.raises(ValueError, match=r"^s_max must be >= 0$"):
+        wplus_presentation(2, 2, -3)

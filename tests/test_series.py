@@ -63,6 +63,10 @@ def test_euler_rejects_bad_input():
         euler_transform([0, -1])
     with pytest.raises(ValueError):
         euler_transform([0, 1], 5)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+        euler_transform([0, 1], -1)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+        euler_product_direct([0, 1], -1)
 
 
 def test_ln_big_matches_float_log_on_huge_ints():

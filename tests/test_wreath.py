@@ -7,8 +7,9 @@ import pytest
 from conftest import seeded_rng, x_gens
 from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
-from liegrowth.metabelian import basis_monomials, graded_dim, normalize_expr, normalize_word
+from liegrowth.metabelian import MetabelianElement, basis_monomials, graded_dim, normalize_expr, normalize_word
 from liegrowth.poly import MultiPoly
+from liegrowth.rowspace import RowSpace
 from liegrowth.wreath import (
     MODE_W,
     MODE_WPLUS,
@@ -155,6 +156,26 @@ def test_zero_image_is_reported_as_zero(monkeypatch):
         "degree 4: image of [x2,x1,x1,x2] is 0",
         "degree 4: image of [x2,x1,x2,x2] is 0",
         "degree 4: rank 0 != expected 3",
+    ]
+
+
+def test_embedding_images_are_built_from_prefixes(monkeypatch):
+    # the certificate ranks each monomial's image as the bracket of its
+    # prefix's image with one generator; it must be the monomial's embedding
+    ranked = []
+
+    class Recording(RowSpace):
+        def add_with_witness(self, vec):
+            ranked.append(list(vec.items()))
+            return super().add_with_witness(vec)
+
+    monkeypatch.setattr(wreath, "RowSpace", Recording)
+    d, n_max = 3, 5
+    assert certify_embedding(d, n_max, trials=0).passed
+    assert ranked == [
+        list(magnus_embedding(MetabelianElement(d, {mono: 1})).coords().items())
+        for n in range(1, n_max + 1)
+        for mono in basis_monomials(d, n)
     ]
 
 
