@@ -11,9 +11,10 @@ computed two ways: a fast divisor-sum recurrence
     n * b_n = sum_{k=1}^{n} c_k * b_{n-k},   c_k = sum_{delta | k} delta * a_delta,
 
 whose division must always be exact (asserted), and a direct truncated product
-used as an independent cross-check oracle. All coefficients are exact Python
-integers; with a_n ~ n^(d-1) the b_n grow like exp(n^(d/(d+1))), which is what
-the estimator measures:
+used as an independent cross-check oracle. The recurrence reverses c once, so
+each sum multiplies through `operator.mul` and reads b forward, in the order
+it was built. All coefficients are exact Python integers; with a_n ~ n^(d-1)
+the b_n grow like exp(n^(d/(d+1))), which is what the estimator measures:
 
     alpha_hat(n) = log2( ln b_{2n} / ln b_n )
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 
@@ -48,6 +50,8 @@ def _graded_range(a: Sequence[int], n_max: int | None) -> int:
     """Check a graded sequence and return N, the last degree to compute."""
     if not a or a[0] != 0:
         raise ValueError("graded sequence must have a[0] = 0")
+    if not all(isinstance(v, int) for v in a):
+        raise ValueError("graded dimensions must be integers")
     if any(v < 0 for v in a):
         raise ValueError("graded dimensions must be nonnegative")
     N = len(a) - 1 if n_max is None else n_max
@@ -68,12 +72,13 @@ def euler_transform(a: Sequence[int], n_max: int | None = None) -> list[int]:
             weighted = delta * a_delta
             for k in range(delta, N + 1, delta):
                 c[k] += weighted
+    c_rev = c[:0:-1]  # c_N, ..., c_1: its last n entries pair with b_0..b_(n-1)
     b = [1]
     for n in range(1, N + 1):
-        acc = sum(map(int.__mul__, c[1:n + 1], b[::-1]))
-        if acc % n:
+        quotient, rest = divmod(sum(map(mul, c_rev[N - n:], b)), n)
+        if rest:
             raise ArithmeticError(f"divisor-sum recurrence not integral at n = {n}")
-        b.append(acc // n)
+        b.append(quotient)
     return b
 
 

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import metabelian
 from .expr import Generator, evaluate, random_expr
@@ -351,10 +351,11 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
         rank = 0
         for mono in monos:
             grew, combo = space.add_with_witness(image[mono].coords())
-            image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
             if grew:
                 rank += 1
-            elif combo:
+                continue
+            image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
+            if combo:
                 deps = " + ".join(
                     f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(combo.items())
                 )
@@ -424,23 +425,24 @@ def model_laws_report(
     report = LawReport(mode=mode, m=d, n=d, checked=0)
     brack = lambda p, q: wreath_bracket(p, q, mode)
 
-    def check(ok: bool, message: str) -> None:
+    def check(ok: bool, message: Callable[[], str]) -> None:
+        # the message is formatted only for a failed check
         report.checked += 1
         if not ok:
-            report.failures.append(message)
+            report.failures.append(message())
 
     for _ in range(trials):
         p = _random_element(rng, d, d, mode)
         q = _random_element(rng, d, d, mode)
         r = _random_element(rng, d, d, mode)
-        check((brack(p, q) + brack(q, p)).is_zero(), f"antisymmetry failed: p={p}, q={q}")
+        check((brack(p, q) + brack(q, p)).is_zero(), lambda: f"antisymmetry failed: p={p}, q={q}")
         jac = brack(brack(p, q), r) + brack(brack(q, r), p) + brack(brack(r, p), q)
-        check(jac.is_zero(), f"Jacobi failed: p={p}, q={q}, r={r}")
+        check(jac.is_zero(), lambda: f"Jacobi failed: p={p}, q={q}, r={r}")
         pq = brack(p, q)
-        check(not pq.torus, f"commutator left the module: [{p}, {q}] = {pq}")
+        check(not pq.torus, lambda: f"commutator left the module: [{p}, {q}] = {pq}")
         b1 = WreathElement(d, d, p.module)
         b2 = WreathElement(d, d, q.module)
-        check(brack(b1, b2).is_zero(), f"module part not abelian: {b1}, {b2}")
+        check(brack(b1, b2).is_zero(), lambda: f"module part not abelian: {b1}, {b2}")
 
     # towers [a_l, t_{j1}, ..., t_{js}] against explicit monomials, per degree
     t = [WreathElement.gen_t(j, d, d) for j in range(d)]
@@ -459,13 +461,13 @@ def model_laws_report(
             mono[l] = MultiPoly.monomial(d, [js.count(j) for j in range(d)], 1)
             check(
                 val == WreathElement(d, d, mono),
-                f"tower a{l + 1},{js} is not the expected monomial",
+                lambda: f"tower a{l + 1},{js} is not the expected monomial",
             )
             if space.add(val.coords()):
                 count += 1
         expected = d * comb(s + d - 1, d - 1)
         check(
             count == expected,
-            f"towers of torus length {s} span rank {count}, expected {expected}",
+            lambda: f"towers of torus length {s} span rank {count}, expected {expected}",
         )
     return report

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import partition_counts
+from liegrowth import series
+from liegrowth.growth import wplus_graded_dims
 from liegrowth.series import (
     euler_product_direct,
     euler_transform,
@@ -50,6 +53,33 @@ def test_euler_transform_matches_direct_product(values):
     assert euler_transform(a) == euler_product_direct(a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2 ** 64), min_size=1, max_size=30)
+)
+def test_euler_transform_matches_direct_product_on_multi_digit_values(values):
+    # a_n up to 2^64 makes every c_k and b_n span several machine digits
+    a = [0] + values
+    b = euler_transform(a)
+    assert b == euler_product_direct(a)
+    assert all(type(v) is int for v in b)
+
+
+def test_euler_transform_matches_direct_product_on_wplus_d3():
+    a = wplus_graded_dims(3, 400)
+    b = euler_transform(a)
+    assert b == euler_product_direct(a)
+    assert all(type(v) is int for v in b)
+
+
+def test_euler_transform_reports_a_non_integral_step(monkeypatch):
+    # exact products of nonnegative integers always divide; an off-by-one
+    # product makes n = 2 sum to 5
+    monkeypatch.setattr(series, "mul", lambda x, y: x * y + 1)
+    with pytest.raises(ArithmeticError, match=r"^divisor-sum recurrence not integral at n = 2$"):
+        series.euler_transform([0, 1, 0])
+
+
 def test_euler_transform_monotone_for_nonzero_a1():
     a = [0, 1, 3, 0, 2, 0, 0, 1, 0, 0, 5]
     b = euler_transform(a)
@@ -67,6 +97,12 @@ def test_euler_rejects_bad_input():
         euler_transform([0, 1], -1)
     with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
         euler_product_direct([0, 1], -1)
+    for a in ([0, "1"], [0, 2.0, 1], [0, 1, Fraction(1, 2)], [0, 1, Fraction(2)], [0, 1, None]):
+        for transform in (euler_transform, euler_product_direct):
+            with pytest.raises(ValueError, match=r"^graded dimensions must be integers$"):
+                transform(a)
+    # bool is an int subclass and reads as 0 or 1
+    assert euler_transform([0, True, False]) == euler_product_direct([0, True, False]) == [1, 1, 1]
 
 
 def test_ln_big_matches_float_log_on_huge_ints():

@@ -159,6 +159,28 @@ def test_zero_image_is_reported_as_zero(monkeypatch):
     ]
 
 
+def test_model_law_failures_are_pinned(monkeypatch):
+    # [p, q] -> 2p breaks every law the report checks, and keeps the torus
+    # part, so each kind of failure string appears once with its witnesses
+    monkeypatch.setattr(wreath, "wreath_bracket", lambda p, q, mode: p * 2)
+    rep = model_laws_report(2, trials=1, span_degree=1)
+    p = "-a1*t1 - a2*t1*t2 + 2*t1 - t2 + 2*u1 - u2"
+    q = "a1 + 3*a2*t1^2*t2^2 + 2*t1 - t2 - 2*u2"
+    r = "-a1*t2^2 - 3*a1*t1*t2^2 + a2*t1*t2 - t1 + 2*t2 + u1 + u2"
+    assert rep.checked == 12
+    assert rep.failures == [
+        f"antisymmetry failed: p={p}, q={q}",
+        f"Jacobi failed: p={p}, q={q}, r={r}",
+        f"commutator left the module: [{p}, {q}] = -2*a1*t1 - 2*a2*t1*t2 + 4*t1 - 2*t2 + 4*u1 - 2*u2",
+        "module part not abelian: -a1*t1 - a2*t1*t2, a1 + 3*a2*t1^2*t2^2",
+        "tower a1,(0,) is not the expected monomial",
+        "tower a1,(1,) is not the expected monomial",
+        "tower a2,(0,) is not the expected monomial",
+        "tower a2,(1,) is not the expected monomial",
+        "towers of torus length 1 span rank 2, expected 4",
+    ]
+
+
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
     # the certificate ranks each monomial's image as the bracket of its
     # prefix's image with one generator; it must be the monomial's embedding
