@@ -14,7 +14,6 @@ The package computes, over exact rationals and big integers:
 from .expr import (
     Bracket,
     Generator,
-    Leaf,
     LieExpr,
     ParseError,
     UnboundGeneratorError,

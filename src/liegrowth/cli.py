@@ -7,6 +7,9 @@ Subcommands:
 * ``euler-fit`` — enveloping-algebra coefficient growth and its stretched exponent
 * ``verify``    — relation/embedding/model-law suites with witness reporting
 
+``dims`` and ``growth`` write CSV, or JSON with ``--format json``;
+``euler-fit`` and ``verify`` always write JSON.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error. A failed
 internal cross-check (an ``ArithmeticError``) is a verification failure;
 bad arguments and unreadable files are usage errors. Output is
@@ -51,6 +54,14 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _emit_table(args: argparse.Namespace, meta: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """CSV of the rows, or JSON of meta followed by the rows as objects."""
+    if args.format == "csv":
+        _emit(_csv(header, rows), args.out)
+    else:
+        _emit(_json({**meta, "rows": [dict(zip(header, row)) for row in rows]}), args.out)
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_dims(args: argparse.Namespace) -> int:
@@ -60,20 +71,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         dim = metabelian.graded_dim(args.d, n)
         gamma += dim
         rows.append((n, dim, gamma))
-    if args.format == "csv":
-        _emit(_csv(("n", "dim", "gamma"), rows), args.out)
-    else:
-        _emit(
-            _json(
-                {
-                    "command": "dims",
-                    "d": args.d,
-                    "max_n": args.max_n,
-                    "rows": [{"n": n, "dim": dim, "gamma": g} for n, dim, g in rows],
-                }
-            ),
-            args.out,
-        )
+    meta = {"command": "dims", "d": args.d, "max_n": args.max_n}
+    _emit_table(args, meta, ("n", "dim", "gamma"), rows)
     return 0
 
 
@@ -93,21 +92,8 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             row += [spanning, bound]
         rows.append(tuple(row))
     header = ("n", "gamma", "a_n") + (("spanning_count", "growth_bound") if wplus else ())
-    if args.format == "csv":
-        _emit(_csv(header, rows), args.out)
-    else:
-        _emit(
-            _json(
-                {
-                    "command": "growth",
-                    "mode": args.mode,
-                    "d": args.d,
-                    "max_n": args.max_n,
-                    "rows": [dict(zip(header, row)) for row in rows],
-                }
-            ),
-            args.out,
-        )
+    meta = {"command": "growth", "mode": args.mode, "d": args.d, "max_n": args.max_n}
+    _emit_table(args, meta, header, rows)
     return 0
 
 
@@ -246,17 +232,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--d", type=int, default=2, help="number of generators (default 2)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_dims = sub.add_parser("dims", help="metabelian graded dimensions and growth")
     add_common(p_dims)
+    p_dims.add_argument("--format", choices=("csv", "json"), default="csv")
     p_dims.add_argument("--max-n", type=int, default=12)
     p_dims.set_defaults(fn=_cmd_dims)
 
     p_growth = sub.add_parser("growth", help="exact filtration growth of a model")
     add_common(p_growth)
+    p_growth.add_argument("--format", choices=("csv", "json"), default="csv")
     p_growth.add_argument("--max-n", type=int, default=12)
     p_growth.add_argument(
         "--mode",
@@ -281,6 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     add_common(p_verify)
+    p_verify.add_argument("--format", choices=("json",), default="json", help="the report is JSON")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random checks")
     p_verify.add_argument(
         "--suite",
         choices=("presentation", "towers", "embedding", "model-laws"),

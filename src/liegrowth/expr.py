@@ -8,16 +8,17 @@ Generators come in four families:
 * ``u`` — torus square generators (acting as t^2).
 
 Programmatic indices are 0-based everywhere; only the text format is 1-based.
-An expression is either a single generator or a bracket of two expressions.
-The text format writes ``x1`` for leaves and ``[e1,e2]`` for brackets, and a
-flat list ``[a1,t2,t2]`` abbreviates the left-nested ``[[a1,t2],t2]``, so
-``format_expr`` and ``parse_expr`` round-trip exactly.
+An expression is either a ``Generator`` (a leaf) or a ``Bracket`` of two
+expressions. The text format writes ``x1`` for leaves and ``[e1,e2]`` for
+brackets, and a flat list ``[a1,t2,t2]`` abbreviates the left-nested
+``[[a1,t2],t2]``, so ``format_expr`` and ``parse_expr`` round-trip exactly.
 
 Every walk over a tree is one iterative post-order fold, ``_fold``:
 ``length``, ``format_expr``, ``left_normalize`` and ``evaluate`` differ only
 in what they do at a leaf and at a bracket. ``parse_expr`` is one loop over
-the tokens with a stack of open brackets. Neither recurses, so no depth of
-tree reaches the interpreter's recursion limit.
+the tokens with a stack of open brackets. A ``Bracket``'s ``==``, ``hash``
+and ``repr`` go through the text format. None of these recurses, so no depth
+of tree reaches the interpreter's recursion limit.
 
 ``left_normalize`` rewrites any expression as an exact integer combination of
 left-normed words (words w = (w0, w1, ..., wk) standing for the iterated
@@ -64,18 +65,23 @@ class Generator:
         return f"{self.kind}{self.index + 1}"
 
 
-@dataclass(frozen=True)
-class Leaf:
-    gen: Generator
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bracket:
     left: "LieExpr"
     right: "LieExpr"
 
+    # through the text format, which round-trips exactly and never recurses
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Bracket and format_expr(self) == format_expr(other)
 
-LieExpr = Union[Leaf, Bracket]
+    def __hash__(self) -> int:
+        return hash(format_expr(self))
+
+    def __repr__(self) -> str:
+        return f"parse_expr({format_expr(self)!r})"
+
+
+LieExpr = Union[Generator, Bracket]
 
 Word = tuple[Generator, ...]
 Combination = dict[Word, int]
@@ -96,7 +102,7 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
         while type(node) is Bracket:
             todo += (None, node.right)
             node = node.left
-        values.append(leaf(node.gen))
+        values.append(leaf(node))
         while todo:
             node = todo.pop()
             if node is not None:
@@ -116,7 +122,7 @@ def left_normed(letters: Sequence[Generator]) -> LieExpr:
     """Build the left-nested bracket [[..[g0,g1],..],gk] from letters."""
     if not letters:
         raise ValueError("empty word")
-    return reduce(Bracket, map(Leaf, letters))
+    return reduce(Bracket, letters)
 
 
 # ---------------------------------------------------------------- text format
@@ -142,7 +148,7 @@ def parse_expr(text: str) -> LieExpr:
             index = int(tok[1:])
             if index < 1:
                 raise ParseError(f"index in {tok!r} must be >= 1")
-            open_lists[-1].append(Leaf(Generator(tok[0], index - 1)))
+            open_lists[-1].append(Generator(tok[0], index - 1))
             want_entry = False
         elif len(open_lists) == 1:
             raise ParseError(f"trailing input at token {pos}")
@@ -237,6 +243,6 @@ def random_expr(rng: random.Random, gens: Sequence[Generator], size: int) -> Lie
     if size < 1:
         raise ValueError("size must be >= 1")
     if size == 1:
-        return Leaf(rng.choice(list(gens)))
+        return rng.choice(list(gens))
     split = rng.randint(1, size - 1)
     return Bracket(random_expr(rng, gens, split), random_expr(rng, gens, size - split))

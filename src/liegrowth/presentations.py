@@ -27,28 +27,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Bracket, Generator, Leaf, LieExpr, evaluate, format_expr
-from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
+from .expr import Bracket, Generator, LieExpr, evaluate, format_expr
+from .wreath import MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
 
 
 @dataclass(frozen=True)
 class Relator:
     """lhs = rhs as elements of the presented algebra; rhs None means 0.
 
-    `label` names the relator in failure reports. Given as None, it is the
-    text format of the relation, ``format_expr(lhs)`` or ``"lhs = rhs"``,
-    made when read: a presentation holds thousands of relators, and a label
-    is wanted only for a relator that fails.
+    `label` names the relator in failure reports. It is the text format of
+    the relation, ``format_expr(lhs)`` or ``"lhs = rhs"``, made when read: a
+    presentation holds thousands of relators, and a label is wanted only for
+    a relator that fails.
     """
 
-    _label: str | None
     lhs: LieExpr
     rhs: LieExpr | None = None
 
     @property
     def label(self) -> str:
-        if self._label is not None:
-            return self._label
         text = format_expr(self.lhs)
         return text if self.rhs is None else f"{text} = {format_expr(self.rhs)}"
 
@@ -87,8 +84,8 @@ class RelationReport:
         }
 
 
-def _leaves(kind: str, count: int) -> list[Leaf]:
-    return [Leaf(Generator(kind, i)) for i in range(count)]
+def _leaves(kind: str, count: int) -> list[Generator]:
+    return [Generator(kind, i) for i in range(count)]
 
 
 def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
@@ -96,7 +93,7 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
     if pair_len_max < 0:
         raise ValueError("pair_len_max must be >= 0")
     a, t = _leaves("a", m), _leaves("t", n)
-    relators = [Relator(None, Bracket(ti, tj)) for ti in t for tj in t]
+    relators = [Relator(Bracket(ti, tj)) for ti in t for tj in t]
     # towers[r][k]: every [a_k, t_i1, ..., t_ir], subscripts in lexicographic order
     towers = [[[ak] for ak in a]]
     for _ in range(pair_len_max):
@@ -105,8 +102,8 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
         for r in range(total + 1):
             for left_k in towers[r]:
                 for right_l in towers[total - r]:
-                    relators += (Relator(None, Bracket(lt, rt)) for lt in left_k for rt in right_l)
-    return Presentation(tuple(leaf.gen for leaf in a + t), tuple(relators), {"pair_len_max": pair_len_max})
+                    relators += (Relator(Bracket(lt, rt)) for lt in left_k for rt in right_l)
+    return Presentation(tuple(a + t), tuple(relators), {"pair_len_max": pair_len_max})
 
 
 def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
@@ -125,13 +122,13 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
     for s in range(min(s_max, n) + 1):
         if s:
             towers = [(j, [Bracket(tw, t[j]) for tw in tws]) for j0, tws in towers for j in range(j0 + 1, n)]
-        relators += (Relator(None, Bracket(tw, al)) for _, tws in towers for tw in tws for al in a)
+        relators += (Relator(Bracket(tw, al)) for _, tws in towers for tw in tws for al in a)
     for i in range(n):
         for j in range(n):
-            relators += (Relator(None, Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
+            relators += (Relator(Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
     for ak in a:
-        relators += (Relator(None, Bracket(ak, ul), Bracket(Bracket(ak, tl), tl)) for tl, ul in zip(t, u))
-    return Presentation(tuple(leaf.gen for leaf in a + t + u), tuple(relators), {"s_max": s_max})
+        relators += (Relator(Bracket(ak, ul), Bracket(Bracket(ak, tl), tl)) for tl, ul in zip(t, u))
+    return Presentation(tuple(a + t + u), tuple(relators), {"s_max": s_max})
 
 
 def check_presentation(
@@ -139,7 +136,6 @@ def check_presentation(
     mode: str,
     m: int,
     n: int,
-    suite: str = "presentation",
 ) -> RelationReport:
     """Evaluate every relator in the model; nonzero values become witnesses."""
     assignment = standard_assignment(m, n, mode)
@@ -154,7 +150,7 @@ def check_presentation(
             entry = memo[key] = (p, q, wreath_bracket(p, q, mode))
         return entry[2]
 
-    report = RelationReport(suite=suite, mode=mode, m=m, n=n, bounds=dict(pres.bounds))
+    report = RelationReport(suite="presentation", mode=mode, m=m, n=n, bounds=dict(pres.bounds))
     for rel in pres.relators:
         lhs = evaluate(rel.lhs, assignment, brack)
         value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, brack)
@@ -183,18 +179,19 @@ def tower_commutation_report(
     u: WreathElement,
     i_max: int,
     j_max: int,
-    mode: str = MODE_WPLUS,
     instance: str = "towers",
 ) -> RelationReport:
-    """Check that all towers [[a,t,..,t],[b,t,..,t]] vanish.
+    """Check that all towers [[a,t,..,t],[b,t,..,t]] vanish in Wplus.
 
     Hypotheses are checked first; if any fails, the conclusion is not
-    evaluated (the report carries the hypothesis witnesses instead).
+    evaluated (the report carries the hypothesis witnesses instead). The
+    hypotheses bracket with u, which only Wplus has, so the brackets are
+    Wplus brackets.
     """
-    brack = lambda p, q: wreath_bracket(p, q, mode)
+    brack = lambda p, q: wreath_bracket(p, q, MODE_WPLUS)
     report = RelationReport(
         suite=instance,
-        mode=mode,
+        mode=MODE_WPLUS,
         m=a.m,
         n=a.n,
         bounds={"i_max": i_max, "j_max": j_max},

@@ -45,7 +45,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from . import metabelian
-from .expr import Generator, evaluate, random_expr
+from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
 from .poly import Exponents, MultiPoly, Rational, add_into, exact, format_terms, monomial_text, scaled
 from .rowspace import RowSpace
@@ -297,12 +297,9 @@ def magnus_generator_images(d: int) -> dict[Generator, WreathElement]:
     }
 
 
-def magnus_embedding(elem: MetabelianElement, d: int | None = None) -> WreathElement:
-    """Image of a normal-form element under x_i -> a_i + t_i (mode W)."""
-    if d is None:
-        d = elem.d
-    elif d != elem.d:
-        raise ValueError("d does not match the element")
+def magnus_embedding(elem: MetabelianElement) -> WreathElement:
+    """Image of a normal-form element under x_i -> a_i + t_i (mode W, m = n = elem.d)."""
+    d = elem.d
     images = magnus_generator_images(d)
     brack = lambda p, q: wreath_bracket(p, q, MODE_W)
     total = WreathElement.zero(d, d)
@@ -374,7 +371,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
         direct = evaluate(e, images, brack)
         report.hom_checks += 1
         if via_normal_form != direct:
-            report.failures.append(f"homomorphism property failed on {e!r}")
+            report.failures.append(f"homomorphism property failed on {format_expr(e)}")
     return report
 
 

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from liegrowth.expr import Bracket, Generator, Leaf
+from liegrowth.expr import Bracket, Generator
 
 
 def x_gens(d: int) -> list[Generator]:
@@ -20,7 +20,7 @@ def lie_exprs(draw, d: int = 3, max_size: int = 6):
 
 def _build(draw, d: int, size: int):
     if size == 1:
-        return Leaf(Generator("x", draw(st.integers(0, d - 1))))
+        return Generator("x", draw(st.integers(0, d - 1)))
     split = draw(st.integers(1, size - 1))
     return Bracket(_build(draw, d, split), _build(draw, d, size - split))
 

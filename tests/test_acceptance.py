@@ -66,7 +66,7 @@ def test_criterion_2_normal_form_soundness():
         e = random_expr(rng, gens, rng.randint(1, 6))
         images = magnus_generator_images(d)
         direct = evaluate(e, images, lambda p, q: wreath_bracket(p, q, MODE_W))
-        embedded = magnus_embedding(normalize_expr(e, d), d)
+        embedded = magnus_embedding(normalize_expr(e, d))
         assert direct == embedded, e
         checked += 1
 

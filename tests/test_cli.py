@@ -150,11 +150,21 @@ def test_usage_errors_exit_2(capsys):
         ["euler-fit", "--fit-n", "-3"],
         ["no-such-command"],
         ["euler-fit", "--input", "/nonexistent/file.csv"],
+        # flags a subcommand does not read are not accepted
+        ["dims", "--seed", "1"],
+        ["growth", "--seed", "1"],
+        ["euler-fit", "--format", "json"],
+        ["verify", "--format", "csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         capsys.readouterr()
         assert exc.value.code == 2, argv
+    code, out = run_cli(
+        ["verify", "--suite", "model-laws", "--d", "2", "--trials", "2", "--format", "json", "--seed", "7"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["failures"] == []
 
 
 def test_output_bytes_are_stable(tmp_path):
@@ -162,8 +172,7 @@ def test_output_bytes_are_stable(tmp_path):
     for i in range(2):
         path = tmp_path / f"run{i}.json"
         code = main(
-            ["euler-fit", "--d", "2", "--fit-n", "32", "--format", "json",
-             "--out", str(path)]
+            ["euler-fit", "--d", "2", "--fit-n", "32", "--out", str(path)]
         )
         assert code == 0
         outputs.append(path.read_bytes())
@@ -177,7 +186,27 @@ def test_output_bytes_are_stable(tmp_path):
     assert growth_outputs[0] == growth_outputs[1]
 
 
-# stdout of three commands at a fixed configuration, byte for byte
+# stdout of four commands at a fixed configuration, byte for byte
+DIMS_JSON = """\
+{
+  "command": "dims",
+  "d": 3,
+  "max_n": 2,
+  "rows": [
+    {
+      "n": 1,
+      "dim": 3,
+      "gamma": 3
+    },
+    {
+      "n": 2,
+      "dim": 3,
+      "gamma": 6
+    }
+  ]
+}
+"""
+
 GROWTH_W_CSV = """\
 n,gamma,a_n
 1,4,4
@@ -273,6 +302,7 @@ EMBEDDING_JSON = """\
 @pytest.mark.parametrize(
     "argv,expected",
     (
+        ("dims --d 3 --max-n 2 --format json", DIMS_JSON),
         ("growth --mode W --d 2 --max-n 6", GROWTH_W_CSV),
         ("growth --mode Wplus --d 2 --max-n 5 --format json", GROWTH_WPLUS_JSON),
         ("verify --suite embedding --d 2 --max-n 4", EMBEDDING_JSON),

@@ -10,7 +10,6 @@ from conftest import lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
     Generator,
-    Leaf,
     ParseError,
     UnboundGeneratorError,
     evaluate,
@@ -30,9 +29,9 @@ def words_of(comb):
 
 
 def test_parse_atom_and_brackets():
-    assert parse_expr("x1") == Leaf(Generator("x", 0))
+    assert parse_expr("x1") == Generator("x", 0)
     e = parse_expr("[x1,[x2,x3]]")
-    assert e == Bracket(Leaf(Generator("x", 0)), Bracket(Leaf(Generator("x", 1)), Leaf(Generator("x", 2))))
+    assert e == Bracket(Generator("x", 0), Bracket(Generator("x", 1), Generator("x", 2)))
 
 
 def test_flat_list_is_left_nested():
@@ -131,8 +130,7 @@ def test_random_expr_is_reproducible():
     assert e1 == e2 and length(e1) == 6
 
 
-# Deep trees. The dataclass-generated == and hash of Leaf and Bracket recurse,
-# so these tests compare trees through their text.
+# Deep trees: no walk, comparison, hash or repr may reach the recursion limit.
 
 DEEP = 5000
 
@@ -141,18 +139,19 @@ def _letters(count):
     return [f"x{i % 3 + 1}" for i in range(count)]
 
 
-def test_deep_trees_parse_format_and_fold():
-    values = {Generator("x", i): 1000**i for i in range(3)}
+def _deep_trees():
+    """(text, its printed form, leaf count) of a flat, a left- and a right-nested tree."""
     flat = "[" + ",".join(_letters(DEEP)) + "]"
     nested = _letters(DEEP + 1)  # DEEP levels of brackets
     left = "[" * DEEP + nested[0] + "".join(f",{g}]" for g in nested[1:])
     right = "".join(f"[{g}," for g in nested[:-1]) + nested[-1] + "]" * DEEP
     flat_nested = "[" + ",".join(nested) + "]"
-    for text, printed, count in (
-        (flat, flat, DEEP),
-        (left, flat_nested, DEEP + 1),
-        (right, right, DEEP + 1),
-    ):
+    return ((flat, flat, DEEP), (left, flat_nested, DEEP + 1), (right, right, DEEP + 1))
+
+
+def test_deep_trees_parse_format_and_fold():
+    values = {Generator("x", i): 1000**i for i in range(3)}
+    for text, printed, count in _deep_trees():
         e = parse_expr(text)
         assert format_expr(e) == printed
         assert format_expr(parse_expr(printed)) == printed
@@ -160,6 +159,23 @@ def test_deep_trees_parse_format_and_fold():
         letters = _letters(count)
         expected = sum(values[Generator("x", int(g[1:]) - 1)] for g in letters)
         assert evaluate(e, values, int.__add__) == expected
+
+
+def test_deep_trees_compare_hash_and_print():
+    for text, printed, _ in _deep_trees():
+        e = parse_expr(text)
+        assert e == parse_expr(text) and e == parse_expr(printed)
+        other = parse_expr(text.replace("x1", "x2", 1))  # the first letter differs
+        assert e != other and not e == other
+        assert hash(e) == hash(parse_expr(text))
+        assert repr(e) == f"parse_expr({printed!r})"
+
+
+def test_trees_compare_by_structure():
+    e = parse_expr("[x1,[x2,x3]]")
+    assert e != parse_expr("[x1,x2,x3]") and e != Generator("x", 0) and e != "[x1,[x2,x3]]"
+    assert {e: 1}[Bracket(Generator("x", 0), parse_expr("[x2,x3]"))] == 1
+    assert repr(e) == "parse_expr('[x1,[x2,x3]]')"
 
 
 def test_left_normalize_and_normal_form_of_a_long_flat_word():

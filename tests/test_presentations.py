@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from liegrowth import presentations
-from liegrowth.expr import Bracket, Generator, Leaf, left_normed, parse_expr
+from liegrowth.expr import Bracket, Generator, left_normed, parse_expr
 from liegrowth.poly import MultiPoly
 from liegrowth.presentations import (
     Relator,
@@ -54,7 +54,7 @@ def test_presentation_failures_are_data_not_exceptions():
 
     bad = Presentation(
         generators=(),
-        relators=(Relator("[a1,t1]", parse_expr("[a1,t1]")),),
+        relators=(Relator(parse_expr("[a1,t1]")),),
         bounds={},
     )
     rep = check_presentation(bad, MODE_W, 2, 2)
@@ -159,24 +159,24 @@ def _left_normed_relators(m, n, bound, plus):
     u = [Generator("u", i) for i in range(n)]
     out = []
     if not plus:
-        out += [Relator(None, Bracket(Leaf(ti), Leaf(tj))) for ti in t for tj in t]
+        out += [Relator(Bracket(ti, tj)) for ti in t for tj in t]
         for total in range(bound + 1):
             for r in range(total + 1):
                 for k, l in product(range(m), repeat=2):
                     for isub in product(t, repeat=r):
                         for jsub in product(t, repeat=total - r):
                             lhs = Bracket(left_normed([a[k], *isub]), left_normed([a[l], *jsub]))
-                            out.append(Relator(None, lhs))
+                            out.append(Relator(lhs))
         return out
     for s in range(min(bound, n) + 1):
         for js in combinations(t, s):
             for k, l in product(range(m), repeat=2):
-                out.append(Relator(None, left_normed([a[k], *js, a[l]])))
+                out.append(Relator(left_normed([a[k], *js, a[l]])))
     for i, j in product(range(n), repeat=2):
         for x, y in ((t, t), (t, u), (u, u)):
-            out.append(Relator(None, Bracket(Leaf(x[i]), Leaf(y[j]))))
+            out.append(Relator(Bracket(x[i], y[j])))
     for k, l in product(range(m), range(n)):
-        out.append(Relator(None, Bracket(Leaf(a[k]), Leaf(u[l])), left_normed([a[k], t[l], t[l]])))
+        out.append(Relator(Bracket(a[k], u[l]), left_normed([a[k], t[l], t[l]])))
     return out
 
 

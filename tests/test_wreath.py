@@ -159,6 +159,20 @@ def test_zero_image_is_reported_as_zero(monkeypatch):
     ]
 
 
+def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
+    # every image 0: each random expression whose direct value is nonzero fails
+    monkeypatch.setattr(wreath, "magnus_embedding", lambda elem: WreathElement.zero(elem.d, elem.d))
+    rep = certify_embedding(3, 1, seed=1, trials=6)
+    assert rep.hom_checks == 6
+    assert rep.failures == [
+        "homomorphism property failed on [x2,x1]",
+        "homomorphism property failed on x2",
+        "homomorphism property failed on [x3,[x2,x3],x1]",
+        "homomorphism property failed on [x2,[x1,[x3,[x2,x3]]]]",
+        "homomorphism property failed on [x3,x1]",
+    ]
+
+
 def test_model_law_failures_are_pinned(monkeypatch):
     # [p, q] -> 2p breaks every law the report checks, and keeps the torus
     # part, so each kind of failure string appears once with its witnesses
