@@ -132,7 +132,7 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
     report = {
         "command": "euler-fit",
         "mode": mode,
-        "d": None if args.input is not None else args.d,
+        "d": args.d,
         "fit_n": args.fit_n,
         "method": fit.method,
         "classification": fit.classification,
@@ -197,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             combined["failures"] += [f"{name}: {msg}" for msg in rep.failures]
         report = combined
     elif args.suite == "embedding":
-        rep = certify_embedding(d, args.max_n, seed=args.seed)
+        rep = certify_embedding(d, args.max_n, seed=args.seed, trials=args.trials)
         report = {
             "suite": "embedding",
             "mode": MODE_W,
@@ -253,10 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("euler-fit", help="enveloping-series growth exponent")
     add_common(p_fit)
+    # --mode and --d choose the model; _check_use fills in Wplus and 2, or rejects them with --input
+    p_fit.set_defaults(d=None)
     p_fit.add_argument(
         "--mode",
         choices=(growthmod.MODE_METABELIAN, MODE_WPLUS),
-        default=MODE_WPLUS,
+        default=None,
+        help="model (default Wplus)",
     )
     p_fit.add_argument("--fit-n", type=int, default=2048, help="largest estimator point")
     p_fit.add_argument("--input", default=None, help="CSV of n,a_n rows instead of a model")
@@ -274,22 +277,50 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("presentation", "towers", "embedding", "model-laws"),
         default="presentation",
     )
+    # --mode and --trials default by suite; _check_use fills them in
     p_verify.add_argument(
         "--mode",
         choices=(MODE_W, MODE_WPLUS),
-        default=MODE_WPLUS,
+        default=None,
+        help="model (default Wplus; embedding is into W)",
     )
     p_verify.add_argument("--bound-s", type=int, default=5, help="relator family bound")
     p_verify.add_argument("--max-n", type=int, default=6, help="embedding degree bound")
-    p_verify.add_argument("--trials", type=int, default=50)
+    p_verify.add_argument(
+        "--trials", type=int, default=None, help="random checks (default 25 for embedding, 50 for model-laws)"
+    )
     p_verify.set_defaults(fn=_cmd_verify)
     return parser
+
+
+def _check_use(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject --mode or --d where they cannot apply; fill in the defaults of --mode, --d and --trials."""
+    if args.command == "euler-fit":
+        if args.input is not None:
+            for flag in ("mode", "d"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"--{flag} chooses a model; it does not apply with --input")
+            return
+        args.mode = args.mode or MODE_WPLUS
+        args.d = 2 if args.d is None else args.d
+    elif args.command == "verify":
+        if args.suite == "towers" and args.mode == MODE_W:
+            parser.error("--suite towers checks Wplus tower instances (they use u1); --mode W is not supported")
+        if args.suite == "embedding":
+            if args.mode == MODE_WPLUS:
+                parser.error("--suite embedding certifies the embedding into W; --mode Wplus is not supported")
+            args.mode = MODE_W
+            args.trials = 25 if args.trials is None else args.trials
+        else:
+            args.mode = args.mode or MODE_WPLUS
+            args.trials = 50 if args.trials is None else args.trials
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "d", 1) < 1:
+    _check_use(parser, args)
+    if args.d is not None and args.d < 1:
         parser.error("--d must be >= 1")
     if getattr(args, "max_n", 1) < 1:
         parser.error("--max-n must be >= 1")
@@ -297,8 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--fit-n must be >= 1")
     if getattr(args, "bound_s", 0) < 0:
         parser.error("--bound-s must be >= 0")
-    if getattr(args, "suite", None) == "towers" and args.mode == MODE_W:
-        parser.error("--suite towers checks Wplus tower instances (they use u1); --mode W is not supported")
     try:
         return args.fn(args)
     except ArithmeticError as exc:

@@ -15,7 +15,10 @@ brackets, and a flat list ``[a1,t2,t2]`` abbreviates the left-nested
 
 Every walk over a tree is one iterative post-order fold, ``_fold``:
 ``length``, ``format_expr``, ``left_normalize`` and ``evaluate`` differ only
-in what they do at a leaf and at a bracket. ``parse_expr`` is one loop over
+in what they do at a leaf and at a bracket. ``_fold`` and ``evaluate`` can
+carry a node memo (``Memo``) across calls, so trees that share subtrees, as
+the relators of a presentation share their towers, walk and bracket each
+shared node once. ``parse_expr`` is one loop over
 the tokens with a stack of open brackets. A ``Bracket``'s ``==``, ``hash``
 and ``repr`` go through the text format. None of these recurses, so no depth
 of tree reaches the interpreter's recursion limit.
@@ -85,30 +88,47 @@ LieExpr = Union[Generator, Bracket]
 
 Word = tuple[Generator, ...]
 Combination = dict[Word, int]
+# a node memo of _fold: id(node) -> (node, value); keeping the node keeps its id from reuse
+Memo = dict[int, tuple[Bracket, V]]
 
 
-def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], V]) -> V:
+def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], V], memo: Memo | None = None) -> V:
     """Post-order fold: leaf(gen) at each leaf, bracket(left, right) at each bracket.
 
     Iterative, so no depth of tree reaches the recursion limit. Going down a
     left spine leaves a None and then the right subtree on `todo` for each
     bracket passed; a None popped means the two values of its bracket top
     `values`, which holds only values still waiting for their bracket.
+
+    With a `memo`, a bracket node found there is not descended into, and each
+    bracket value made is recorded under its node; `pending` holds the nodes
+    of the None markers on `todo`, in order.
     """
     todo: list[LieExpr | None] = []
     values: list[V] = []
+    pending: list[Bracket] = []
     node: LieExpr | None = e
     while True:
         while type(node) is Bracket:
+            if memo is not None:
+                entry = memo.get(id(node))
+                if entry is not None:
+                    values.append(entry[1])
+                    break
+                pending.append(node)
             todo += (None, node.right)
             node = node.left
-        values.append(leaf(node))
+        else:
+            values.append(leaf(node))
         while todo:
             node = todo.pop()
             if node is not None:
                 break
             right = values.pop()
-            values[-1] = bracket(values[-1], right)
+            values[-1] = value = bracket(values[-1], right)
+            if memo is not None:
+                done = pending.pop()
+                memo[id(done)] = (done, value)
         else:
             return values[0]
 
@@ -224,8 +244,14 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
 
 # ------------------------------------------------------------------ evaluation
 
-def evaluate(e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V]) -> V:
-    """Structural fold: leaves via assignment, brackets via the callback."""
+def evaluate(
+    e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V], memo: Memo | None = None
+) -> V:
+    """Structural fold: leaves via assignment, brackets via the callback.
+
+    Trees that share bracket nodes can share one `memo` (see `_fold`), so
+    that each node is walked and bracketed once over all of them.
+    """
 
     def leaf(gen: Generator) -> V:
         try:
@@ -233,7 +259,7 @@ def evaluate(e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V
         except KeyError:
             raise UnboundGeneratorError(f"unbound generator: {gen}") from None
 
-    return _fold(e, leaf, bracket)
+    return _fold(e, leaf, bracket, memo)
 
 
 # ------------------------------------------------------------- random inputs

@@ -16,7 +16,9 @@ the extended model the finite presentation consists of
 A presentation has far more relators than towers (m^2 * sum n^(r+s) against
 m * sum n^r in the plain model). Both presentations build each tower once,
 from the tower one torus letter shorter, and relators share the tower objects;
-`check_presentation` makes each bracket once, keyed by its operands' ids.
+`check_presentation` evaluates every relator through one memo keyed by tree
+node, so each shared tower is walked and bracketed once, and each relator
+costs one bracket of two stored tower values.
 
 Checking never raises on a failed relation: failures come back as data
 (witness strings) inside a report, and an empty failure list means the suite
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Bracket, Generator, LieExpr, evaluate, format_expr
+from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
 from .wreath import MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
 
 
@@ -116,18 +118,22 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
         raise ValueError("s_max must be >= 0")
     a, t, u = _leaves("a", m), _leaves("t", n), _leaves("u", n)
     relators: list[Relator] = []
+    # a_t[l][k] = [a_k, t_l]: the s = 1 towers, shared with the square links
+    a_t = [[Bracket(ak, tl) for ak in a] for tl in t]
     # (js[-1], the tower [a_k, t_j1, ..., t_js] for each k) for j1 < ... < js,
     # in lexicographic order of js; the empty js has last subscript -1
     towers: list[tuple[int, list[LieExpr]]] = [(-1, a)]
     for s in range(min(s_max, n) + 1):
-        if s:
+        if s == 1:
+            towers = list(enumerate(a_t))
+        elif s:
             towers = [(j, [Bracket(tw, t[j]) for tw in tws]) for j0, tws in towers for j in range(j0 + 1, n)]
         relators += (Relator(Bracket(tw, al)) for _, tws in towers for tw in tws for al in a)
     for i in range(n):
         for j in range(n):
             relators += (Relator(Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
-    for ak in a:
-        relators += (Relator(Bracket(ak, ul), Bracket(Bracket(ak, tl), tl)) for tl, ul in zip(t, u))
+    for k, ak in enumerate(a):
+        relators += (Relator(Bracket(ak, u[l]), Bracket(a_t[l][k], t[l])) for l in range(n))
     return Presentation(tuple(a + t + u), tuple(relators), {"s_max": s_max})
 
 
@@ -139,21 +145,15 @@ def check_presentation(
 ) -> RelationReport:
     """Evaluate every relator in the model; nonzero values become witnesses."""
     assignment = standard_assignment(m, n, mode)
-    # a shared tower evaluates to the same objects each time, so a bracket is
-    # found by its operands' ids; an entry keeps its operands, so no id is reused
-    memo: dict[tuple[int, int], tuple[WreathElement, WreathElement, WreathElement]] = {}
-
-    def brack(p: WreathElement, q: WreathElement) -> WreathElement:
-        key = (id(p), id(q))
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = (p, q, wreath_bracket(p, q, mode))
-        return entry[2]
+    brack = lambda p, q: wreath_bracket(p, q, mode)
+    # relators share their tower nodes, so one memo over all of them walks and
+    # brackets each node once
+    memo: Memo[WreathElement] = {}
 
     report = RelationReport(suite="presentation", mode=mode, m=m, n=n, bounds=dict(pres.bounds))
     for rel in pres.relators:
-        lhs = evaluate(rel.lhs, assignment, brack)
-        value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, brack)
+        lhs = evaluate(rel.lhs, assignment, brack, memo)
+        value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, brack, memo)
         report.checked += 1
         if not value.is_zero():
             report.failures.append(f"{rel.label} evaluated to {value}")

@@ -160,11 +160,26 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         capsys.readouterr()
         assert exc.value.code == 2, argv
+    # nor a flag that does not apply to the chosen use; the message names it
+    for argv, flag in (
+        (["euler-fit", "--input", "a.csv", "--mode", "metabelian"], "--mode"),
+        (["euler-fit", "--input", "a.csv", "--d", "5", "--fit-n", "2"], "--d"),
+        (["verify", "--suite", "embedding", "--mode", "Wplus"], "--mode"),
+        (["verify", "--suite", "embedding", "--mode", "Wplus", "--trials", "3", "--d", "2"], "--mode"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert f"{flag} " in capsys.readouterr().err, argv
+        assert exc.value.code == 2, argv
     code, out = run_cli(
         ["verify", "--suite", "model-laws", "--d", "2", "--trials", "2", "--format", "json", "--seed", "7"],
         capsys,
     )
     assert code == 0 and json.loads(out)["failures"] == []
+    # embedding reads --trials (two ranks plus the trials) and accepts --mode W
+    for extra, checked in ([], 2 + 25), (["--trials", "3"], 2 + 3), (["--mode", "W", "--trials", "0"], 2):
+        code, out = run_cli(["verify", "--suite", "embedding", "--d", "2", "--max-n", "2"] + extra, capsys)
+        assert code == 0 and json.loads(out)["checked"] == checked, extra
 
 
 def test_output_bytes_are_stable(tmp_path):

@@ -188,20 +188,99 @@ def test_shared_towers_match_left_normed_relators():
                 assert labels == [r.label for r in _left_normed_relators(m, n, bound, plus)], (m, n, bound)
 
 
-def test_check_presentation_makes_each_bracket_once(monkeypatch):
-    real = presentations.wreath_bracket
-    calls = []
+@pytest.mark.parametrize(
+    "mode, d, bound, brackets",
+    [
+        # one bracket per relator, plus one per tower [a_k, t_i1, ..., t_ir]
+        # with r >= 1: 520 + 2 * (2 + 4 + 8 + 16) and 4932 + 3 * (3 + 9 + 27 + 81)
+        (MODE_W, 2, 4, 580),
+        (MODE_W, 3, 4, 5292),
+        # the separator towers have strict subscripts, and the right-hand side
+        # [a_k,t_l,t_l] of a square link reuses the tower node [a_k,t_l], so it
+        # adds one bracket: 900 + 5 * (2^5 - 1) + 5 * 5 and 2448 + 6 * (2^6 - 1) + 6 * 6
+        (MODE_WPLUS, 5, 5, 1080),
+        (MODE_WPLUS, 6, 6, 2862),
+    ],
+)
+def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound, brackets):
+    real_bracket, real_evaluate = presentations.wreath_bracket, presentations.evaluate
+    calls, evaluated = [], []
 
     def counting(p, q, mode):
         calls.append(mode)
-        return real(p, q, mode)
+        return real_bracket(p, q, mode)
+
+    def counting_evaluate(e, *args):
+        evaluated.append(e)
+        return real_evaluate(e, *args)
 
     monkeypatch.setattr(presentations, "wreath_bracket", counting)
-    rep = check_presentation(wreath_presentation(3, 3, pair_len_max=4), MODE_W, 3, 3)
-    assert rep.passed and rep.checked == 4932
-    # one bracket per relator, plus one per tower [a_k, t_i1, ..., t_ir] with
-    # 1 <= r <= 4: 4932 + 3 * (3 + 9 + 27 + 81)
-    assert len(calls) == 5292
+    monkeypatch.setattr(presentations, "evaluate", counting_evaluate)
+    build = wreath_presentation if mode == MODE_W else wplus_presentation
+    pres = build(d, d, bound)
+    rep = check_presentation(pres, mode, d, d)
+    assert rep.passed and rep.checked == len(pres.relators)
+    assert len(calls) == brackets
+    # presentations.evaluate is called once per relator side
+    sides = [side for rel in pres.relators for side in (rel.lhs, rel.rhs) if side is not None]
+    assert len(evaluated) == len(sides) and all(e is side for e, side in zip(evaluated, sides))
+
+
+def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
+    real, real_assignment = presentations.wreath_bracket, presentations.standard_assignment
+    calls, looked_up = [], []
+
+    def counting(p, q, mode):
+        calls.append((str(p), str(q)))
+        return real(p, q, mode)
+
+    class CountingAssignment(dict):
+        def __getitem__(self, gen):
+            looked_up.append(gen)
+            return super().__getitem__(gen)
+
+    monkeypatch.setattr(presentations, "wreath_bracket", counting)
+    monkeypatch.setattr(presentations, "standard_assignment", lambda *a: CountingAssignment(real_assignment(*a)))
+    a1, a2, t1, t2 = (Generator(k, i) for k, i in (("a", 0), ("a", 1), ("t", 0), ("t", 1)))
+    tower = Bracket(Bracket(a1, t1), t2)
+    pres = presentations.Presentation(
+        generators=(a1, a2, t1, t2),
+        relators=(
+            Relator(Bracket(tower, a2)),
+            Relator(Bracket(a2, tower)),
+            Relator(Bracket(tower, tower)),
+            Relator(tower, Bracket(Bracket(a1, t2), t1)),
+        ),
+        bounds={},
+    )
+    rep = check_presentation(pres, MODE_W, 2, 2)
+    assert rep.passed and rep.checked == 4
+    # [a1,t1] and [a1,t1,t2] once each, one bracket per relator root but the
+    # fourth, whose left-hand side is the tower, and [a1,t2], [a1,t2,t1] for
+    # its right-hand side
+    assert calls.count(("a1", "t1")) == 1
+    assert calls.count(("a1*t1", "t2")) == 1
+    assert len(calls) == 2 + 3 + 2
+    # the tower's leaves are read once, on its first walk; then a2 twice and
+    # the right-hand side's three leaves
+    assert looked_up == [a1, t1, t2, a2, a2, a1, t2, t1]
+
+
+def test_deep_relators_are_checked_without_recursion():
+    depth = 5000
+    a1, t1 = Generator("a", 0), Generator("t", 0)
+    left = right = a1
+    for _ in range(depth):
+        left, right = Bracket(left, t1), Bracket(t1, right)
+    pres = presentations.Presentation(
+        generators=(a1, t1), relators=(Relator(left), Relator(right)), bounds={}
+    )
+    rep = check_presentation(pres, MODE_W, 1, 1)
+    # [t,[t,..,[t,a]]] = (-1)^depth [a,t,..,t], and depth is even
+    assert rep.failures == [
+        "[a1" + ",t1" * depth + "] evaluated to a1*t1^5000",
+        "[t1," * depth + "a1" + "]" * depth + " evaluated to a1*t1^5000",
+    ]
 
 
 def test_presentations_reject_negative_bounds():
