@@ -44,7 +44,6 @@ from .metabelian import growth as metabelian_growth
 from .poly import MultiPoly
 from .presentations import (
     Presentation,
-    RelationReport,
     Relator,
     check_presentation,
     tower_commutation_report,
@@ -63,8 +62,8 @@ from .series import (
 from .wreath import (
     MODE_W,
     MODE_WPLUS,
-    EmbeddingReport,
     ModeMismatchError,
+    RelationReport,
     WreathElement,
     certify_embedding,
     magnus_embedding,

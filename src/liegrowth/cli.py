@@ -33,7 +33,7 @@ from .presentations import (
     wplus_presentation,
     wreath_presentation,
 )
-from .wreath import MODE_W, MODE_WPLUS, certify_embedding, model_laws_report
+from .wreath import MODE_W, MODE_WPLUS, RelationReport, certify_embedding, model_laws_report
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -174,51 +174,47 @@ def _read_graded_csv(path: str) -> list[int]:
     return [0] + [values.get(n, 0) for n in range(1, n_max + 1)]
 
 
+def _towers_report(args: argparse.Namespace) -> RelationReport:
+    """The base and step tower instances, checked up to --bound-s, as one report."""
+    bounds = {"i_max": args.bound_s, "j_max": args.bound_s}
+    report = RelationReport("towers", MODE_WPLUS, args.d, args.d, bounds)
+    for name, a, b, t, u in standard_tower_instances(args.d):
+        rep = tower_commutation_report(a, b, t, u, args.bound_s, args.bound_s, instance=name)
+        report.checked += rep.checked
+        report.failures += [f"{name}: {msg}" for msg in rep.failures]
+    return report
+
+
+# suite -> (its report from the parsed args, {verify flag it reads: default});
+# --mode maps to the modes the suite supports, default first. The reports
+# look the suite functions up when called, so they can be replaced by name.
+SUITES = {
+    "presentation": (
+        lambda args: check_presentation(
+            wreath_presentation(args.d, args.d, pair_len_max=args.bound_s)
+            if args.mode == MODE_W
+            else wplus_presentation(args.d, args.d, s_max=args.bound_s),
+            args.mode, args.d, args.d,
+        ),
+        {"mode": (MODE_WPLUS, MODE_W), "bound_s": 5},
+    ),
+    "towers": (_towers_report, {"mode": (MODE_WPLUS,), "bound_s": 5}),
+    "embedding": (
+        lambda args: certify_embedding(args.d, args.max_n, seed=args.seed, trials=args.trials),
+        {"mode": (MODE_W,), "max_n": 6, "seed": 0, "trials": 25},
+    ),
+    "model-laws": (
+        lambda args: model_laws_report(args.d, args.mode, seed=args.seed, trials=args.trials),
+        {"mode": (MODE_WPLUS, MODE_W), "seed": 0, "trials": 50},
+    ),
+}
+VERIFY_FLAGS = ("mode", "bound_s", "max_n", "seed", "trials")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d = args.d
-    if args.suite == "presentation":
-        if args.mode == MODE_W:
-            pres = wreath_presentation(d, d, pair_len_max=args.bound_s)
-        else:
-            pres = wplus_presentation(d, d, s_max=args.bound_s)
-        report = check_presentation(pres, args.mode, d, d).to_dict()
-    elif args.suite == "towers":
-        combined = {
-            "suite": "towers",
-            "mode": MODE_WPLUS,
-            "d": d,
-            "bounds": {"i_max": args.bound_s, "j_max": args.bound_s},
-            "checked": 0,
-            "failures": [],
-        }
-        for name, a, b, t, u in standard_tower_instances(d):
-            rep = tower_commutation_report(a, b, t, u, args.bound_s, args.bound_s, instance=name)
-            combined["checked"] += rep.checked
-            combined["failures"] += [f"{name}: {msg}" for msg in rep.failures]
-        report = combined
-    elif args.suite == "embedding":
-        rep = certify_embedding(d, args.max_n, seed=args.seed, trials=args.trials)
-        report = {
-            "suite": "embedding",
-            "mode": MODE_W,
-            "d": d,
-            "bounds": {"max_n": args.max_n},
-            "checked": len(rep.ranks) + rep.hom_checks,
-            "ranks": [{"n": n, "rank": r, "expected": e} for n, r, e in rep.ranks],
-            "failures": rep.failures,
-        }
-    else:  # model-laws
-        rep = model_laws_report(d, args.mode, seed=args.seed, trials=args.trials)
-        report = {
-            "suite": "model-laws",
-            "mode": args.mode,
-            "d": d,
-            "bounds": {"trials": args.trials},
-            "checked": rep.checked,
-            "failures": rep.failures,
-        }
-    _emit(_json(report), args.out)
-    return 0 if not report["failures"] else 1
+    report = SUITES[args.suite][0](args)
+    _emit(_json(report.to_dict()), args.out)
+    return 0 if report.passed else 1
 
 
 # --------------------------------------------------------------------- parser
@@ -271,30 +267,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     add_common(p_verify)
     p_verify.add_argument("--format", choices=("json",), default="json", help="the report is JSON")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random checks")
-    p_verify.add_argument(
-        "--suite",
-        choices=("presentation", "towers", "embedding", "model-laws"),
-        default="presentation",
-    )
-    # --mode and --trials default by suite; _check_use fills them in
-    p_verify.add_argument(
-        "--mode",
-        choices=(MODE_W, MODE_WPLUS),
-        default=None,
-        help="model (default Wplus; embedding is into W)",
-    )
-    p_verify.add_argument("--bound-s", type=int, default=5, help="relator family bound")
-    p_verify.add_argument("--max-n", type=int, default=6, help="embedding degree bound")
-    p_verify.add_argument(
-        "--trials", type=int, default=None, help="random checks (default 25 for embedding, 50 for model-laws)"
-    )
+    p_verify.add_argument("--suite", choices=tuple(SUITES), default="presentation")
+    # each suite reads some of these; _check_use fills in its defaults and rejects the rest
+    p_verify.add_argument("--mode", choices=(MODE_W, MODE_WPLUS), default=None, help="model (default by suite)")
+    p_verify.add_argument("--bound-s", type=int, default=None, help="relator family bound")
+    p_verify.add_argument("--max-n", type=int, default=None, help="embedding degree bound")
+    p_verify.add_argument("--seed", type=int, default=None, help="seed of the random checks")
+    p_verify.add_argument("--trials", type=int, default=None, help="number of random checks")
     p_verify.set_defaults(fn=_cmd_verify)
     return parser
 
 
 def _check_use(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject --mode or --d where they cannot apply; fill in the defaults of --mode, --d and --trials."""
+    """Reject the flags that do not apply to the chosen use, and fill in the defaults of the rest."""
     if args.command == "euler-fit":
         if args.input is not None:
             for flag in ("mode", "d"):
@@ -304,30 +289,28 @@ def _check_use(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         args.mode = args.mode or MODE_WPLUS
         args.d = 2 if args.d is None else args.d
     elif args.command == "verify":
-        if args.suite == "towers" and args.mode == MODE_W:
-            parser.error("--suite towers checks Wplus tower instances (they use u1); --mode W is not supported")
-        if args.suite == "embedding":
-            if args.mode == MODE_WPLUS:
-                parser.error("--suite embedding certifies the embedding into W; --mode Wplus is not supported")
-            args.mode = MODE_W
-            args.trials = 25 if args.trials is None else args.trials
-        else:
-            args.mode = args.mode or MODE_WPLUS
-            args.trials = 50 if args.trials is None else args.trials
+        reads = SUITES[args.suite][1]
+        for flag in VERIFY_FLAGS:
+            value = getattr(args, flag)
+            if flag not in reads:
+                if value is not None:
+                    parser.error(f"--{flag.replace('_', '-')} is not read by --suite {args.suite}")
+            elif flag == "mode":
+                if value not in (None, *reads["mode"]):
+                    modes = " or ".join(reads["mode"])
+                    parser.error(f"--suite {args.suite} checks {modes}; --mode {value} does not apply")
+                args.mode = value or reads["mode"][0]
+            elif value is None:
+                setattr(args, flag, reads[flag])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_use(parser, args)
-    if args.d is not None and args.d < 1:
-        parser.error("--d must be >= 1")
-    if getattr(args, "max_n", 1) < 1:
-        parser.error("--max-n must be >= 1")
-    if getattr(args, "fit_n", 1) < 1:
-        parser.error("--fit-n must be >= 1")
-    if getattr(args, "bound_s", 0) < 0:
-        parser.error("--bound-s must be >= 0")
+    for flag, low in (("d", 1), ("max_n", 1), ("fit_n", 1), ("bound_s", 0), ("trials", 0)):
+        if (value := getattr(args, flag, None)) is not None and value < low:
+            parser.error(f"--{flag.replace('_', '-')} must be >= {low}")
     try:
         return args.fn(args)
     except ArithmeticError as exc:

@@ -47,10 +47,14 @@ def exact(value: Fraction | int | float | str) -> Rational:
     """`value` as an exact rational: an `int` if integral, else a `Fraction`.
 
     Anything `Fraction` accepts is accepted; a `float` is converted exactly.
+    NaN and infinities raise `ValueError`.
     """
     if type(value) is int:
         return value
-    c = Fraction(value)
+    try:
+        c = Fraction(value)
+    except OverflowError:  # +-inf; an ArithmeticError here would read as a failed cross-check
+        raise ValueError(f"{value!r} is not a finite rational") from None
     return c.numerator if c.denominator == 1 else c
 
 

@@ -27,10 +27,10 @@ passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
-from .wreath import MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
+from .wreath import MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
 
 
 @dataclass(frozen=True)
@@ -57,33 +57,6 @@ class Presentation:
     generators: tuple[Generator, ...]
     relators: tuple[Relator, ...]
     bounds: dict[str, int]
-
-
-@dataclass
-class RelationReport:
-    suite: str
-    mode: str
-    m: int
-    n: int
-    bounds: dict[str, int]
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "mode": self.mode,
-            "d": self.m if self.m == self.n else None,
-            "m": self.m,
-            "n": self.n,
-            "bounds": self.bounds,
-            "checked": self.checked,
-            "failures": self.failures,
-        }
 
 
 def _leaves(kind: str, count: int) -> list[Generator]:

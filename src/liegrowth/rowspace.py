@@ -78,9 +78,6 @@ class RowSpace:
         residual, _ = self._reduce(vec)
         return residual
 
-    def contains(self, vec: Vector) -> bool:
-        return not self.reduce(vec)
-
     def add(self, vec: Vector) -> bool:
         """Insert a vector; returns True iff the rank grew."""
         grew, _ = self.add_with_witness(vec)

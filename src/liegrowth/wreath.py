@@ -287,6 +287,41 @@ def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generato
     return out
 
 
+# ------------------------------------------------------------------- reports
+
+@dataclass
+class RelationReport:
+    """The result of one verification suite; an empty failure list means it passed.
+
+    `failures` are witness strings. `ranks` holds (degree, rank, expected)
+    rows and is kept only by the embedding suite.
+    """
+
+    suite: str
+    mode: str
+    m: int
+    n: int
+    bounds: dict[str, int]
+    checked: int = 0
+    failures: list[str] = field(default_factory=list)
+    ranks: list[tuple[int, int, int]] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_dict(self) -> dict:
+        """The JSON report; only the presentation suite writes m and n."""
+        out = {"suite": self.suite, "mode": self.mode, "d": self.m if self.m == self.n else None}
+        if self.suite == "presentation":
+            out.update(m=self.m, n=self.n)
+        out.update(bounds=self.bounds, checked=self.checked)
+        if self.ranks is not None:
+            out["ranks"] = [{"n": n, "rank": r, "expected": e} for n, r, e in self.ranks]
+        out["failures"] = self.failures
+        return out
+
+
 # ------------------------------------------------------------------- embedding
 
 def magnus_generator_images(d: int) -> dict[Generator, WreathElement]:
@@ -311,31 +346,19 @@ def magnus_embedding(elem: MetabelianElement) -> WreathElement:
     return total
 
 
-@dataclass
-class EmbeddingReport:
-    d: int
-    n_max: int
-    ranks: list[tuple[int, int, int]]  # (degree, rank, expected)
-    hom_checks: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> EmbeddingReport:
+def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> RelationReport:
     """Certify injectivity degree by degree, plus the homomorphism property.
 
     For each degree n <= n_max the images of the degree-n basis monomials are
     flattened to sparse vectors and their exact rank must equal the graded
     dimension; a deficiency reports the offending dependent combination. Then
     `trials` random expressions check that normal form followed by embedding
-    equals direct evaluation under x_i -> a_i + t_i.
+    equals direct evaluation under x_i -> a_i + t_i. Each degree and each
+    trial counts as one check.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    report = EmbeddingReport(d=d, n_max=n_max, ranks=[], hom_checks=0)
+    report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
     x = [images[Generator("x", i)] for i in range(d)]
     image: dict[tuple[int, ...], WreathElement] = {}
@@ -360,6 +383,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
             else:
                 report.failures.append(f"{image_of} is 0")
         report.ranks.append((n, rank, expected))
+        report.checked += 1
         if rank != expected:
             report.failures.append(f"degree {n}: rank {rank} != expected {expected}")
     rng = random.Random(seed)
@@ -369,26 +393,13 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Em
         e = random_expr(rng, gens, rng.randint(1, 6))
         via_normal_form = magnus_embedding(metabelian.normalize_expr(e, d))
         direct = evaluate(e, images, brack)
-        report.hom_checks += 1
+        report.checked += 1
         if via_normal_form != direct:
             report.failures.append(f"homomorphism property failed on {format_expr(e)}")
     return report
 
 
 # ------------------------------------------------------------------ model laws
-
-@dataclass
-class LawReport:
-    mode: str
-    m: int
-    n: int
-    checked: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElement:
     module = []
@@ -409,7 +420,7 @@ def model_laws_report(
     seed: int = 0,
     trials: int = 50,
     span_degree: int = 4,
-) -> LawReport:
+) -> RelationReport:
     """Random checks of the Lie axioms and of the module spanning towers.
 
     Verifies antisymmetry and the Jacobi identity on random elements, that
@@ -419,7 +430,7 @@ def model_laws_report(
     s span the degree-s module slice (exact rank d * C(s+d-1, d-1)).
     """
     rng = random.Random(seed)
-    report = LawReport(mode=mode, m=d, n=d, checked=0)
+    report = RelationReport("model-laws", mode, d, d, {"trials": trials})
     brack = lambda p, q: wreath_bracket(p, q, mode)
 
     def check(ok: bool, message: Callable[[], str]) -> None:

@@ -166,6 +166,8 @@ def test_usage_errors_exit_2(capsys):
         (["euler-fit", "--input", "a.csv", "--d", "5", "--fit-n", "2"], "--d"),
         (["verify", "--suite", "embedding", "--mode", "Wplus"], "--mode"),
         (["verify", "--suite", "embedding", "--mode", "Wplus", "--trials", "3", "--d", "2"], "--mode"),
+        (["verify", "--suite", "model-laws", "--d", "1", "--trials", "-3"], "--trials"),
+        (["verify", "--suite", "embedding", "--d", "1", "--trials", "-1"], "--trials"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -180,6 +182,27 @@ def test_usage_errors_exit_2(capsys):
     for extra, checked in ([], 2 + 25), (["--trials", "3"], 2 + 3), (["--mode", "W", "--trials", "0"], 2):
         code, out = run_cli(["verify", "--suite", "embedding", "--d", "2", "--max-n", "2"] + extra, capsys)
         assert code == 0 and json.loads(out)["checked"] == checked, extra
+
+
+@pytest.mark.parametrize(
+    "suite,flag",
+    (
+        ("presentation", "--max-n"),
+        ("presentation", "--seed"),
+        ("presentation", "--trials"),
+        ("towers", "--max-n"),
+        ("towers", "--seed"),
+        ("towers", "--trials"),
+        ("embedding", "--bound-s"),
+        ("model-laws", "--bound-s"),
+        ("model-laws", "--max-n"),
+    ),
+)
+def test_verify_rejects_flags_its_suite_does_not_read(capsys, suite, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--d", "2", flag, "3"])
+    assert exc.value.code == 2
+    assert f"{flag} " in capsys.readouterr().err
 
 
 def test_output_bytes_are_stable(tmp_path):
@@ -201,7 +224,7 @@ def test_output_bytes_are_stable(tmp_path):
     assert growth_outputs[0] == growth_outputs[1]
 
 
-# stdout of four commands at a fixed configuration, byte for byte
+# stdout of seven commands at a fixed configuration, byte for byte
 DIMS_JSON = """\
 {
   "command": "dims",
@@ -313,6 +336,48 @@ EMBEDDING_JSON = """\
 }
 """
 
+PRESENTATION_W_JSON = """\
+{
+  "suite": "presentation",
+  "mode": "W",
+  "d": 2,
+  "m": 2,
+  "n": 2,
+  "bounds": {
+    "pair_len_max": 1
+  },
+  "checked": 24,
+  "failures": []
+}
+"""
+
+TOWERS_JSON = """\
+{
+  "suite": "towers",
+  "mode": "Wplus",
+  "d": 2,
+  "bounds": {
+    "i_max": 1,
+    "j_max": 1
+  },
+  "checked": 20,
+  "failures": []
+}
+"""
+
+MODEL_LAWS_JSON = """\
+{
+  "suite": "model-laws",
+  "mode": "Wplus",
+  "d": 2,
+  "bounds": {
+    "trials": 2
+  },
+  "checked": 43,
+  "failures": []
+}
+"""
+
 
 @pytest.mark.parametrize(
     "argv,expected",
@@ -321,6 +386,9 @@ EMBEDDING_JSON = """\
         ("growth --mode W --d 2 --max-n 6", GROWTH_W_CSV),
         ("growth --mode Wplus --d 2 --max-n 5 --format json", GROWTH_WPLUS_JSON),
         ("verify --suite embedding --d 2 --max-n 4", EMBEDDING_JSON),
+        ("verify --suite presentation --mode W --d 2 --bound-s 1", PRESENTATION_W_JSON),
+        ("verify --suite towers --d 2 --bound-s 1", TOWERS_JSON),
+        ("verify --suite model-laws --d 2 --trials 2 --seed 7", MODEL_LAWS_JSON),
     ),
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):

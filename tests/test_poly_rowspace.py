@@ -144,8 +144,8 @@ def test_rowspace_rank_and_reduce():
     assert rs.add({"b": Fraction(1)})
     assert not rs.add({"a": Fraction(2), "b": Fraction(7)})
     assert rs.rank == 2
-    assert rs.contains({"a": Fraction(-1), "b": Fraction(5)})
-    assert not rs.contains({"c": Fraction(1)})
+    assert not rs.reduce({"a": Fraction(-1), "b": Fraction(5)})
+    assert rs.reduce({"c": Fraction(1)})
 
 
 def test_rowspace_exactness_no_float_noise():

@@ -163,7 +163,7 @@ def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
     # every image 0: each random expression whose direct value is nonzero fails
     monkeypatch.setattr(wreath, "magnus_embedding", lambda elem: WreathElement.zero(elem.d, elem.d))
     rep = certify_embedding(3, 1, seed=1, trials=6)
-    assert rep.hom_checks == 6
+    assert rep.checked == 1 + 6  # one degree and six trials
     assert rep.failures == [
         "homomorphism property failed on [x2,x1]",
         "homomorphism property failed on x2",
