@@ -119,6 +119,11 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
         target = args.target
         mode = "input"
     elif args.mode == growthmod.MODE_METABELIAN:
+        if args.d == 1:
+            raise ValueError(
+                "the metabelian algebra on 1 generator is one-dimensional, so every b_n is 1"
+                " and there is no growth exponent to fit; use --d 2 or more"
+            )
         a = [0] + [metabelian.graded_dim(args.d, n) for n in range(1, 2 * args.fit_n + 1)]
         target = args.target if args.target is not None else args.d / (args.d + 1)
         mode = args.mode

@@ -55,33 +55,48 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector) -> tuple[Vector, dict[int, Rational]]:
+    def _reduce(self, vec: Vector, combo: dict[int, Rational] | None = None) -> Vector:
+        """The residual of `vec` modulo the span; adds the expansion of what
+        was subtracted into `combo` when one is given (tracked spaces only)."""
         vals = vec.values()
         if all(vals) and float not in map(type, vals):
             residual = dict(vec)
         else:
             residual = {k: exact(c) for k, c in vec.items() if c}
-        combo: dict[int, Rational] = {}
+        rows = self._rows
         while residual:
             pivot = min(residual)
-            row = self._rows.get(pivot)
+            row = rows.get(pivot)
             if row is None:
                 break
             factor = residual[pivot]
             add_into(residual, row, -factor)
-            if self._track:
+            if combo is not None:
                 add_into(combo, self._combos[pivot], factor)
-        return residual, combo
+        return residual
+
+    def _store(self, residual: Vector) -> tuple[Hashable, Rational]:
+        """Store a nonzero residual as the row of its pivot; returns (pivot, lead)."""
+        pivot = min(residual)
+        lead = residual[pivot]
+        row = _divide(residual, lead)
+        row[pivot] = 1
+        self._rows[pivot] = row
+        return pivot, lead
 
     def reduce(self, vec: Vector) -> Vector:
         """Normal form of `vec` modulo the current span (forward elimination)."""
-        residual, _ = self._reduce(vec)
-        return residual
+        return self._reduce(vec)
 
     def add(self, vec: Vector) -> bool:
         """Insert a vector; returns True iff the rank grew."""
-        grew, _ = self.add_with_witness(vec)
-        return grew
+        if self._track:
+            return self.add_with_witness(vec)[0]
+        residual = self._reduce(vec)
+        if not residual:
+            return False
+        self._store(residual)
+        return True
 
     def add_with_witness(self, vec: Vector) -> tuple[bool, dict[int, Rational]]:
         """Insert a vector.
@@ -90,18 +105,15 @@ class RowSpace:
         vector was already in the span; with tracking enabled, combo maps
         insertion ids of previously added vectors to coefficients such that
         vec = sum(combo[i] * inserted_i). Insertion ids count every call,
-        dependent or not.
+        `add` included, dependent or not.
         """
         insert_id = self._inserts
         self._inserts += 1
-        residual, combo = self._reduce(vec)
+        combo: dict[int, Rational] = {}
+        residual = self._reduce(vec, combo if self._track else None)
         if not residual:
             return False, combo
-        pivot = min(residual)
-        lead = residual[pivot]
-        row = _divide(residual, lead)
-        row[pivot] = 1
-        self._rows[pivot] = row
+        pivot, lead = self._store(residual)
         if self._track:
             # row = (vec - sum combo_i * inserted_i) / lead
             expansion = {insert_id: 1}

@@ -261,10 +261,11 @@ def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -
     """[p, q] = module(p) * act(q) - module(q) * act(p); torus part is zero."""
     if mode not in MODES:
         raise ModeMismatchError(f"unknown mode {mode!r}")
-    p._check_shape(q)
+    if p.m != q.m or p.n != q.n:
+        raise ValueError("elements from different models")
     tp = p.torus
     tq = q.torus
-    if mode == MODE_W and any(neg_power == -2 for neg_power, _ in (*tp, *tq)):
+    if (tp or tq) and mode == MODE_W and any(neg_power == -2 for neg_power, _ in (*tp, *tq)):
         raise ModeMismatchError("u-component present in mode W")
     out: Terms = {}
     if tq and p.terms:

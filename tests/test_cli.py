@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -395,6 +396,34 @@ def test_output_bytes_are_pinned(capsys, argv, expected):
     code, out = run_cli(argv.split(), capsys)
     assert code == 0
     assert out.encode() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    (
+        # the largest filtration-growth search of the benchmark
+        ("--mode Wplus --d 4 --max-n 7", "e9d93c7f664462349c5b82a3852e7124f339dadea9445321797ca98d049360e0"),
+        ("--mode W --d 4 --max-n 7", "4d3ab6b5e6b7c9ac6df3d7e265b03683dd631714518c37b990de0e9c0615c134"),
+        ("--mode metabelian --d 4 --max-n 10", "3b5647c22004fafdce4c7a571c74bdaab2f9be05a6dcff05a186bb78487c6bd2"),
+    ),
+    ids=("Wplus-d4-n7", "W-d4-n7", "metabelian-d4-n10"),
+)
+def test_growth_search_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(["growth", *argv.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_euler_fit_rejects_one_generator_metabelian(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["euler-fit", "--mode", "metabelian", "--d", "1", "--fit-n", "32"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the metabelian algebra on 1 generator is one-dimensional, so every b_n is 1"
+        " and there is no growth exponent to fit; use --d 2 or more\n"
+    )
 
 
 def test_module_entry_point_runs():

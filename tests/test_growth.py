@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import _oracles
+from _oracles import unpruned_growth
 from liegrowth import growth as growthmod
 from liegrowth import metabelian
 from liegrowth.growth import (
@@ -50,6 +52,26 @@ def test_search_is_stable_under_generator_permutation():
     base_m = growth_bfs(MODE_METABELIAN, 3, 5)
     permuted_m = growth_bfs(MODE_METABELIAN, 3, 5, generator_order=[2, 0, 1])
     assert base_m.gamma == permuted_m.gamma
+
+
+def _orders(mode, d):
+    """None, the reverse order, and (in W and Wplus) the torus letters before the a's."""
+    size = {MODE_METABELIAN: d, MODE_W: 2 * d, MODE_WPLUS: 3 * d}[mode]
+    orders = [None, list(reversed(range(size)))]
+    if mode != MODE_METABELIAN:
+        orders.append(list(range(d, size)) + list(range(d)))
+    return orders
+
+
+@pytest.mark.parametrize(
+    "mode,d,n_max",
+    [(mode, d, n) for mode, n in ((MODE_METABELIAN, 7), (MODE_W, 6), (MODE_WPLUS, 6)) for d in (1, 2, 3)]
+    + [(MODE_WPLUS, 4, 5)],
+)
+def test_pruned_search_matches_unpruned_oracle(mode, d, n_max):
+    for order in _orders(mode, d):
+        expected = unpruned_growth(mode, d, n_max, order)
+        assert growth_bfs(mode, d, n_max, generator_order=order).gamma == expected, order
 
 
 def test_growth_sandwich():
@@ -134,3 +156,28 @@ def test_module_degree_guard_fires(monkeypatch):
     monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
     with pytest.raises(ArithmeticError, match=r"^module degree 5 overflows the level-2 cap$"):
         growth_bfs(MODE_WPLUS, 2, 4)
+
+
+@pytest.mark.parametrize("mode", (MODE_W, MODE_WPLUS))
+def test_module_degree_guard_fires_past_level_2(monkeypatch, mode):
+    # only brackets of an operand of module degree >= 1 overshoot, by three
+    # t1-letters, so no level-2 candidate trips the guard: [[a1,t1],t1]
+    # reaches degree 5 at level 3, whose cap is 4
+    real = growthmod.wreath_bracket
+
+    def overshooting(p, q, mode):
+        out = real(p, q, mode)
+        if out and p.module_degree() >= 1:
+            t1 = WreathElement.gen_t(0, p.m, p.n)
+            for _ in range(3):
+                out = real(out, t1, mode)
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    monkeypatch.setattr(_oracles, "wreath_bracket", overshooting)
+    message = r"^module degree 5 overflows the level-3 cap$"
+    with pytest.raises(ArithmeticError, match=message):
+        growth_bfs(mode, 2, 4)
+    # the unpruned search, guarding every candidate, stops at the same place
+    with pytest.raises(ArithmeticError, match=message):
+        unpruned_growth(mode, 2, 4)

@@ -204,3 +204,30 @@ def test_rowspace_witness_ignores_zero_entries():
     assert rs.add_with_witness({"x": 0, "y": 6, "z": 0}) == (False, {0: 3})
     assert rs.add_with_witness({"x": 1, "y": 0}) == (True, {})
     assert rs.add_with_witness({"x": -1, "y": 1}) == (False, {0: F(1, 2), 3: -1})
+
+
+def test_rowspace_tracked_add_and_witness_share_insertion_ids():
+    # `add` on a tracked space takes an insertion id and records its row's
+    # expansion, so a later witness may name it; zeros are dropped and floats
+    # taken exactly on both paths
+    rs = RowSpace(track=True)
+    assert rs.add({"x": 2, "y": 0})  # id 0
+    assert not rs.add({"x": 1.0})  # id 1, dependent
+    assert rs.add_with_witness({"y": 0.5, "z": 0.0}) == (True, {})  # id 2
+    assert not rs.add({"x": 0, "z": 0})  # id 3, the zero vector
+    assert rs.add({"x": 1, "z": 3})  # id 4
+    assert rs.add_with_witness({"x": 0.5}) == (False, {0: F(1, 4)})  # id 5
+    grew, combo = rs.add_with_witness({"x": 3, "y": 1, "z": 6})  # id 6
+    assert not grew
+    assert combo == {0: F(1, 2), 2: 2, 4: 2}
+    assert rs.rank == 3
+    for c in (*combo.values(), *(v for row in rs._rows.values() for v in row.values())):
+        assert type(c) in (int, F) and c
+
+
+def test_rowspace_untracked_add_matches_add_with_witness():
+    vecs = [{"x": 2, "y": 0}, {"x": 1.0}, {"y": 0.5, "z": 0.0}, {"x": 0}, {"x": 1, "z": F(3, 2)}, {"z": 7}]
+    plain, witnessed = RowSpace(), RowSpace()
+    assert [plain.add(v) for v in vecs] == [witnessed.add_with_witness(v) == (True, {}) for v in vecs]
+    assert plain._rows == witnessed._rows
+    assert plain.rank == 3
