@@ -36,12 +36,10 @@ from .metabelian import (
     MetabelianElement,
     basis_monomials,
     graded_dim,
-    graded_dim_closed,
     normalize_expr,
     normalize_word,
 )
 from .metabelian import growth as metabelian_growth
-from .poly import MultiPoly
 from .presentations import (
     Presentation,
     Relator,
@@ -53,11 +51,8 @@ from .presentations import (
 from .rowspace import RowSpace
 from .series import (
     ExponentFit,
-    euler_product_direct,
     euler_transform,
     fit_stretched_exponent,
-    gamma_to_graded,
-    ln_big,
 )
 from .wreath import (
     MODE_W,

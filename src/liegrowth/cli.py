@@ -65,12 +65,8 @@ def _emit_table(args: argparse.Namespace, meta: dict, header: Sequence[str], row
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    rows = []
-    gamma = 0
-    for n in range(1, args.max_n + 1):
-        dim = metabelian.graded_dim(args.d, n)
-        gamma += dim
-        rows.append((n, dim, gamma))
+    gamma = metabelian.growth(args.d, args.max_n)
+    rows = [(n, gamma[n] - gamma[n - 1], gamma[n]) for n in range(1, args.max_n + 1)]
     meta = {"command": "dims", "d": args.d, "max_n": args.max_n}
     _emit_table(args, meta, ("n", "dim", "gamma"), rows)
     return 0
@@ -110,12 +106,7 @@ def _fit_points(fit_n: int) -> list[int]:
 
 def _cmd_euler_fit(args: argparse.Namespace) -> int:
     if args.input is not None:
-        a = _read_graded_csv(args.input)
-        needed = 2 * args.fit_n
-        if len(a) - 1 < needed:
-            raise ValueError(
-                f"input provides a_n up to n = {len(a) - 1}, need {needed} for fit_n = {args.fit_n}"
-            )
+        a = _read_graded_csv(args.input, args.fit_n)
         target = args.target
         mode = "input"
     elif args.mode == growthmod.MODE_METABELIAN:
@@ -154,10 +145,12 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
     return 0 if passed in (True, None) else 1
 
 
-def _read_graded_csv(path: str) -> list[int]:
-    """Read `n,a_n` rows into the indexed-list convention (a[0] = 0).
+def _read_graded_csv(path: str, fit_n: int) -> list[int]:
+    """Read `n,a_n` rows into the indexed-list convention (a[0] = 0), up to n = 2 * fit_n.
 
-    Each n >= 1 may appear once; a missing n reads as a_n = 0.
+    Each n >= 1 may appear once; a missing n reads as a_n = 0. The file must
+    reach n = 2 * fit_n, and every row is checked, but the list stops there:
+    b_n depends only on a_1..a_n, and the fit reads b up to 2 * fit_n.
     """
     values: dict[int, int] = {}
     with open(path) as fh:
@@ -175,8 +168,12 @@ def _read_graded_csv(path: str) -> list[int]:
         values[n] = int(parts[1])
     if not values:
         raise ValueError("empty sequence file")
-    n_max = max(values)
-    return [0] + [values.get(n, 0) for n in range(1, n_max + 1)]
+    needed, n_max = 2 * fit_n, max(values)
+    if n_max < needed:
+        raise ValueError(f"input provides a_n up to n = {n_max}, need {needed} for fit_n = {fit_n}")
+    if min(values.values()) < 0:
+        raise ValueError("graded dimensions must be nonnegative")
+    return [0] + [values.get(n, 0) for n in range(1, needed + 1)]
 
 
 def _towers_report(args: argparse.Namespace) -> RelationReport:

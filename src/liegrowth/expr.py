@@ -14,7 +14,7 @@ brackets, and a flat list ``[a1,t2,t2]`` abbreviates the left-nested
 ``[[a1,t2],t2]``, so ``format_expr`` and ``parse_expr`` round-trip exactly.
 
 Every walk over a tree is one iterative post-order fold, ``_fold``:
-``length``, ``format_expr``, ``left_normalize`` and ``evaluate`` differ only
+``format_expr``, ``left_normalize`` and ``evaluate`` differ only
 in what they do at a leaf and at a bracket. ``_fold`` and ``evaluate`` can
 carry a node memo (``Memo``) across calls, so trees that share subtrees, as
 the relators of a presentation share their towers, walk and bracket each
@@ -133,11 +133,6 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
             return values[0]
 
 
-def length(e: LieExpr) -> int:
-    """Number of generator occurrences."""
-    return _fold(e, lambda gen: 1, int.__add__)
-
-
 def left_normed(letters: Sequence[Generator]) -> LieExpr:
     """Build the left-nested bracket [[..[g0,g1],..],gk] from letters."""
     if not letters:
@@ -218,7 +213,7 @@ def _tokenize(text: str) -> list[str]:
 def left_normalize(e: LieExpr) -> Combination:
     """Expand into left-normed words with (nonzero) integer coefficients.
 
-    Length-homogeneous: every word in the result has length(e) letters.
+    Length-homogeneous: every word in the result has one letter per leaf of e.
     Deterministic: the Jacobi rewrite always splits the right factor first.
     """
     return _fold(e, lambda gen: {(gen,): 1}, _bracket_combinations)

@@ -202,4 +202,4 @@ def wplus_growth_bound(d: int, n: int) -> int:
     """Valid exact upper bound for gamma(n): tower length capped at 2(n-1)."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    return 3 * d + d * sum(comb(s + d - 1, d - 1) for s in range(1, 2 * (n - 1) + 1))
+    return wplus_spanning_count(d, 2 * n - 1)

@@ -247,15 +247,6 @@ def graded_dim(d: int, n: int) -> int:
     return sum((d - j) * comb(n - 2 + d - j, d - j) for j in range(1, d))
 
 
-def graded_dim_closed(d: int, n: int) -> int:
-    """Independent closed form: (n-1) * C(n+d-2, n) for n >= 2, d for n = 1."""
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
-    if n == 1:
-        return d
-    return (n - 1) * comb(n + d - 2, n)
-
-
 def growth(d: int, n_max: int) -> list[int]:
     """Cumulative dimensions gamma(0..n_max); gamma[0] = 0."""
     gamma = [0]

@@ -1,13 +1,8 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Exact term dicts, and the polynomial ring kept as the tests' reference.
 
-These are the coefficients of the wreath-product module as polynomials: every
-module basis vector carries one polynomial in the torus variables t1..tn
-(`WreathElement.module` and `wreath.action_poly` give this view; an element
-itself stores one term dict keyed (k, exps), see `wreath`). Exponent vectors
-are int tuples with one slot per variable. Instances are immutable by
-convention; every operation returns a fresh polynomial.
-
-Coefficients are exact rationals: an `int` where the value is integral, a
+Every sparse term dict in the package (wreath elements, metabelian normal
+forms, left-normed combinations, `rowspace` vectors) maps keys to exact
+rational coefficients: an `int` where the value is integral, a
 `fractions.Fraction` where it is not. Most coefficients in this package are
 integers, and `int` arithmetic runs in C while `Fraction` arithmetic runs in
 Python and calls `gcd`. Invariant: no stored coefficient is zero, and each is
@@ -15,22 +10,25 @@ an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`;
 an operation on a non-integral `Fraction` may leave an integral `Fraction`,
 which compares and hashes equal to its `int`.
 
-Every sparse term dict in the package (polynomials here, metabelian normal
-forms, left-normed combinations, `rowspace` vectors) keeps that rule through
-this module: `add_into` is the one in-place sum, and it deletes a key whose
-sum is 0; `format_terms` is the one place that writes a term dict as the
-signed string `c*m + m - ...`. The only other accumulate loop is
+The helpers here keep that rule: `exact` converts one coefficient, `scaled`
+multiplies a term dict by a scalar, `add_into` is the one in-place sum, and
+it deletes a key whose sum is 0; `format_terms` is the one place that writes
+a term dict as the signed string `c*m + m - ...`, and `monomial_text` writes
+an exponent tuple as `t1*t2^2`. The only other accumulate loop is
 `wreath._add_product(out, terms, torus, sign)`, which adds into one (k, exps)
 term dict the copies of a module term dict shifted by each torus letter,
 rather than a plain sum.
 
-The public constructor `MultiPoly(nvars, terms)` validates arity, signs and
-coefficients, and stores an integral coefficient (an `int` or an integral
-`Fraction`) as `int`; see `exact`. Results of arithmetic go through the
-trusted constructor `MultiPoly._trusted(nvars, terms)` instead, which stores
-`terms` as given. Its invariant, kept by every caller: `terms` holds
-coefficients as above, and `nvars` and the exponent arities come from operands
-that were already checked, so validating them again would only cost time.
+`MultiPoly` is the ring k[t1..tn] itself, with exponent vectors as int tuples
+of one slot per variable. No program path multiplies polynomials: the tests
+use it as the reference for the wreath bracket, and the benchmark's tracer
+wraps its `__mul__` and `__add__`. Instances are immutable by convention;
+every operation returns a fresh polynomial. The public constructor
+`MultiPoly(nvars, terms)` validates arity, signs and coefficients, and stores
+an integral coefficient as `int` (see `exact`). Results of arithmetic go
+through the trusted constructor `MultiPoly._trusted(nvars, terms)` instead,
+which stores `terms` as given: its coefficients are as above, and `nvars`
+and the exponent arities come from operands that were already checked.
 """
 
 from __future__ import annotations
@@ -149,23 +147,6 @@ class MultiPoly:
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
 
-    @classmethod
-    def constant(cls, nvars: int, value: Rational) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int, power: int = 1) -> "MultiPoly":
-        """The monomial t_{index}^power (index is 0-based)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        exps = [0] * nvars
-        exps[index] = power
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff: Rational = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -218,27 +199,6 @@ class MultiPoly:
 
     def __rmul__(self, other: Rational) -> "MultiPoly":
         return self * other
-
-    def shift(self, index: int, power: int) -> "MultiPoly":
-        """Multiply by t_{index}^power without a general convolution.
-
-        A negative power divides by t_{index}^-power, which every term must
-        contain; otherwise a negative exponent would be left and this raises.
-        """
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        if power == 0:
-            return self
-        if power < 0 and any(e[index] < -power for e in self.terms):
-            raise ValueError(f"t{index + 1}^{power} leaves a negative exponent")
-        return MultiPoly._trusted(
-            self.nvars,
-            {e[:index] + (e[index] + power,) + e[index + 1:]: c for e, c in self.terms.items()},
-        )
-
-    def total_degree(self) -> int:
-        """Max term degree; -1 for the zero polynomial."""
-        return max(map(sum, self.terms)) if self.terms else -1
 
     def __str__(self) -> str:
         return format_terms((monomial_text(e), c) for e, c in sorted(self.terms.items()))

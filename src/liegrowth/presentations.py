@@ -54,7 +54,6 @@ class Relator:
 
 @dataclass
 class Presentation:
-    generators: tuple[Generator, ...]
     relators: tuple[Relator, ...]
     bounds: dict[str, int]
 
@@ -78,7 +77,7 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
             for left_k in towers[r]:
                 for right_l in towers[total - r]:
                     relators += (Relator(Bracket(lt, rt)) for lt in left_k for rt in right_l)
-    return Presentation(tuple(a + t), tuple(relators), {"pair_len_max": pair_len_max})
+    return Presentation(tuple(relators), {"pair_len_max": pair_len_max})
 
 
 def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
@@ -107,7 +106,7 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
             relators += (Relator(Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
     for k, ak in enumerate(a):
         relators += (Relator(Bracket(ak, u[l]), Bracket(a_t[l][k], t[l])) for l in range(n))
-    return Presentation(tuple(a + t + u), tuple(relators), {"s_max": s_max})
+    return Presentation(tuple(relators), {"s_max": s_max})
 
 
 def check_presentation(

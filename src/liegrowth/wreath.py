@@ -23,12 +23,13 @@ merged dict is a `rowspace` vector as it stands. Neither dict stores a zero.
 
 Coefficients follow the convention of `poly`: an `int` where the value is
 integral, a `fractions.Fraction` where it is not, never a `float`. The public
-constructor `WreathElement(m, n, module, tor_t, tor_u)` validates shapes and
-stores integral coefficients as `int` (see `poly.exact`). Brackets and the
-arithmetic operators build their results with the trusted constructor
-`WreathElement._trusted(m, n, terms, torus)` instead, under the same invariant
-as `MultiPoly._trusted`: coefficients as above, no zeros, and m, n and every
-arity come from operands that were already checked.
+constructor `WreathElement(m, n, terms, torus)` takes the two dicts in this
+layout, rejects a malformed key with `ValueError`, stores each coefficient
+through `poly.exact` and drops zeros. Brackets and the arithmetic operators
+build their results with the trusted constructor
+`WreathElement._trusted(m, n, terms, torus)` instead, which stores the dicts
+as given. Its invariant, kept by every caller: coefficients as above, no
+zeros, and m, n and every key come from operands that were already checked.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -42,12 +43,12 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Exponents, MultiPoly, Rational, add_into, exact, format_terms, monomial_text, scaled
+from .poly import Rational, add_into, exact, format_terms, monomial_text, scaled
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -62,6 +63,40 @@ class ModeMismatchError(ValueError):
     pass
 
 
+def _is_module_key(key: object, m: int, n: int) -> bool:
+    """(k, exps): 0 <= k < m and n exponents, each an int >= 0."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return False
+    k, exps = key
+    return (
+        type(k) is int
+        and 0 <= k < m
+        and isinstance(exps, tuple)
+        and len(exps) == n
+        and all(type(e) is int and e >= 0 for e in exps)
+    )
+
+
+def _is_torus_key(key: object, n: int) -> bool:
+    """(-1, i) for t_{i+1} or (-2, i) for u_{i+1}, with 0 <= i < n."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return False
+    neg_power, i = key
+    return type(neg_power) is int and neg_power in (-1, -2) and type(i) is int and 0 <= i < n
+
+
+def _checked(terms: Terms | None, valid: Callable[[object], bool]) -> Terms:
+    """A copy of terms with every key checked and every coefficient exact and nonzero."""
+    out: Terms = {}
+    for key, coeff in (terms or {}).items():
+        if not valid(key):
+            raise ValueError(f"malformed key {key!r}")
+        c = exact(coeff)
+        if c:
+            out[key] = c
+    return out
+
+
 class WreathElement:
     """Module terms {(k, exps): c} plus torus letters {(-power, i): c}.
 
@@ -71,30 +106,14 @@ class WreathElement:
 
     __slots__ = ("m", "n", "terms", "torus")
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        module: Iterable[MultiPoly] | None = None,
-        tor_t: Iterable[Rational] | None = None,
-        tor_u: Iterable[Rational] | None = None,
-    ):
-        """m polynomials in n variables, and the t- and u-coefficients by index."""
+    def __init__(self, m: int, n: int, terms: Terms | None = None, torus: Terms | None = None):
+        """Module terms {(k, exps): c} and torus letters {(-power, i): c}, in the stored layout."""
         if m < 1 or n < 1:
             raise ValueError("m and n must be >= 1")
         self.m = m
         self.n = n
-        mod = tuple(module) if module is not None else (MultiPoly.zero(n),) * m
-        if len(mod) != m or any(p.nvars != n for p in mod):
-            raise ValueError("module part must be m polynomials in n variables")
-        self.terms = {(k, exps): c for k, p in enumerate(mod) for exps, c in p.terms.items()}
-        tt = tuple(map(exact, tor_t)) if tor_t is not None else (0,) * n
-        tu = tuple(map(exact, tor_u)) if tor_u is not None else (0,) * n
-        if len(tt) != n or len(tu) != n:
-            raise ValueError("torus parts must have length n")
-        self.torus = {
-            (-power, i): c for power, block in ((1, tt), (2, tu)) for i, c in enumerate(block) if c
-        }
+        self.terms = _checked(terms, lambda key: _is_module_key(key, m, n))
+        self.torus = _checked(torus, lambda key: _is_torus_key(key, n))
 
     @classmethod
     def _trusted(cls, m: int, n: int, terms: Terms, torus: Terms) -> "WreathElement":
@@ -112,35 +131,15 @@ class WreathElement:
 
     @classmethod
     def gen_a(cls, k: int, m: int, n: int) -> "WreathElement":
-        if not 0 <= k < m:
-            raise ValueError(f"module index {k} out of range")
-        res = cls(m, n)
-        res.terms[(k, (0,) * n)] = 1
-        return res
-
-    @classmethod
-    def _gen_torus(cls, power: int, i: int, m: int, n: int) -> "WreathElement":
-        if not 0 <= i < n:
-            raise ValueError(f"torus index {i} out of range")
-        res = cls(m, n)
-        res.torus[(-power, i)] = 1
-        return res
+        return cls(m, n, {(k, (0,) * n): 1})
 
     @classmethod
     def gen_t(cls, i: int, m: int, n: int) -> "WreathElement":
-        return cls._gen_torus(1, i, m, n)
+        return cls(m, n, None, {(-1, i): 1})
 
     @classmethod
     def gen_u(cls, i: int, m: int, n: int) -> "WreathElement":
-        return cls._gen_torus(2, i, m, n)
-
-    @property
-    def module(self) -> tuple[MultiPoly, ...]:
-        """The module part as m polynomials, a_{k+1}'s at index k."""
-        parts: list[dict[Exponents, Rational]] = [{} for _ in range(self.m)]
-        for (k, exps), c in self.terms.items():
-            parts[k][exps] = c
-        return tuple(MultiPoly._trusted(self.n, part) for part in parts)
+        return cls(m, n, None, {(-2, i): 1})
 
     @property
     def tor_t(self) -> tuple[Rational, ...]:
@@ -224,16 +223,6 @@ class WreathElement:
 
 
 # --------------------------------------------------------------------- bracket
-
-
-def action_poly(e: WreathElement) -> MultiPoly:
-    """The polynomial by which the torus part of e acts on the module."""
-    terms: dict[Exponents, Rational] = {}
-    for (neg_power, i), c in e.torus.items():
-        exps = [0] * e.n
-        exps[i] = -neg_power
-        terms[tuple(exps)] = c
-    return MultiPoly._trusted(e.n, terms)
 
 
 def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
@@ -403,16 +392,14 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 # ------------------------------------------------------------------ model laws
 
 def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElement:
-    module = []
-    for _ in range(m):
-        terms = {}
+    terms: Terms = {}
+    for k in range(m):
         for _ in range(rng.randint(0, 2)):
             exps = tuple(rng.randint(0, 2) for _ in range(n))
-            terms[exps] = rng.randint(-3, 3)
-        module.append(MultiPoly(n, terms))
-    tor_t = [rng.randint(-2, 2) for _ in range(n)]
-    tor_u = [rng.randint(-2, 2) for _ in range(n)] if mode == MODE_WPLUS else None
-    return WreathElement(m, n, module, tor_t, tor_u)
+            terms[k, exps] = rng.randint(-3, 3)
+    powers = (1, 2) if mode == MODE_WPLUS else (1,)
+    torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
+    return WreathElement(m, n, terms, torus)
 
 
 def model_laws_report(
@@ -449,8 +436,8 @@ def model_laws_report(
         check(jac.is_zero(), lambda: f"Jacobi failed: p={p}, q={q}, r={r}")
         pq = brack(p, q)
         check(not pq.torus, lambda: f"commutator left the module: [{p}, {q}] = {pq}")
-        b1 = WreathElement(d, d, p.module)
-        b2 = WreathElement(d, d, q.module)
+        b1 = WreathElement(d, d, p.terms)
+        b2 = WreathElement(d, d, q.terms)
         check(brack(b1, b2).is_zero(), lambda: f"module part not abelian: {b1}, {b2}")
 
     # towers [a_l, t_{j1}, ..., t_{js}] against explicit monomials, per degree
@@ -466,10 +453,9 @@ def model_laws_report(
                 for js in combinations_with_replacement(range(d), s)
             }
         for (l, js), val in towers.items():
-            mono = [MultiPoly.zero(d) for _ in range(d)]
-            mono[l] = MultiPoly.monomial(d, [js.count(j) for j in range(d)], 1)
+            mono = WreathElement(d, d, {(l, tuple(js.count(j) for j in range(d))): 1})
             check(
-                val == WreathElement(d, d, mono),
+                val == mono,
                 lambda: f"tower a{l + 1},{js} is not the expected monomial",
             )
             if space.add(val.coords()):

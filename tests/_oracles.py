@@ -2,22 +2,48 @@
 
 These deliberately avoid the package's own algorithms: partition counts come
 from the coin-change recurrence, basis monomials of the metabelian algebra
-are found by filtering every word against the ordering predicate, a
-left-normed word is evaluated as a plain chain of brackets, not through an
-expression tree, and gamma(n) comes from the filtration search without the
-pruning of `growth.growth_bfs`.
+are found by filtering every word against the ordering predicate and counted
+by a closed form, the leaves of an expression are counted with an explicit
+stack instead of `expr._fold`, a left-normed word is evaluated as a plain
+chain of brackets, not through an expression tree, gamma(n) comes from the
+filtration search without the pruning of `growth.growth_bfs`, and the
+enveloping series comes from multiplying truncated factors instead of the
+divisor-sum recurrence.
+
+A wreath element is also viewed here the way the paper writes it: its module
+part as m polynomials of `poly.MultiPoly` (`module_polys`), its torus part as
+the polynomial by which it acts (`action_poly`), and `from_polys` builds an
+element from that view. The polynomial ring is the reference the bracket
+kernel is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from liegrowth import metabelian
+from liegrowth.expr import Bracket
+from liegrowth.poly import MultiPoly, Rational
 from liegrowth.rowspace import RowSpace
+from liegrowth.series import _graded_range
 from liegrowth.wreath import MODE_WPLUS, WreathElement, wreath_bracket
 
 V = TypeVar("V")
+
+
+def leaf_count(e) -> int:
+    """Number of generator occurrences in an expression, by an explicit stack."""
+    count = 0
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bracket):
+            stack += (node.left, node.right)
+        else:
+            count += 1
+    return count
 
 
 def partition_counts(n_max: int) -> list[int]:
@@ -37,6 +63,75 @@ def basis_words_by_filter(d: int, n: int) -> set[tuple[int, ...]]:
         if word[0] > word[1] and all(word[i] <= word[i + 1] for i in range(1, n - 1)):
             out.add(word)
     return out
+
+
+def graded_dim_closed(d: int, n: int) -> int:
+    """Dimension of the degree-n component: (n-1) * C(n+d-2, n) for n >= 2, d for n = 1."""
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be >= 1")
+    if n == 1:
+        return d
+    return (n - 1) * math.comb(n + d - 2, n)
+
+
+def euler_product_direct(a: Sequence[int], n_max: int | None = None) -> list[int]:
+    """The coefficients of prod (1-t^n)^(-a_n), by multiplying truncated factors.
+
+    Each factor (1-t^k)^(-a_k) expands to sum_j C(a_k-1+j, j) t^(kj). The
+    input is checked as `series.euler_transform` checks it.
+    """
+    N = _graded_range(a, n_max)
+    b = [1] + [0] * N
+    for k in range(1, N + 1):
+        a_k = a[k]
+        if not a_k:
+            continue
+        factor = [math.comb(a_k - 1 + j, j) for j in range(N // k + 1)]
+        out = [0] * (N + 1)
+        for deg, coeff in enumerate(b):
+            if coeff:
+                for j, f in enumerate(factor):
+                    pos = deg + k * j
+                    if pos > N:
+                        break
+                    out[pos] += coeff * f
+        b = out
+    return b
+
+
+def module_polys(e: WreathElement) -> tuple[MultiPoly, ...]:
+    """The module part of e as m polynomials, a_{k+1}'s at index k.
+
+    The coefficients are e's own, unchecked, so a test can read them.
+    """
+    parts: list[dict] = [{} for _ in range(e.m)]
+    for (k, exps), c in e.terms.items():
+        parts[k][exps] = c
+    return tuple(MultiPoly._trusted(e.n, part) for part in parts)
+
+
+def action_poly(e: WreathElement) -> MultiPoly:
+    """The polynomial by which the torus part of e acts on the module."""
+    terms = {}
+    for (neg_power, i), c in e.torus.items():
+        exps = [0] * e.n
+        exps[i] = -neg_power
+        terms[tuple(exps)] = c
+    return MultiPoly._trusted(e.n, terms)
+
+
+def from_polys(
+    m: int,
+    n: int,
+    module: Iterable[MultiPoly] | None = None,
+    tor_t: Iterable[Rational] | None = None,
+    tor_u: Iterable[Rational] | None = None,
+) -> WreathElement:
+    """The element with these module polynomials and t- and u-coefficients by index."""
+    terms = {(k, exps): c for k, p in enumerate(module or ()) for exps, c in p.terms.items()}
+    torus = {(-1, i): c for i, c in enumerate(tor_t or ())}
+    torus.update({(-2, i): c for i, c in enumerate(tor_u or ())})
+    return WreathElement(m, n, terms, torus)
 
 
 def evaluate_word(word, assignment: Mapping, bracket: Callable[[V, V], V]) -> V:

@@ -111,6 +111,39 @@ def test_euler_fit_input_file_and_dump(tmp_path, capsys):
     assert rows[5] == "4,5" and rows[11] == "10,42"  # partition numbers
 
 
+def test_euler_fit_input_reads_only_the_rows_the_fit_needs(tmp_path, capsys):
+    # b_n depends only on a_1..a_n: rows past 2 * fit_n change neither the
+    # report nor the dumped b_0..b_(2 fit_n), which stops there
+    a = growthmod.wplus_graded_dims(2, 8192)
+    reports = []
+    for name, n_top in (("long.csv", 8192), ("short.csv", 32)):
+        src = tmp_path / name
+        src.write_text("n,a_n\n" + "".join(f"{n},{a[n]}\n" for n in range(1, n_top + 1)))
+        dump = tmp_path / f"{name}.dump"
+        code, out = run_cli(["euler-fit", "--input", str(src), "--fit-n", "16", "--dump-coeffs", str(dump)], capsys)
+        assert code == 0
+        reports.append((out, dump.read_text()))
+    assert reports[0] == reports[1]
+    rows = reports[0][1].splitlines()
+    assert rows[0] == "n,b_n" and len(rows) == 1 + 33 and rows[-1].startswith("32,")
+
+
+def test_euler_fit_input_with_a_huge_n_allocates_nothing_for_it(tmp_path, capsys):
+    # one row at n = 4e9 reaches 2 * fit_n, so it is read and its a_n checked,
+    # but no list reaches it; a_1..a_32 are all 0, so every b_n is 1
+    src = tmp_path / "far.csv"
+    src.write_text("4000000000,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["euler-fit", "--input", str(src), "--fit-n", "16"])
+    assert exc.value.code == 2
+    assert "b must exceed 1" in capsys.readouterr().err
+    src.write_text("4000000000,-1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["euler-fit", "--input", str(src), "--fit-n", "16"])
+    assert exc.value.code == 2
+    assert "graded dimensions must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_presentation_passes(capsys):
     code, out = run_cli(
         ["verify", "--suite", "presentation", "--d", "2", "--bound-s", "3",

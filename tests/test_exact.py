@@ -37,7 +37,7 @@ def _is_exact(c) -> bool:
 
 
 def _wreath_coeffs(e: WreathElement) -> list:
-    return [c for p in e.module for c in p.terms.values()] + list(e.tor_t + e.tor_u)
+    return list(e.terms.values()) + list(e.tor_t + e.tor_u)
 
 
 # ---------------------------------------------------------------- constructors
@@ -59,12 +59,20 @@ def test_public_constructors_store_int_or_fraction():
     assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): Fraction(1, 2)}
     assert type(p.terms[(1, 0)]) is int
     assert type(p.terms[(0, 1)]) is Fraction and type(p.terms[(0, 0)]) is Fraction
-    for q in (MultiPoly.constant(2, Fraction(3)), MultiPoly.variable(2, 1), MultiPoly.monomial(2, (1, 1), 2.0)):
+    for q in (MultiPoly(2, {(0, 0): Fraction(3)}), MultiPoly(2, {(0, 1): 1}), MultiPoly(2, {(1, 1): 2.0})):
         assert all(type(c) is int for c in q.terms.values())
 
-    e = WreathElement(2, 2, [p, MultiPoly.zero(2)], [Fraction(2), 0.5], [0, Fraction(-3, 3)])
+    module = {(0, (1, 0)): Fraction(4, 2), (0, (0, 1)): Fraction(1, 2), (0, (0, 0)): 0.5, (0, (2, 0)): 0, (1, (1, 1)): 0.0}
+    torus = {(-1, 0): Fraction(2), (-1, 1): 0.5, (-2, 0): 0, (-2, 1): Fraction(-3, 3)}
+    e = WreathElement(2, 2, module, torus)
+    assert e.terms == {(0, (1, 0)): 2, (0, (0, 1)): Fraction(1, 2), (0, (0, 0)): Fraction(1, 2)}
+    assert [type(c) for c in e.terms.values()] == [int, Fraction, Fraction]
+    assert e.torus == {(-1, 0): 2, (-1, 1): Fraction(1, 2), (-2, 1): -1}
     assert e.tor_t == (2, Fraction(1, 2)) and e.tor_u == (0, -1)
     assert [type(c) for c in e.tor_t + e.tor_u] == [int, Fraction, int, int]
+    # the constructor copies its input
+    module[(1, (0, 0))] = 1
+    assert (1, (0, 0)) not in e.terms
     for g in (WreathElement.gen_a(0, 2, 2), WreathElement.gen_t(1, 2, 2), WreathElement.gen_u(0, 2, 2)):
         assert all(type(c) is int for c in _wreath_coeffs(g))
 
@@ -80,7 +88,7 @@ def test_public_constructors_store_int_or_fraction():
     (
         lambda c: MultiPoly(1, {(0,): c}),
         lambda c: MetabelianElement(1, {(0,): c}),
-        lambda c: WreathElement(1, 1, None, [c]),
+        lambda c: WreathElement(1, 1, None, {(-1, 0): c}),
         lambda c: RowSpace().add({0: c}),
         lambda c: WreathElement.gen_a(0, 1, 1) * c,
     ),
@@ -94,7 +102,7 @@ def test_non_finite_coefficients_raise_value_error(make, value):
 
 def test_scalar_products_store_integral_values_as_int():
     p = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
-    e = WreathElement(1, 2, [p], [1, Fraction(2, 3)], [0, 0])
+    e = WreathElement(1, 2, {(0, exps): c for exps, c in p.terms.items()}, {(-1, 0): 1, (-1, 1): Fraction(2, 3)})
     m = MetabelianElement(2, {(0,): 3, (1, 0): Fraction(1, 2)})
     for scalar in (Fraction(2), 2, 2.0):
         assert (p * scalar).terms == {(1, 0): 6, (0, 1): 1}
@@ -117,16 +125,16 @@ def test_wreath_brackets_of_int_elements_are_int(mode):
     for _ in range(100):
         els = []
         for _ in range(3):
-            module = [
-                MultiPoly(d, {tuple(rng.randint(0, 2) for _ in range(d)): rng.randint(-4, 4) for _ in range(2)})
-                for _ in range(d)
-            ]
-            tor_u = [rng.randint(-2, 2) for _ in range(d)] if mode == MODE_WPLUS else None
-            els.append(WreathElement(d, d, module, [rng.randint(-2, 2) for _ in range(d)], tor_u))
+            module = {
+                (k, tuple(rng.randint(0, 2) for _ in range(d))): rng.randint(-4, 4) for k in range(d) for _ in range(2)
+            }
+            torus = {(-2, i): rng.randint(-2, 2) for i in range(d)} if mode == MODE_WPLUS else {}
+            torus.update({(-1, i): rng.randint(-2, 2) for i in range(d)})
+            els.append(WreathElement(d, d, module, torus))
         p, q, r = els
         for result in (wreath_bracket(p, q, mode), wreath_bracket(wreath_bracket(p, q, mode), r, mode), p - q, -p + q):
             assert all(type(c) is int for c in _wreath_coeffs(result))
-            assert all(c for poly in result.module for c in poly.terms.values())
+            assert all(c for c in result.terms.values())
         assert all(type(c) is int for c in result.coords().values())
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from _oracles import evaluate_combination
+from _oracles import evaluate_combination, leaf_count
 from conftest import lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
@@ -16,7 +16,6 @@ from liegrowth.expr import (
     format_expr,
     left_normalize,
     left_normed,
-    length,
     parse_expr,
     random_expr,
 )
@@ -88,7 +87,7 @@ def test_left_normalize_keeps_left_normed_words():
 
 @given(lie_exprs(d=3, max_size=6))
 def test_left_normalize_is_length_homogeneous(e):
-    n = length(e)
+    n = leaf_count(e)
     comb = left_normalize(e)
     assert all(len(w) == n for w in comb)
 
@@ -127,7 +126,7 @@ def test_random_expr_is_reproducible():
     gens = x_gens(3)
     e1 = random_expr(seeded_rng(7), gens, 6)
     e2 = random_expr(seeded_rng(7), gens, 6)
-    assert e1 == e2 and length(e1) == 6
+    assert e1 == e2 and leaf_count(e1) == 6
 
 
 # Deep trees: no walk, comparison, hash or repr may reach the recursion limit.
@@ -155,7 +154,7 @@ def test_deep_trees_parse_format_and_fold():
         e = parse_expr(text)
         assert format_expr(e) == printed
         assert format_expr(parse_expr(printed)) == printed
-        assert length(e) == count
+        assert leaf_count(e) == count
         letters = _letters(count)
         expected = sum(values[Generator("x", int(g[1:]) - 1)] for g in letters)
         assert evaluate(e, values, int.__add__) == expected

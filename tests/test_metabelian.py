@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from _oracles import basis_words_by_filter
+from _oracles import basis_words_by_filter, graded_dim_closed
 from conftest import lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import Bracket, parse_expr, random_expr
 from liegrowth.metabelian import (
@@ -14,7 +14,6 @@ from liegrowth.metabelian import (
     bracket,
     format_monomial,
     graded_dim,
-    graded_dim_closed,
     growth,
     is_basis_monomial,
     normalize_expr,

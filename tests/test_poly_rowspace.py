@@ -21,39 +21,12 @@ def test_poly_arithmetic_and_normalization():
 
 
 def test_poly_multiplication():
-    t1 = MultiPoly.variable(2, 0)
-    t2 = MultiPoly.variable(2, 1)
+    t1 = MultiPoly(2, {(1, 0): 1})
+    t2 = MultiPoly(2, {(0, 1): 1})
     prod = (t1 + t2) * (t1 - t2)
     assert prod == MultiPoly(2, {(2, 0): 1, (0, 2): -1})
     assert t1 * 0 == MultiPoly.zero(2)
     assert (t1 * Fraction(1, 2)).terms == {(1, 0): Fraction(1, 2)}
-
-
-def test_poly_shift_matches_variable_multiplication():
-    p = MultiPoly(3, {(1, 0, 2): Fraction(3), (0, 0, 0): Fraction(-1)})
-    assert p.shift(2, 2) == p * MultiPoly.variable(3, 2, 2)
-
-
-def test_poly_shift_by_negative_power_and_zero():
-    p = MultiPoly(2, {(2, 1): 3, (1, 0): -1})
-    assert p.shift(0, -1) == MultiPoly(2, {(1, 1): 3, (0, 0): -1})
-    assert p.shift(1, 0) == p
-    with pytest.raises(ValueError, match="negative exponent"):
-        p.shift(1, -1)
-    with pytest.raises(ValueError, match="negative exponent"):
-        MultiPoly.constant(2, 1).shift(0, -1)
-
-
-def test_poly_shift_checks_index_before_zero_power():
-    for index in (5, -1, 2):
-        with pytest.raises(ValueError, match="out of range"):
-            MultiPoly.constant(2, 1).shift(index, 0)
-
-
-def test_poly_total_degree():
-    assert MultiPoly.zero(2).total_degree() == -1
-    assert MultiPoly.constant(2, 5).total_degree() == 0
-    assert MultiPoly(2, {(1, 3): 1}).total_degree() == 4
 
 
 def test_poly_rejects_bad_exponents():
@@ -73,7 +46,7 @@ def test_poly_str_is_deterministic():
     [
         (MultiPoly(2), "0", "MultiPoly(2, 0)"),
         (MultiPoly(0, {(): 5}), "5", "MultiPoly(0, 5)"),
-        (MultiPoly.constant(1, 1), "1", "MultiPoly(1, 1)"),
+        (MultiPoly(1, {(0,): 1}), "1", "MultiPoly(1, 1)"),
         (MultiPoly(1, {(0,): F(-7, 2)}), "-7/2", "MultiPoly(1, -7/2)"),
         (
             MultiPoly(2, {(0, 0): -3, (1, 0): 1, (0, 2): F(-1, 3), (2, 1): 4}),
@@ -96,25 +69,24 @@ def test_poly_str_is_deterministic():
             WreathElement(
                 2,
                 2,
-                [MultiPoly(2, {(0, 0): 1, (1, 2): F(-2, 3)}), MultiPoly(2, {(0, 1): -1})],
-                [0, 3],
-                [F(1, 2), -1],
+                {(0, (0, 0)): 1, (0, (1, 2)): F(-2, 3), (1, (0, 1)): -1},
+                {(-1, 1): 3, (-2, 0): F(1, 2), (-2, 1): -1},
             ),
             "a1 - 2/3*a1*t1*t2^2 - a2*t2 + 3*t2 + 1/2*u1 - u2",
             "WreathElement(m=2, n=2, a1 - 2/3*a1*t1*t2^2 - a2*t2 + 3*t2 + 1/2*u1 - u2)",
         ),
         (
-            WreathElement(1, 1, [MultiPoly(1, {(0,): -1})], [-2]),
+            WreathElement(1, 1, {(0, (0,)): -1}, {(-1, 0): -2}),
             "-a1 - 2*t1",
             "WreathElement(m=1, n=1, -a1 - 2*t1)",
         ),
         (
-            WreathElement(1, 2, None, [0, F(-3, 4)], [5, 0]),
+            WreathElement(1, 2, None, {(-1, 1): F(-3, 4), (-2, 0): 5}),
             "-3/4*t2 + 5*u1",
             "WreathElement(m=1, n=2, -3/4*t2 + 5*u1)",
         ),
         (
-            WreathElement(2, 1, [MultiPoly(1), MultiPoly(1, {(2,): F(7, 3), (0,): -5})]),
+            WreathElement(2, 1, {(1, (2,)): F(7, 3), (1, (0,)): -5}),
             "-5*a2 + 7/3*a2*t1^2",
             "WreathElement(m=2, n=1, -5*a2 + 7/3*a2*t1^2)",
         ),

@@ -6,7 +6,6 @@ from itertools import combinations, product
 
 from liegrowth import presentations
 from liegrowth.expr import Bracket, Generator, left_normed, parse_expr
-from liegrowth.poly import MultiPoly
 from liegrowth.presentations import (
     Relator,
     check_presentation,
@@ -53,7 +52,6 @@ def test_presentation_failures_are_data_not_exceptions():
     from liegrowth.presentations import Presentation, Relator
 
     bad = Presentation(
-        generators=(),
         relators=(Relator(parse_expr("[a1,t1]")),),
         bounds={},
     )
@@ -133,7 +131,7 @@ def test_failure_strings_of_built_relators(monkeypatch):
 
     def torus_not_abelian(p, q, mode):
         out = real(p, q, mode)
-        return out + WreathElement.gen_a(0, p.m, p.n) if not (p.module[0] or q.module[0]) else out
+        return out + WreathElement.gen_a(0, p.m, p.n) if not (p.terms or q.terms) else out
 
     monkeypatch.setattr(presentations, "wreath_bracket", torus_not_abelian)
     pairs = [("t", "t"), ("t", "u"), ("u", "u")]
@@ -244,7 +242,6 @@ def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
     a1, a2, t1, t2 = (Generator(k, i) for k, i in (("a", 0), ("a", 1), ("t", 0), ("t", 1)))
     tower = Bracket(Bracket(a1, t1), t2)
     pres = presentations.Presentation(
-        generators=(a1, a2, t1, t2),
         relators=(
             Relator(Bracket(tower, a2)),
             Relator(Bracket(a2, tower)),
@@ -273,7 +270,7 @@ def test_deep_relators_are_checked_without_recursion():
     for _ in range(depth):
         left, right = Bracket(left, t1), Bracket(t1, right)
     pres = presentations.Presentation(
-        generators=(a1, t1), relators=(Relator(left), Relator(right)), bounds={}
+        relators=(Relator(left), Relator(right)), bounds={}
     )
     rep = check_presentation(pres, MODE_W, 1, 1)
     # [t,[t,..,[t,a]]] = (-1)^depth [a,t,..,t], and depth is even

@@ -7,28 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import partition_counts
+from _oracles import euler_product_direct, partition_counts
 from liegrowth import series
 from liegrowth.growth import wplus_graded_dims
-from liegrowth.series import (
-    euler_product_direct,
-    euler_transform,
-    fit_stretched_exponent,
-    gamma_to_graded,
-    ln_big,
-)
-
-
-def test_gamma_to_graded_inverts_cumsum():
-    gamma = [0, 2, 3, 5, 8]
-    assert gamma_to_graded(gamma) == [0, 2, 1, 2, 3]
-
-
-def test_gamma_to_graded_rejects_decreasing():
-    with pytest.raises(ValueError, match="decreases"):
-        gamma_to_graded([0, 2, 1])
-    with pytest.raises(ValueError):
-        gamma_to_graded([1, 2, 3])
+from liegrowth.series import euler_transform, fit_stretched_exponent
 
 
 def test_euler_transform_frozen_examples():
@@ -103,14 +85,6 @@ def test_euler_rejects_bad_input():
                 transform(a)
     # bool is an int subclass and reads as 0 or 1
     assert euler_transform([0, True, False]) == euler_product_direct([0, True, False]) == [1, 1, 1]
-
-
-def test_ln_big_matches_float_log_on_huge_ints():
-    n = 7 ** 4000
-    approx = ln_big(n)
-    assert abs(approx - 4000 * math.log(7)) < 1e-9 * approx
-    with pytest.raises(ValueError):
-        ln_big(0)
 
 
 def test_fit_exact_power_of_two_input():
