@@ -57,7 +57,6 @@ from .series import (
 from .wreath import (
     MODE_W,
     MODE_WPLUS,
-    ModeMismatchError,
     RelationReport,
     WreathElement,
     certify_embedding,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -181,7 +182,7 @@ def _towers_report(args: argparse.Namespace) -> RelationReport:
     bounds = {"i_max": args.bound_s, "j_max": args.bound_s}
     report = RelationReport("towers", MODE_WPLUS, args.d, args.d, bounds)
     for name, a, b, t, u in standard_tower_instances(args.d):
-        rep = tower_commutation_report(a, b, t, u, args.bound_s, args.bound_s, instance=name)
+        rep = tower_commutation_report(a, b, t, u, args.bound_s)
         report.checked += rep.checked
         report.failures += [f"{name}: {msg}" for msg in rep.failures]
     return report
@@ -195,8 +196,7 @@ SUITES = {
         lambda args: check_presentation(
             wreath_presentation(args.d, args.d, pair_len_max=args.bound_s)
             if args.mode == MODE_W
-            else wplus_presentation(args.d, args.d, s_max=args.bound_s),
-            args.mode, args.d, args.d,
+            else wplus_presentation(args.d, args.d, s_max=args.bound_s)
         ),
         {"mode": (MODE_WPLUS, MODE_W), "bound_s": 5},
     ),
@@ -310,9 +310,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_use(parser, args)
-    for flag, low in (("d", 1), ("max_n", 1), ("fit_n", 1), ("bound_s", 0), ("trials", 0)):
+    for flag, low in (("d", 1), ("max_n", 1), ("fit_n", 1), ("bound_s", 0), ("trials", 0), ("tolerance", 0)):
         if (value := getattr(args, flag, None)) is not None and value < low:
             parser.error(f"--{flag.replace('_', '-')} must be >= {low}")
+    # JSON has no nan or inf, and no fit passes a nan tolerance
+    for flag in ("target", "tolerance"):
+        if (value := getattr(args, flag, None)) is not None and not math.isfinite(value):
+            parser.error(f"--{flag} must be a finite number")
     try:
         return args.fn(args)
     except ArithmeticError as exc:

@@ -8,7 +8,7 @@ each newly independent element with the generators is enough.
 
 Three generating sets are supported: the free metabelian algebra on x1..xd,
 the plain wreath model on {a_i, t_i}, and the extended model on
-{a_i, t_i, u_i} (m = n = d throughout).
+{a_i, t_i, u_i} (m = n = d throughout, both from `wreath.standard_assignment`).
 
 In the wreath models the search prunes two kinds of work, both exactly.
 From level 2 on it brackets the frontier only with the generators that have
@@ -39,14 +39,14 @@ to the linear rescaling under which growth types are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
 from . import metabelian
 from .metabelian import MetabelianElement
 from .rowspace import RowSpace
-from .wreath import MODE_W, MODE_WPLUS, WreathElement, wreath_bracket
+from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
 
 MODE_METABELIAN = "metabelian"
 GROWTH_MODES = (MODE_METABELIAN, MODE_W, MODE_WPLUS)
@@ -84,11 +84,8 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
         coords = lambda e: e.terms
         guard = None
     else:
-        gens = [WreathElement.gen_a(k, d, d) for k in range(d)]
-        gens += [WreathElement.gen_t(i, d, d) for i in range(d)]
-        if mode == MODE_WPLUS:
-            gens += [WreathElement.gen_u(i, d, d) for i in range(d)]
-        brack = lambda p, q: wreath_bracket(p, q, mode)
+        gens = list(standard_assignment(d, d, mode).values())
+        brack = wreath_bracket
         coords = lambda e: e.coords()
         cap = 2 * (n_max - 1)
 
@@ -101,9 +98,10 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
                 )
 
     if generator_order is not None:
-        if sorted(generator_order) != list(range(len(gens))):
+        order = list(generator_order)
+        if not all(type(i) is int for i in order) or sorted(order) != list(range(len(gens))):
             raise ValueError("generator_order must be a permutation")
-        gens = [gens[i] for i in generator_order]
+        gens = [gens[i] for i in order]
 
     space = RowSpace()
     gamma = [0]

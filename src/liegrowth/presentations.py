@@ -20,6 +20,10 @@ from the tower one torus letter shorter, and relators share the tower objects;
 node, so each shared tower is walked and bracketed once, and each relator
 costs one bracket of two stored tower values.
 
+A presentation records its model: `wreath_presentation` builds one for W and
+`wplus_presentation` one for Wplus, and `check_presentation` evaluates it
+there, with the one wreath bracket both models share.
+
 Checking never raises on a failed relation: failures come back as data
 (witness strings) inside a report, and an empty failure list means the suite
 passed.
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
-from .wreath import MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
+from .wreath import MODE_W, MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,13 @@ class Relator:
 
 @dataclass
 class Presentation:
+    """Relators on a_1..a_m, t_1..t_n (and u_1..u_n in Wplus), checked in the model `mode`."""
+
     relators: tuple[Relator, ...]
     bounds: dict[str, int]
+    mode: str
+    m: int
+    n: int
 
 
 def _leaves(kind: str, count: int) -> list[Generator]:
@@ -77,7 +86,7 @@ def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
             for left_k in towers[r]:
                 for right_l in towers[total - r]:
                     relators += (Relator(Bracket(lt, rt)) for lt in left_k for rt in right_l)
-    return Presentation(tuple(relators), {"pair_len_max": pair_len_max})
+    return Presentation(tuple(relators), {"pair_len_max": pair_len_max}, MODE_W, m, n)
 
 
 def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
@@ -106,26 +115,20 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
             relators += (Relator(Bracket(p[i], q[j])) for p, q in ((t, t), (t, u), (u, u)))
     for k, ak in enumerate(a):
         relators += (Relator(Bracket(ak, u[l]), Bracket(a_t[l][k], t[l])) for l in range(n))
-    return Presentation(tuple(relators), {"s_max": s_max})
+    return Presentation(tuple(relators), {"s_max": s_max}, MODE_WPLUS, m, n)
 
 
-def check_presentation(
-    pres: Presentation,
-    mode: str,
-    m: int,
-    n: int,
-) -> RelationReport:
-    """Evaluate every relator in the model; nonzero values become witnesses."""
-    assignment = standard_assignment(m, n, mode)
-    brack = lambda p, q: wreath_bracket(p, q, mode)
+def check_presentation(pres: Presentation) -> RelationReport:
+    """Evaluate every relator in the presentation's model; nonzero values become witnesses."""
+    assignment = standard_assignment(pres.m, pres.n, pres.mode)
     # relators share their tower nodes, so one memo over all of them walks and
     # brackets each node once
     memo: Memo[WreathElement] = {}
 
-    report = RelationReport(suite="presentation", mode=mode, m=m, n=n, bounds=dict(pres.bounds))
+    report = RelationReport("presentation", pres.mode, pres.m, pres.n, dict(pres.bounds))
     for rel in pres.relators:
-        lhs = evaluate(rel.lhs, assignment, brack, memo)
-        value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, brack, memo)
+        lhs = evaluate(rel.lhs, assignment, wreath_bracket, memo)
+        value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, wreath_bracket, memo)
         report.checked += 1
         if not value.is_zero():
             report.failures.append(f"{rel.label} evaluated to {value}")
@@ -149,41 +152,32 @@ def tower_commutation_report(
     b: WreathElement,
     t: WreathElement,
     u: WreathElement,
-    i_max: int,
-    j_max: int,
-    instance: str = "towers",
+    bound: int,
 ) -> RelationReport:
-    """Check that all towers [[a,t,..,t],[b,t,..,t]] vanish in Wplus.
+    """Check that all towers [[a,t^i],[b,t^j]] with i, j <= bound vanish in Wplus.
 
     Hypotheses are checked first; if any fails, the conclusion is not
     evaluated (the report carries the hypothesis witnesses instead). The
-    hypotheses bracket with u, which only Wplus has, so the brackets are
-    Wplus brackets.
+    hypotheses bracket with u, which only Wplus has.
     """
-    brack = lambda p, q: wreath_bracket(p, q, MODE_WPLUS)
-    report = RelationReport(
-        suite=instance,
-        mode=MODE_WPLUS,
-        m=a.m,
-        n=a.n,
-        bounds={"i_max": i_max, "j_max": j_max},
-    )
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    report = RelationReport("towers", MODE_WPLUS, a.m, a.n, {"i_max": bound, "j_max": bound})
     for label, fn in _TOWER_HYPOTHESES:
-        value = fn(brack, a, b, t, u)
+        value = fn(wreath_bracket, a, b, t, u)
         report.checked += 1
         if not value.is_zero():
             report.failures.append(f"hypothesis {label} evaluated to {value}")
     if report.failures:
         return report
     towers_a = [a]
-    for _ in range(i_max):
-        towers_a.append(brack(towers_a[-1], t))
     towers_b = [b]
-    for _ in range(j_max):
-        towers_b.append(brack(towers_b[-1], t))
-    for i in range(i_max + 1):
-        for j in range(j_max + 1):
-            value = brack(towers_a[i], towers_b[j])
+    for _ in range(bound):
+        towers_a.append(wreath_bracket(towers_a[-1], t))
+        towers_b.append(wreath_bracket(towers_b[-1], t))
+    for i in range(bound + 1):
+        for j in range(bound + 1):
+            value = wreath_bracket(towers_a[i], towers_b[j])
             report.checked += 1
             if not value.is_zero():
                 report.failures.append(f"[[a,t^{i}],[b,t^{j}]] evaluated to {value}")
@@ -204,7 +198,7 @@ def standard_tower_instances(d: int) -> list[tuple[str, WreathElement, WreathEle
     if d >= 2:
         t2 = WreathElement.gen_t(1, d, d)
         a2 = WreathElement.gen_a(1, d, d)
-        step_a = wreath_bracket(a1, t2, MODE_WPLUS)
-        step_b = wreath_bracket(a2, t2, MODE_WPLUS)
+        step_a = wreath_bracket(a1, t2)
+        step_b = wreath_bracket(a2, t2)
         out.append(("step", step_a, step_b, t1, u1))
     return out

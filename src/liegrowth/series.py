@@ -33,25 +33,20 @@ from operator import mul
 from typing import Sequence
 
 
-def _graded_range(a: Sequence[int], n_max: int | None) -> int:
-    """Check a graded sequence and return N, the last degree to compute."""
+def _graded_range(a: Sequence[int]) -> int:
+    """Check a graded sequence and return N, its last degree."""
     if not a or a[0] != 0:
         raise ValueError("graded sequence must have a[0] = 0")
     if not all(isinstance(v, int) for v in a):
         raise ValueError("graded dimensions must be integers")
     if any(v < 0 for v in a):
         raise ValueError("graded dimensions must be nonnegative")
-    N = len(a) - 1 if n_max is None else n_max
-    if N < 0:
-        raise ValueError("n_max must be >= 0")
-    if N >= len(a):
-        raise ValueError("n_max exceeds the given graded range")
-    return N
+    return len(a) - 1
 
 
-def euler_transform(a: Sequence[int], n_max: int | None = None) -> list[int]:
-    """Coefficients b_0..b_N of prod (1-t^n)^(-a_n), by divisor sums."""
-    N = _graded_range(a, n_max)
+def euler_transform(a: Sequence[int]) -> list[int]:
+    """Coefficients b_0..b_N of prod (1-t^n)^(-a_n), N = len(a) - 1, by divisor sums."""
+    N = _graded_range(a)
     c = [0] * (N + 1)
     for delta in range(1, N + 1):
         a_delta = a[delta]

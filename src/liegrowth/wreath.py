@@ -4,6 +4,10 @@ An element lives in the split extension B + T where B is the free
 k[t1..tn]-module on module vectors a1..am and T is an abelian torus. In the
 plain model ("W") the torus is spanned by t1..tn acting on B by
 multiplication; the extended model ("Wplus") adjoins u1..un acting as t_i^2.
+W is the subalgebra of Wplus spanned by the elements with no u-letter, so one
+bracket, `wreath_bracket`, serves both: the model is fixed by the generating
+set, and the mode is checked once, where that set is chosen
+(`standard_assignment`, `model_laws_report`, `growth.growth_bfs`).
 The bracket of p = (b_p, tau_p) and q = (b_q, tau_q) is
 
     [p, q] = b_p * act(tau_q) - b_q * act(tau_p)
@@ -59,10 +63,6 @@ MODES = (MODE_W, MODE_WPLUS)
 Terms = dict[tuple, Rational]
 
 
-class ModeMismatchError(ValueError):
-    pass
-
-
 def _is_module_key(key: object, m: int, n: int) -> bool:
     """(k, exps): 0 <= k < m and n exponents, each an int >= 0."""
     if not (isinstance(key, tuple) and len(key) == 2):
@@ -100,8 +100,8 @@ def _checked(terms: Terms | None, valid: Callable[[object], bool]) -> Terms:
 class WreathElement:
     """Module terms {(k, exps): c} plus torus letters {(-power, i): c}.
 
-    See the module docstring for the layout. The torus must hold no u-letter
-    (key (-2, i)) when the element is used in mode "W".
+    See the module docstring for the layout. An element of W is one whose
+    torus holds no u-letter (key (-2, i)).
     """
 
     __slots__ = ("m", "n", "terms", "torus")
@@ -140,16 +140,6 @@ class WreathElement:
     @classmethod
     def gen_u(cls, i: int, m: int, n: int) -> "WreathElement":
         return cls(m, n, None, {(-2, i): 1})
-
-    @property
-    def tor_t(self) -> tuple[Rational, ...]:
-        """The coefficients of t1..tn, zeros included."""
-        return tuple(self.torus.get((-1, i), 0) for i in range(self.n))
-
-    @property
-    def tor_u(self) -> tuple[Rational, ...]:
-        """The coefficients of u1..un, zeros included."""
-        return tuple(self.torus.get((-2, i), 0) for i in range(self.n))
 
     def is_zero(self) -> bool:
         return not self.terms and not self.torus
@@ -214,8 +204,9 @@ class WreathElement:
         for (k, exps), coeff in sorted(self.terms.items()):
             mono = monomial_text(exps)
             pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", coeff))
-        for sym, block in (("t", self.tor_t), ("u", self.tor_u)):
-            pairs.extend((f"{sym}{i + 1}", coeff) for i, coeff in enumerate(block) if coeff)
+        # t-letters (key (-1, i)) before u-letters (key (-2, i)), each by index
+        for (neg_power, i), coeff in sorted(self.torus.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
+            pairs.append((f"{'t' if neg_power == -1 else 'u'}{i + 1}", coeff))
         return format_terms(pairs)
 
     def __repr__(self) -> str:
@@ -246,16 +237,12 @@ def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
                     del out[key]
 
 
-def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -> WreathElement:
-    """[p, q] = module(p) * act(q) - module(q) * act(p); torus part is zero."""
-    if mode not in MODES:
-        raise ModeMismatchError(f"unknown mode {mode!r}")
+def wreath_bracket(p: WreathElement, q: WreathElement) -> WreathElement:
+    """[p, q] = module(p) * act(q) - module(q) * act(p); torus part is zero. One bracket for W and Wplus."""
     if p.m != q.m or p.n != q.n:
         raise ValueError("elements from different models")
     tp = p.torus
     tq = q.torus
-    if (tp or tq) and mode == MODE_W and any(neg_power == -2 for neg_power, _ in (*tp, *tq)):
-        raise ModeMismatchError("u-component present in mode W")
     out: Terms = {}
     if tq and p.terms:
         _add_product(out, p.terms, tq, 1)
@@ -264,8 +251,14 @@ def wreath_bracket(p: WreathElement, q: WreathElement, mode: str = MODE_WPLUS) -
     return WreathElement._trusted(p.m, p.n, out, {})
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generator, WreathElement]:
-    """Generator -> model element map: a_k, t_i, and (in Wplus) u_i."""
+    """Generator -> model element map: a_k, t_i, and (in Wplus) u_i, in that order."""
+    _check_mode(mode)
     out: dict[Generator, WreathElement] = {}
     for k in range(m):
         out[Generator("a", k)] = WreathElement.gen_a(k, m, n)
@@ -323,15 +316,14 @@ def magnus_generator_images(d: int) -> dict[Generator, WreathElement]:
 
 
 def magnus_embedding(elem: MetabelianElement) -> WreathElement:
-    """Image of a normal-form element under x_i -> a_i + t_i (mode W, m = n = elem.d)."""
+    """Image of a normal-form element under x_i -> a_i + t_i (in W, m = n = elem.d)."""
     d = elem.d
     images = magnus_generator_images(d)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_W)
     total = WreathElement.zero(d, d)
     for word, coeff in sorted(elem.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
         val = images[Generator("x", word[0])]
         for i in word[1:]:
-            val = brack(val, images[Generator("x", i)])
+            val = wreath_bracket(val, images[Generator("x", i)])
         total = total + val * coeff
     return total
 
@@ -356,7 +348,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
         monos = metabelian.basis_monomials(d, n)
         expected = metabelian.graded_dim(d, n)
         # a prefix of a basis monomial is a basis monomial, of the degree before
-        image = {m: wreath_bracket(image[m[:-1]], x[m[-1]], MODE_W) if n > 1 else x[m[0]] for m in monos}
+        image = {m: wreath_bracket(image[m[:-1]], x[m[-1]]) if n > 1 else x[m[0]] for m in monos}
         space = RowSpace(track=True)
         rank = 0
         for mono in monos:
@@ -377,12 +369,11 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
         if rank != expected:
             report.failures.append(f"degree {n}: rank {rank} != expected {expected}")
     rng = random.Random(seed)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_W)
     gens = [Generator("x", i) for i in range(d)]
     for _ in range(trials):
         e = random_expr(rng, gens, rng.randint(1, 6))
         via_normal_form = magnus_embedding(metabelian.normalize_expr(e, d))
-        direct = evaluate(e, images, brack)
+        direct = evaluate(e, images, wreath_bracket)
         report.checked += 1
         if via_normal_form != direct:
             report.failures.append(f"homomorphism property failed on {format_expr(e)}")
@@ -415,11 +406,12 @@ def model_laws_report(
     every commutator has zero torus part, that the module part is abelian,
     that the iterated bracket [a_l, t_{j1}, ..., t_{js}] equals the module
     monomial a_l * t_{j1} * ... * t_{js}, and that the towers of torus length
-    s span the degree-s module slice (exact rank d * C(s+d-1, d-1)).
+    s span the degree-s module slice (exact rank d * C(s+d-1, d-1)). An
+    unknown mode raises ValueError before any bracket is made.
     """
+    _check_mode(mode)
     rng = random.Random(seed)
     report = RelationReport("model-laws", mode, d, d, {"trials": trials})
-    brack = lambda p, q: wreath_bracket(p, q, mode)
 
     def check(ok: bool, message: Callable[[], str]) -> None:
         # the message is formatted only for a failed check
@@ -431,14 +423,19 @@ def model_laws_report(
         p = _random_element(rng, d, d, mode)
         q = _random_element(rng, d, d, mode)
         r = _random_element(rng, d, d, mode)
-        check((brack(p, q) + brack(q, p)).is_zero(), lambda: f"antisymmetry failed: p={p}, q={q}")
-        jac = brack(brack(p, q), r) + brack(brack(q, r), p) + brack(brack(r, p), q)
+        anti = wreath_bracket(p, q) + wreath_bracket(q, p)
+        check(anti.is_zero(), lambda: f"antisymmetry failed: p={p}, q={q}")
+        jac = (
+            wreath_bracket(wreath_bracket(p, q), r)
+            + wreath_bracket(wreath_bracket(q, r), p)
+            + wreath_bracket(wreath_bracket(r, p), q)
+        )
         check(jac.is_zero(), lambda: f"Jacobi failed: p={p}, q={q}, r={r}")
-        pq = brack(p, q)
+        pq = wreath_bracket(p, q)
         check(not pq.torus, lambda: f"commutator left the module: [{p}, {q}] = {pq}")
         b1 = WreathElement(d, d, p.terms)
         b2 = WreathElement(d, d, q.terms)
-        check(brack(b1, b2).is_zero(), lambda: f"module part not abelian: {b1}, {b2}")
+        check(wreath_bracket(b1, b2).is_zero(), lambda: f"module part not abelian: {b1}, {b2}")
 
     # towers [a_l, t_{j1}, ..., t_{js}] against explicit monomials, per degree
     t = [WreathElement.gen_t(j, d, d) for j in range(d)]
@@ -448,7 +445,7 @@ def model_laws_report(
         count = 0
         if s:  # each tower is its prefix, one torus letter shorter, bracketed with t_js[-1]
             towers = {
-                (l, js): brack(towers[l, js[:-1]], t[js[-1]])
+                (l, js): wreath_bracket(towers[l, js[:-1]], t[js[-1]])
                 for l in range(d)
                 for js in combinations_with_replacement(range(d), s)
             }

@@ -12,8 +12,9 @@ divisor-sum recurrence.
 
 A wreath element is also viewed here the way the paper writes it: its module
 part as m polynomials of `poly.MultiPoly` (`module_polys`), its torus part as
-the polynomial by which it acts (`action_poly`), and `from_polys` builds an
-element from that view. The polynomial ring is the reference the bracket
+the polynomial by which it acts (`action_poly`) or as the coefficient blocks
+of t1..tn and u1..un (`torus_blocks`), and `from_polys` builds an element from
+that view. The polynomial ring is the reference the bracket
 kernel is tested against.
 """
 
@@ -74,13 +75,13 @@ def graded_dim_closed(d: int, n: int) -> int:
     return (n - 1) * math.comb(n + d - 2, n)
 
 
-def euler_product_direct(a: Sequence[int], n_max: int | None = None) -> list[int]:
+def euler_product_direct(a: Sequence[int]) -> list[int]:
     """The coefficients of prod (1-t^n)^(-a_n), by multiplying truncated factors.
 
     Each factor (1-t^k)^(-a_k) expands to sum_j C(a_k-1+j, j) t^(kj). The
     input is checked as `series.euler_transform` checks it.
     """
-    N = _graded_range(a, n_max)
+    N = _graded_range(a)
     b = [1] + [0] * N
     for k in range(1, N + 1):
         a_k = a[k]
@@ -118,6 +119,11 @@ def action_poly(e: WreathElement) -> MultiPoly:
         exps[i] = -neg_power
         terms[tuple(exps)] = c
     return MultiPoly._trusted(e.n, terms)
+
+
+def torus_blocks(e: WreathElement) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
+    """The coefficients of t1..tn and of u1..un, zeros included."""
+    return tuple(tuple(e.torus.get((-power, i), 0) for i in range(e.n)) for power in (1, 2))
 
 
 def from_polys(
@@ -162,7 +168,7 @@ def unpruned_growth(mode: str, d: int, n_max: int, generator_order: Sequence[int
         gens += [WreathElement.gen_t(i, d, d) for i in range(d)]
         if mode == MODE_WPLUS:
             gens += [WreathElement.gen_u(i, d, d) for i in range(d)]
-        brack = lambda p, q: wreath_bracket(p, q, mode)
+        brack = wreath_bracket
         coords = lambda e: e.coords()
     if generator_order is not None:
         gens = [gens[i] for i in generator_order]

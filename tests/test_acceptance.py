@@ -11,6 +11,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 from _oracles import euler_product_direct, graded_dim_closed, partition_counts
 from liegrowth import metabelian
@@ -32,7 +33,6 @@ from liegrowth.presentations import (
 )
 from liegrowth.series import euler_transform, fit_stretched_exponent
 from liegrowth.wreath import (
-    MODE_W,
     certify_embedding,
     magnus_embedding,
     magnus_generator_images,
@@ -65,7 +65,7 @@ def test_criterion_2_normal_form_soundness():
         gens = [Generator("x", i) for i in range(d)]
         e = random_expr(rng, gens, rng.randint(1, 6))
         images = magnus_generator_images(d)
-        direct = evaluate(e, images, lambda p, q: wreath_bracket(p, q, MODE_W))
+        direct = evaluate(e, images, wreath_bracket)
         embedded = magnus_embedding(normalize_expr(e, d))
         assert direct == embedded, e
         checked += 1
@@ -97,13 +97,13 @@ def test_criterion_3_presentation_suites():
     start = time.perf_counter()
     relators = 0
     for d in (1, 2, 3):
-        finite = check_presentation(wplus_presentation(d, d, s_max=5), MODE_WPLUS, d, d)
+        finite = check_presentation(wplus_presentation(d, d, s_max=5))
         assert finite.failures == [], finite.failures
-        pairs = check_presentation(wreath_presentation(d, d, pair_len_max=6), MODE_WPLUS, d, d)
+        pairs = check_presentation(replace(wreath_presentation(d, d, pair_len_max=6), mode=MODE_WPLUS))
         assert pairs.failures == [], pairs.failures
         relators += finite.checked + pairs.checked
         for name, a, b, t, u in standard_tower_instances(d):
-            towers = tower_commutation_report(a, b, t, u, 10, 10, instance=name)
+            towers = tower_commutation_report(a, b, t, u, 10)
             assert towers.passed, (d, name, towers.failures)
             relators += towers.checked
     elapsed = time.perf_counter() - start

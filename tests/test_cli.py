@@ -202,6 +202,14 @@ def test_usage_errors_exit_2(capsys):
         (["verify", "--suite", "embedding", "--mode", "Wplus", "--trials", "3", "--d", "2"], "--mode"),
         (["verify", "--suite", "model-laws", "--d", "1", "--trials", "-3"], "--trials"),
         (["verify", "--suite", "embedding", "--d", "1", "--trials", "-1"], "--trials"),
+        # JSON has no nan or inf, and a nan or negative tolerance never passes
+        (["euler-fit", "--fit-n", "16", "--target", "nan"], "--target"),
+        (["euler-fit", "--fit-n", "16", "--target", "inf"], "--target"),
+        (["euler-fit", "--fit-n", "16", "--target=-inf"], "--target"),
+        (["euler-fit", "--fit-n", "16", "--tolerance", "nan"], "--tolerance"),
+        (["euler-fit", "--fit-n", "16", "--tolerance", "inf"], "--tolerance"),
+        (["euler-fit", "--fit-n", "16", "--tolerance=-0.5"], "--tolerance"),
+        (["euler-fit", "--input", "a.csv", "--tolerance", "nan"], "--tolerance"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

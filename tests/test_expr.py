@@ -20,7 +20,7 @@ from liegrowth.expr import (
     random_expr,
 )
 from liegrowth.metabelian import normalize_expr, normalize_word
-from liegrowth.wreath import MODE_W, WreathElement, magnus_generator_images, wreath_bracket
+from liegrowth.wreath import WreathElement, magnus_generator_images, wreath_bracket
 
 
 def words_of(comb):
@@ -103,17 +103,15 @@ def test_left_normalize_sound_in_wreath_model(e):
     """Evaluating e directly equals evaluating its left-normed expansion."""
     d = 3
     images = magnus_generator_images(d)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_W)
-    direct = evaluate(e, images, brack)
-    expanded = evaluate_combination(left_normalize(e), images, brack, WreathElement.zero(d, d))
+    direct = evaluate(e, images, wreath_bracket)
+    expanded = evaluate_combination(left_normalize(e), images, wreath_bracket, WreathElement.zero(d, d))
     assert direct == expanded
 
 
 def test_evaluate_antisymmetric_bracket_kills_repeated_leaf():
     d = 2
     images = magnus_generator_images(d)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_W)
-    val = evaluate(parse_expr("[x1,x1]"), images, brack)
+    val = evaluate(parse_expr("[x1,x1]"), images, wreath_bracket)
     assert val.is_zero()
 
 

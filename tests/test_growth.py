@@ -112,8 +112,10 @@ def test_rejects_bad_arguments():
         growth_bfs("nonsense", 2, 4)
     with pytest.raises(ValueError):
         growth_bfs(MODE_WPLUS, 0, 4)
-    with pytest.raises(ValueError):
-        growth_bfs(MODE_WPLUS, 2, 4, generator_order=[0, 1])
+    # not a permutation of 0..5, of 0..1 by value but not of ints, of mixed types
+    for mode, order in ((MODE_WPLUS, [0, 1]), (MODE_METABELIAN, [1.0, 0]), (MODE_METABELIAN, [0, "1"])):
+        with pytest.raises(ValueError, match=r"^generator_order must be a permutation$"):
+            growth_bfs(mode, 2, 4, generator_order=order)
     for closed_form, args in (
         (wplus_growth_bound, (2, 0)),
         (w_gamma_closed, (0, 3)),
@@ -146,11 +148,11 @@ def test_module_degree_guard_fires(monkeypatch):
     # every nonzero bracket is pushed two u1-letters further than a search can reach
     real = growthmod.wreath_bracket
 
-    def overshooting(p, q, mode):
-        out = real(p, q, mode)
+    def overshooting(p, q):
+        out = real(p, q)
         if out:
             u1 = WreathElement.gen_u(0, p.m, p.n)
-            out = real(real(out, u1, mode), u1, mode)
+            out = real(real(out, u1), u1)
         return out
 
     monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
@@ -165,12 +167,12 @@ def test_module_degree_guard_fires_past_level_2(monkeypatch, mode):
     # reaches degree 5 at level 3, whose cap is 4
     real = growthmod.wreath_bracket
 
-    def overshooting(p, q, mode):
-        out = real(p, q, mode)
+    def overshooting(p, q):
+        out = real(p, q)
         if out and p.module_degree() >= 1:
             t1 = WreathElement.gen_t(0, p.m, p.n)
             for _ in range(3):
-                out = real(out, t1, mode)
+                out = real(out, t1)
         return out
 
     monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)

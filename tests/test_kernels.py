@@ -14,15 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import action_poly, from_polys, module_polys
+from _oracles import action_poly, from_polys, module_polys, torus_blocks
 from liegrowth import metabelian
 from liegrowth.metabelian import MetabelianElement, basis_monomials, normalize_word
 from liegrowth.poly import MultiPoly
 from liegrowth.wreath import (
-    MODE_W,
     MODE_WPLUS,
     MODES,
-    ModeMismatchError,
     WreathElement,
     magnus_embedding,
     wreath_bracket,
@@ -72,8 +70,7 @@ def _rebuilt(e: WreathElement) -> WreathElement:
         e.m,
         e.n,
         [MultiPoly(p.nvars, dict(p.terms)) for p in module_polys(e)],
-        list(e.tor_t),
-        list(e.tor_u),
+        *torus_blocks(e),
     )
 
 
@@ -84,7 +81,7 @@ def _assert_well_formed(e: WreathElement) -> None:
         assert p.nvars == e.n
         assert all(_exact_nonzero(c) for c in p.terms.values())
     # torus coefficients may be zero, but are still exact
-    assert all(type(c) in (int, Fraction) for c in e.tor_t + e.tor_u)
+    assert all(type(c) in (int, Fraction) for block in torus_blocks(e) for c in block)
 
 
 def _reference_bracket(p: WreathElement, q: WreathElement) -> WreathElement:
@@ -100,9 +97,10 @@ def _variable(n: int, i: int, power: int = 1) -> MultiPoly:
 
 def _reference_action(e: WreathElement) -> MultiPoly:
     out = MultiPoly.zero(e.n)
-    for i, c in enumerate(e.tor_t):
+    tor_t, tor_u = torus_blocks(e)
+    for i, c in enumerate(tor_t):
         out = out + _variable(e.n, i) * c
-    for i, c in enumerate(e.tor_u):
+    for i, c in enumerate(tor_u):
         out = out + _variable(e.n, i, 2) * c
     return out
 
@@ -110,6 +108,7 @@ def _reference_action(e: WreathElement) -> MultiPoly:
 # ------------------------------------------------------------------ wreath
 
 
+# the mode picks the operands: elements of W (no u-letter) or of Wplus
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_wreath_bracket_matches_public_formula(mode, m, n):
@@ -117,10 +116,10 @@ def test_wreath_bracket_matches_public_formula(mode, m, n):
     for _ in range(150):
         p = _random_element(rng, m, n, mode)
         q = _random_element(rng, m, n, mode)
-        result = wreath_bracket(p, q, mode)
+        result = wreath_bracket(p, q)
         assert result == _reference_bracket(p, q)
         _assert_well_formed(result)
-        assert not any(result.tor_t) and not any(result.tor_u)
+        assert not result.torus
         # the operands are left as they were
         assert p == _rebuilt(p) and q == _rebuilt(q)
 
@@ -131,10 +130,10 @@ def test_wreath_bracket_of_brackets():
     for mode in MODES:
         for _ in range(60):
             els = [_random_element(rng, 2, 3, mode) for _ in range(3)]
-            pq = wreath_bracket(els[0], els[1], mode)
+            pq = wreath_bracket(els[0], els[1])
             for other in (els[2], pq):
                 for x, y in ((pq, other), (other, pq)):
-                    result = wreath_bracket(x, y, mode)
+                    result = wreath_bracket(x, y)
                     assert result == _reference_bracket(x, y)
                     _assert_well_formed(result)
 
@@ -162,20 +161,13 @@ def test_element_arithmetic_is_well_formed():
             assert p - q == p + (-q)
             assert (p - p).is_zero() and (p * 0).is_zero()
             assert p * c == from_polys(
-                2, 3, [x * c for x in module_polys(p)], [x * c for x in p.tor_t], [x * c for x in p.tor_u]
+                2, 3, [x * c for x in module_polys(p)], *([x * c for x in block] for block in torus_blocks(p))
             )
 
 
 def test_bracket_checks_are_kept():
-    # a u-letter behind a t-letter, on an element with zero module part
-    t_and_u = WreathElement(2, 2, None, {(-1, 0): 1, (-2, 1): Fraction(1, 2)})
+    # elements of different models do not bracket, even when both are zero
     a1 = WreathElement.gen_a(0, 2, 2)
-    for p, q in ((t_and_u, a1), (a1, t_and_u), (t_and_u, t_and_u)):
-        with pytest.raises(ModeMismatchError):
-            wreath_bracket(p, q, MODE_W)
-        wreath_bracket(p, q, MODE_WPLUS)
-    with pytest.raises(ModeMismatchError):
-        wreath_bracket(a1, a1, "V")
     with pytest.raises(ValueError):
         wreath_bracket(a1, WreathElement.gen_a(0, 2, 3))
     with pytest.raises(ValueError):
@@ -279,7 +271,7 @@ def test_metabelian_bracket_is_a_wreath_bracket_under_the_embedding():
         for _ in range(40):
             p, q = _random_metabelian(rng, d), _random_metabelian(rng, d)
             lhs = magnus_embedding(metabelian.bracket(p, q))
-            rhs = wreath_bracket(magnus_embedding(p), magnus_embedding(q), MODE_W)
+            rhs = wreath_bracket(magnus_embedding(p), magnus_embedding(q))
             assert lhs == rhs
 
 

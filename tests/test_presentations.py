@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import pytest
-from fractions import Fraction
+from dataclasses import replace
 from itertools import combinations, product
+
+import pytest
 
 from liegrowth import presentations
 from liegrowth.expr import Bracket, Generator, left_normed, parse_expr
@@ -14,27 +15,29 @@ from liegrowth.presentations import (
     wplus_presentation,
     wreath_presentation,
 )
-from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement, wreath_bracket
+from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement
 
 
 def test_wreath_presentation_all_relators_vanish():
     for d in (1, 2):
         pres = wreath_presentation(d, d, pair_len_max=5)
-        rep = check_presentation(pres, MODE_W, d, d)
+        rep = check_presentation(pres)
+        assert (rep.mode, rep.m, rep.n) == (MODE_W, d, d)
         assert rep.passed, rep.failures[:3]
         assert rep.checked == len(pres.relators)
 
 
 def test_wreath_relators_also_vanish_in_extended_model():
-    pres = wreath_presentation(2, 2, pair_len_max=4)
-    rep = check_presentation(pres, MODE_WPLUS, 2, 2)
+    pres = replace(wreath_presentation(2, 2, pair_len_max=4), mode=MODE_WPLUS)
+    rep = check_presentation(pres)
     assert rep.passed, rep.failures[:3]
 
 
 def test_wplus_presentation_all_relators_vanish():
     for d in (1, 2, 3):
         pres = wplus_presentation(d, d, s_max=5)
-        rep = check_presentation(pres, MODE_WPLUS, d, d)
+        rep = check_presentation(pres)
+        assert (rep.mode, rep.m, rep.n) == (MODE_WPLUS, d, d)
         assert rep.passed, rep.failures[:3]
 
 
@@ -54,8 +57,11 @@ def test_presentation_failures_are_data_not_exceptions():
     bad = Presentation(
         relators=(Relator(parse_expr("[a1,t1]")),),
         bounds={},
+        mode=MODE_W,
+        m=2,
+        n=2,
     )
-    rep = check_presentation(bad, MODE_W, 2, 2)
+    rep = check_presentation(bad)
     assert not rep.passed
     assert rep.failures == ["[a1,t1] evaluated to a1*t1"]
 
@@ -63,7 +69,7 @@ def test_presentation_failures_are_data_not_exceptions():
 def test_tower_commutation_base_and_step():
     for d in (1, 2, 3):
         for name, a, b, t, u in standard_tower_instances(d):
-            rep = tower_commutation_report(a, b, t, u, 6, 6)
+            rep = tower_commutation_report(a, b, t, u, 6)
             assert rep.passed, (d, name, rep.failures[:2])
 
 
@@ -75,7 +81,7 @@ def test_tower_hypotheses_checked_before_conclusion():
     b = WreathElement.gen_a(1, d, d)
     t = WreathElement.gen_t(0, d, d)
     u = WreathElement.gen_u(0, d, d)
-    rep = tower_commutation_report(a, b, t, u, 3, 3)
+    rep = tower_commutation_report(a, b, t, u, 3)
     assert not rep.passed
     assert all("hypothesis" in f for f in rep.failures)
     assert rep.checked == 6  # only the hypothesis checks ran
@@ -84,14 +90,15 @@ def test_tower_hypotheses_checked_before_conclusion():
 def test_tower_report_counts():
     d = 2
     name, a, b, t, u = standard_tower_instances(d)[0]
-    rep = tower_commutation_report(a, b, t, u, 10, 10)
+    rep = tower_commutation_report(a, b, t, u, 10)
     assert rep.checked == 6 + 11 * 11
     assert rep.passed
+    assert rep.bounds == {"i_max": 10, "j_max": 10}
 
 
 def test_report_dict_schema():
     pres = wplus_presentation(2, 2, s_max=3)
-    rep = check_presentation(pres, MODE_WPLUS, 2, 2)
+    rep = check_presentation(pres)
     d = rep.to_dict()
     assert set(d) == {"suite", "mode", "d", "m", "n", "bounds", "checked", "failures"}
     assert d["failures"] == []
@@ -110,8 +117,8 @@ def test_relator_labels_are_formatted_only_when_read(monkeypatch):
     monkeypatch.setattr(presentations, "format_expr", counting)
     wplus = wplus_presentation(2, 2, s_max=2)
     plain = wreath_presentation(2, 2, pair_len_max=2)
-    assert check_presentation(wplus, MODE_WPLUS, 2, 2).passed
-    assert check_presentation(plain, MODE_W, 2, 2).passed
+    assert check_presentation(wplus).passed
+    assert check_presentation(plain).passed
     assert calls == []
     # read, a label is the text format of the relation, as when it was built eagerly
     for rel in wplus.relators + plain.relators:
@@ -129,8 +136,8 @@ def test_failure_strings_of_built_relators(monkeypatch):
     pres = wplus_presentation(1, 2, s_max=0)
     real = presentations.wreath_bracket
 
-    def torus_not_abelian(p, q, mode):
-        out = real(p, q, mode)
+    def torus_not_abelian(p, q):
+        out = real(p, q)
         return out + WreathElement.gen_a(0, p.m, p.n) if not (p.terms or q.terms) else out
 
     monkeypatch.setattr(presentations, "wreath_bracket", torus_not_abelian)
@@ -138,14 +145,14 @@ def test_failure_strings_of_built_relators(monkeypatch):
     expected = [
         f"[{x}{i},{y}{j}] evaluated to a1" for i in (1, 2) for j in (1, 2) for x, y in pairs
     ]
-    assert check_presentation(pres, MODE_WPLUS, 1, 2).failures == expected
+    assert check_presentation(pres).failures == expected
 
-    def u1_doubles(p, q, mode):
-        out = real(p, q, mode)
-        return out * 2 if q.tor_u[0] else out
+    def u1_doubles(p, q):
+        out = real(p, q)
+        return out * 2 if (-2, 0) in q.torus else out
 
     monkeypatch.setattr(presentations, "wreath_bracket", u1_doubles)
-    assert check_presentation(pres, MODE_WPLUS, 1, 2).failures == [
+    assert check_presentation(pres).failures == [
         "[a1,u1] = [a1,t1,t1] evaluated to a1*t1^2"
     ]
 
@@ -204,9 +211,9 @@ def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound,
     real_bracket, real_evaluate = presentations.wreath_bracket, presentations.evaluate
     calls, evaluated = [], []
 
-    def counting(p, q, mode):
-        calls.append(mode)
-        return real_bracket(p, q, mode)
+    def counting(p, q):
+        calls.append((p, q))
+        return real_bracket(p, q)
 
     def counting_evaluate(e, *args):
         evaluated.append(e)
@@ -216,7 +223,7 @@ def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound,
     monkeypatch.setattr(presentations, "evaluate", counting_evaluate)
     build = wreath_presentation if mode == MODE_W else wplus_presentation
     pres = build(d, d, bound)
-    rep = check_presentation(pres, mode, d, d)
+    rep = check_presentation(pres)
     assert rep.passed and rep.checked == len(pres.relators)
     assert len(calls) == brackets
     # presentations.evaluate is called once per relator side
@@ -228,9 +235,9 @@ def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
     real, real_assignment = presentations.wreath_bracket, presentations.standard_assignment
     calls, looked_up = [], []
 
-    def counting(p, q, mode):
+    def counting(p, q):
         calls.append((str(p), str(q)))
-        return real(p, q, mode)
+        return real(p, q)
 
     class CountingAssignment(dict):
         def __getitem__(self, gen):
@@ -249,8 +256,11 @@ def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
             Relator(tower, Bracket(Bracket(a1, t2), t1)),
         ),
         bounds={},
+        mode=MODE_W,
+        m=2,
+        n=2,
     )
-    rep = check_presentation(pres, MODE_W, 2, 2)
+    rep = check_presentation(pres)
     assert rep.passed and rep.checked == 4
     # [a1,t1] and [a1,t1,t2] once each, one bracket per relator root but the
     # fourth, whose left-hand side is the tower, and [a1,t2], [a1,t2,t1] for
@@ -270,9 +280,9 @@ def test_deep_relators_are_checked_without_recursion():
     for _ in range(depth):
         left, right = Bracket(left, t1), Bracket(t1, right)
     pres = presentations.Presentation(
-        relators=(Relator(left), Relator(right)), bounds={}
+        relators=(Relator(left), Relator(right)), bounds={}, mode=MODE_W, m=1, n=1
     )
-    rep = check_presentation(pres, MODE_W, 1, 1)
+    rep = check_presentation(pres)
     # [t,[t,..,[t,a]]] = (-1)^depth [a,t,..,t], and depth is even
     assert rep.failures == [
         "[a1" + ",t1" * depth + "] evaluated to a1*t1^5000",
@@ -285,3 +295,6 @@ def test_presentations_reject_negative_bounds():
         wreath_presentation(2, 2, -1)
     with pytest.raises(ValueError, match=r"^s_max must be >= 0$"):
         wplus_presentation(2, 2, -3)
+    _, a, b, t, u = standard_tower_instances(2)[0]
+    with pytest.raises(ValueError, match=r"^bound must be >= 0$"):
+        tower_commutation_report(a, b, t, u, -1)

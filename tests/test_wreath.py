@@ -14,7 +14,6 @@ from liegrowth.rowspace import RowSpace
 from liegrowth.wreath import (
     MODE_W,
     MODE_WPLUS,
-    ModeMismatchError,
     WreathElement,
     certify_embedding,
     magnus_embedding,
@@ -42,43 +41,36 @@ def u(i, m=2, n=2):
 def test_bracket_of_embedded_generators():
     p = a(0) + t(0)
     q = a(1) + t(1)
-    got = wreath_bracket(p, q, MODE_W)
+    got = wreath_bracket(p, q)
     want = WreathElement(2, 2, {(0, (0, 1)): Fraction(1), (1, (1, 0)): Fraction(-1)})
     assert got == want
 
 
 def test_u_acts_as_square():
-    got = wreath_bracket(a(0), u(0), MODE_WPLUS)
+    got = wreath_bracket(a(0), u(0))
     want = WreathElement(2, 2, {(0, (2, 0)): 1})
     assert got == want
     # and equals [a1,t1,t1]
-    twice = wreath_bracket(wreath_bracket(a(0), t(0), MODE_WPLUS), t(0), MODE_WPLUS)
+    twice = wreath_bracket(wreath_bracket(a(0), t(0)), t(0))
     assert got == twice
 
 
 def test_torus_is_abelian_and_commutators_land_in_module():
-    assert wreath_bracket(t(0), t(1), MODE_W).is_zero()
-    assert wreath_bracket(u(0), u(1), MODE_WPLUS).is_zero()
+    assert wreath_bracket(t(0), t(1)).is_zero()
+    assert wreath_bracket(u(0), u(1)).is_zero()
     rng = seeded_rng(1)
     from liegrowth.wreath import _random_element
 
     for _ in range(20):
         p = _random_element(rng, 2, 2, MODE_WPLUS)
         q = _random_element(rng, 2, 2, MODE_WPLUS)
-        pq = wreath_bracket(p, q, MODE_WPLUS)
-        assert not any(pq.tor_t) and not any(pq.tor_u)
-
-
-def test_mode_w_rejects_u_components():
-    with pytest.raises(ModeMismatchError):
-        wreath_bracket(a(0), u(0), MODE_W)
-    with pytest.raises(ModeMismatchError):
-        wreath_bracket(u(0), a(0), MODE_W)
+        pq = wreath_bracket(p, q)
+        assert not pq.torus
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        wreath_bracket(a(0, 2, 2), WreathElement.gen_a(0, 3, 3), MODE_W)
+        wreath_bracket(a(0, 2, 2), WreathElement.gen_a(0, 3, 3))
 
 
 def test_action_poly():
@@ -90,7 +82,7 @@ def test_general_rectangular_model():
     # m = 1 module vector over n = 3 torus variables
     ak = WreathElement.gen_a(0, 1, 3)
     t3 = WreathElement.gen_t(2, 1, 3)
-    got = wreath_bracket(ak, t3, MODE_W)
+    got = wreath_bracket(ak, t3)
     assert got == WreathElement(1, 3, {(0, (0, 0, 1)): 1})
 
 
@@ -99,6 +91,18 @@ def test_standard_assignment_blocks():
     assert Generator("u", 0) not in asg
     asg_plus = standard_assignment(2, 2, MODE_WPLUS)
     assert asg_plus[Generator("u", 1)] == u(1)
+    # a, t, u in that order: the growth search takes its generators from here
+    assert list(asg_plus) == [Generator(kind, i) for kind in "atu" for i in range(2)]
+
+
+def test_unknown_mode_is_rejected_before_any_bracket(monkeypatch):
+    def no_bracket(p, q):
+        raise AssertionError("bracket made before the mode was checked")
+
+    monkeypatch.setattr(wreath, "wreath_bracket", no_bracket)
+    for check in (lambda: standard_assignment(2, 2, "V"), lambda: model_laws_report(2, "V")):
+        with pytest.raises(ValueError, match=r"^unknown mode 'V'$"):
+            check()
 
 
 # ------------------------------------------------------------------ embedding
@@ -116,7 +120,7 @@ def test_magnus_images_have_zero_torus_beyond_degree_one():
                 from liegrowth.metabelian import MetabelianElement
 
                 img = magnus_embedding(MetabelianElement(d, {mono: Fraction(1)}))
-                assert not any(img.tor_t) and not any(img.tor_u)
+                assert not img.torus
                 assert img.module_degree() == n - 1
 
 
@@ -170,7 +174,7 @@ def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
 def test_model_law_failures_are_pinned(monkeypatch):
     # [p, q] -> 2p breaks every law the report checks, and keeps the torus
     # part, so each kind of failure string appears once with its witnesses
-    monkeypatch.setattr(wreath, "wreath_bracket", lambda p, q, mode: p * 2)
+    monkeypatch.setattr(wreath, "wreath_bracket", lambda p, q: p * 2)
     rep = model_laws_report(2, trials=1, span_degree=1)
     p = "-a1*t1 - a2*t1*t2 + 2*t1 - t2 + 2*u1 - u2"
     q = "a1 + 3*a2*t1^2*t2^2 + 2*t1 - t2 - 2*u2"
@@ -213,18 +217,16 @@ def test_embedding_commutes_with_normal_form():
     d = 3
     rng = seeded_rng(11)
     images = magnus_generator_images(d)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_W)
     for _ in range(100):
         e = random_expr(rng, x_gens(d), rng.randint(1, 6))
-        assert magnus_embedding(normalize_expr(e, d)) == evaluate(e, images, brack)
+        assert magnus_embedding(normalize_expr(e, d)) == evaluate(e, images, wreath_bracket)
 
 
 def test_permutation_of_tail_letters_in_model():
     # [a1,t1,t2] = [a1,t2,t1] in the model
     asg = standard_assignment(2, 2, MODE_WPLUS)
-    brack = lambda p, q: wreath_bracket(p, q, MODE_WPLUS)
-    lhs = evaluate(parse_expr("[a1,t1,t2]"), asg, brack)
-    rhs = evaluate(parse_expr("[a1,t2,t1]"), asg, brack)
+    lhs = evaluate(parse_expr("[a1,t1,t2]"), asg, wreath_bracket)
+    rhs = evaluate(parse_expr("[a1,t2,t1]"), asg, wreath_bracket)
     assert lhs == rhs and not lhs.is_zero()
 
 
