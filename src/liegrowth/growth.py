@@ -10,14 +10,26 @@ Three generating sets are supported: the free metabelian algebra on x1..xd,
 the plain wreath model on {a_i, t_i}, and the extended model on
 {a_i, t_i, u_i} (m = n = d throughout, both from `wreath.standard_assignment`).
 
-In the wreath models the search prunes two kinds of work, both exactly.
-From level 2 on it brackets the frontier only with the generators that have
-a torus part (t_i, u_i): from level 3 on the frontier lies in the abelian
-ideal B, where [B, a_k] = 0, and at level 2 [a_j, a_k] = 0 while
-[t_i, a_k] = -[a_k, t_i] is already a candidate. The module-degree guard
-runs only on candidates that raise the rank: a rejected candidate lies in
-the span of vectors that passed the guard, so its support lies in the union
-of theirs, and the cap never decreases with the level.
+The search prunes three kinds of work, all exactly.
+
+1. In the wreath models the movers, the generators the frontier is
+   bracketed with from level 2 on, are those with a torus part (t_i, u_i):
+   from level 3 on the frontier lies in the abelian ideal B, where
+   [B, a_k] = 0, and at level 2 [a_j, a_k] = 0 while [t_i, a_k] =
+   -[a_k, t_i] is already a candidate. In the metabelian algebra every
+   generator is a mover.
+2. From level 3 on, a frontier element e = [e', g_i] made with the i-th
+   mover is bracketed only with the movers g_j, j >= i. Its e' lies in an
+   abelian ideal that also holds [g_i, g_j]: B in W and Wplus, M' in the
+   metabelian algebra. By Jacobi [[e', g_i], g_j] = [[e', g_j], g_i] +
+   [e', [g_i, g_j]], and the last term is 0. Writing [e', g_j] as a
+   combination of accepted elements, induction on the mover index, from
+   the highest down, shows that every skipped bracket already lies in the
+   span. This holds in every mode and for any generator order.
+3. In the wreath models the module-degree guard runs only on candidates
+   that raise the rank: a rejected candidate lies in the span of vectors
+   that passed the guard, so its support lies in the union of theirs, and
+   the cap never decreases with the level.
 
 For the extended model two counting functions accompany the search. A module
 monomial a_i * t^beta first appears at level 1 + sum_j ceil(beta_j / 2)
@@ -58,19 +70,22 @@ class GrowthReport:
     d: int
     gamma: list[int]  # gamma[0] == 0
     graded: list[int]  # graded[n] = gamma[n] - gamma[n-1]
+    candidates: list[int]  # candidates[n] = brackets made at level n (0 for n <= 1)
 
 
 def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | None = None) -> GrowthReport:
-    """Exact gamma(1..n_max) for the chosen mode.
+    """Exact gamma(1..n_max) for the chosen mode, and the brackets made per level.
 
     generator_order optionally permutes the generating set before the search;
     the resulting dimensions are identical (the span does not depend on
-    insertion order), which the tests exercise. In W and Wplus the frontier
-    is bracketed from level 2 on only with the torus generators, and the
-    module-degree guard (ArithmeticError) checks only the candidates that
-    raise the rank; the module docstring says why neither changes gamma or
-    the inputs on which the guard raises. The result is checked
-    against the closed form of its mode (`wplus_gamma_closed`,
+    insertion order), which the tests exercise, while the candidates made
+    depend on it. The search prunes three kinds of work, and the module
+    docstring says why none changes gamma: in W and Wplus the frontier is
+    bracketed from level 2 on only with the torus generators; from level 3
+    on an element made with the i-th mover is bracketed only with the
+    movers from the i-th on; and the module-degree guard (ArithmeticError)
+    checks every rank-raising candidate the search makes. The result is
+    checked against the closed form of its mode (`wplus_gamma_closed`,
     `w_gamma_closed` or `metabelian.growth`); a mismatch raises
     ArithmeticError.
     """
@@ -105,23 +120,24 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
 
     space = RowSpace()
     gamma = [0]
-    frontier = []
-    for g in gens:
-        if space.add(coords(g)):
-            frontier.append(g)
+    candidates = [0, 0]
+    # (element, start): the element is bracketed with movers[start:] only
+    frontier = [(g, 0) for g in gens if space.add(coords(g))]
     gamma.append(space.rank)
     # [B, a_k] = 0 for the ideal B, and [a_j, a_k] = 0 (module docstring)
     movers = gens if mode == MODE_METABELIAN else [g for g in gens if g.torus]
     for level in range(2, n_max + 1):
+        candidates.append(sum(len(movers) - start for _, start in frontier))
         fresh = []
-        for e in frontier:
-            for g in movers:
-                cand = brack(e, g)
+        for e, start in frontier:
+            for j in range(start, len(movers)):
+                cand = brack(e, movers[j])
                 vec = coords(cand)
                 if vec and space.add(vec):
                     if guard is not None:
                         guard(cand, level)
-                    fresh.append(cand)
+                    # [[e', g_i], g_j] = [[e', g_j], g_i] in the abelian ideal
+                    fresh.append((cand, j if level >= 3 else 0))
         gamma.append(space.rank)
         frontier = fresh
     graded = [0] + [gamma[k] - gamma[k - 1] for k in range(1, n_max + 1)]
@@ -137,7 +153,7 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
             "filtration search disagrees with the closed-form count"
             f" at n={n}: search {gamma[n]}, closed form {closed[n]}"
         )
-    return GrowthReport(mode=mode, d=d, gamma=gamma, graded=graded)
+    return GrowthReport(mode=mode, d=d, gamma=gamma, graded=graded, candidates=candidates)
 
 
 # ---------------------------------------------------------- closed-form counts

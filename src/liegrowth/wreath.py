@@ -340,6 +340,8 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
     x = [images[Generator("x", i)] for i in range(d)]
@@ -407,9 +409,14 @@ def model_laws_report(
     that the iterated bracket [a_l, t_{j1}, ..., t_{js}] equals the module
     monomial a_l * t_{j1} * ... * t_{js}, and that the towers of torus length
     s span the degree-s module slice (exact rank d * C(s+d-1, d-1)). An
-    unknown mode raises ValueError before any bracket is made.
+    unknown mode or a negative trials or span_degree raises ValueError
+    before any bracket is made.
     """
     _check_mode(mode)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    if span_degree < 0:
+        raise ValueError("span_degree must be >= 0")
     rng = random.Random(seed)
     report = RelationReport("model-laws", mode, d, d, {"trials": trials})
 

@@ -4,6 +4,7 @@ import pytest
 
 import _oracles
 from _oracles import unpruned_growth
+from conftest import seeded_rng
 from liegrowth import growth as growthmod
 from liegrowth import metabelian
 from liegrowth.growth import (
@@ -55,23 +56,60 @@ def test_search_is_stable_under_generator_permutation():
 
 
 def _orders(mode, d):
-    """None, the reverse order, and (in W and Wplus) the torus letters before the a's."""
+    """None, the reverse order, (in W and Wplus) the torus letters before the
+    a's, and five seeded random orders: the movers a frontier element is
+    bracketed with depend on their order."""
     size = {MODE_METABELIAN: d, MODE_W: 2 * d, MODE_WPLUS: 3 * d}[mode]
     orders = [None, list(reversed(range(size)))]
     if mode != MODE_METABELIAN:
         orders.append(list(range(d, size)) + list(range(d)))
+    rng = seeded_rng(d)
+    orders += [rng.sample(range(size), size) for _ in range(5)]
     return orders
 
 
 @pytest.mark.parametrize(
     "mode,d,n_max",
     [(mode, d, n) for mode, n in ((MODE_METABELIAN, 7), (MODE_W, 6), (MODE_WPLUS, 6)) for d in (1, 2, 3)]
-    + [(MODE_WPLUS, 4, 5)],
+    + [(MODE_METABELIAN, 4, 5), (MODE_W, 4, 5), (MODE_WPLUS, 4, 5)],
 )
 def test_pruned_search_matches_unpruned_oracle(mode, d, n_max):
     for order in _orders(mode, d):
         expected = unpruned_growth(mode, d, n_max, order)
         assert growth_bfs(mode, d, n_max, generator_order=order).gamma == expected, order
+
+
+# the nine searches of one filtration-growth benchmark pass
+# (perfbench/workloads.py), whose traced run reads growth.candidates 18,095
+BENCHMARK_SEARCHES = [
+    (MODE_WPLUS, 2, 18), (MODE_WPLUS, 3, 7), (MODE_WPLUS, 4, 7),
+    (MODE_W, 2, 38), (MODE_W, 3, 12), (MODE_W, 4, 7),
+    (MODE_METABELIAN, 2, 75), (MODE_METABELIAN, 3, 18), (MODE_METABELIAN, 4, 10),
+]
+
+
+def test_candidates_count_the_brackets_made(monkeypatch):
+    made = 0
+
+    def counting(real):
+        def bracket(p, q):
+            nonlocal made
+            made += 1
+            return real(p, q)
+
+        return bracket
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", counting(growthmod.wreath_bracket))
+    monkeypatch.setattr(metabelian, "bracket", counting(metabelian.bracket))
+    total = 0
+    for mode, d, n_max in BENCHMARK_SEARCHES:
+        rep = growth_bfs(mode, d, n_max)
+        assert len(rep.candidates) == n_max + 1 and rep.candidates[:2] == [0, 0]
+        if (mode, d, n_max) == (MODE_WPLUS, 4, 7):
+            assert sum(rep.candidates) == 5388
+        total += sum(rep.candidates)
+    assert made == total == 18095
+    assert growth_bfs(MODE_WPLUS, 2, 1).candidates == [0, 0]
 
 
 def test_growth_sandwich():

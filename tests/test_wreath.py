@@ -105,6 +105,20 @@ def test_unknown_mode_is_rejected_before_any_bracket(monkeypatch):
             check()
 
 
+def test_negative_sizes_are_rejected_before_any_bracket(monkeypatch):
+    def no_bracket(p, q):
+        raise AssertionError("bracket made before the sizes were checked")
+
+    monkeypatch.setattr(wreath, "wreath_bracket", no_bracket)
+    for check, message in (
+        (lambda: model_laws_report(2, trials=-1), "trials"),
+        (lambda: model_laws_report(2, span_degree=-1, trials=0), "span_degree"),
+        (lambda: certify_embedding(2, 2, trials=-5), "trials"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{message} must be >= 0$"):
+            check()
+
+
 # ------------------------------------------------------------------ embedding
 
 def test_magnus_image_of_degree_two():
