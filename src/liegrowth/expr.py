@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
-from .poly import add_into
+from .poly import add_into, check_int
 
 KINDS = ("x", "a", "t", "u")
 
@@ -61,8 +61,8 @@ class Generator:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator family {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("generator index must be >= 0")
+        if type(self.index) is not int or self.index < 0:
+            raise ValueError("generator index must be an int >= 0")
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index + 1}"
@@ -261,8 +261,7 @@ def evaluate(
 
 def random_expr(rng: random.Random, gens: Sequence[Generator], size: int) -> LieExpr:
     """Uniform-ish random bracketing with `size` leaves drawn from gens."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    check_int("size", 1, size)
     if size == 1:
         return rng.choice(list(gens))
     split = rng.randint(1, size - 1)

@@ -52,11 +52,13 @@ to the linear rescaling under which growth types are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Callable, Sequence
 
 from . import metabelian
 from .metabelian import MetabelianElement
+from .poly import check_int
 from .rowspace import RowSpace
 from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
 
@@ -91,8 +93,7 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     """
     if mode not in GROWTH_MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
-    if d < 1 or n_max < 1:
-        raise ValueError("d and n_max must be >= 1")
+    check_int("d and n_max", 1, d, n_max)
     if mode == MODE_METABELIAN:
         gens: list = [MetabelianElement.generator(i, d) for i in range(d)]
         brack: Callable = metabelian.bracket
@@ -180,40 +181,28 @@ def wplus_graded_dims(d: int, n_max: int) -> list[int]:
     ceil(beta_j/2) = n-1}, since a module monomial a_i * t^beta is first
     reachable by a word of 1 + sum_j ceil(beta_j/2) letters.
     """
-    if d < 1 or n_max < 1:
-        raise ValueError("d and n_max must be >= 1")
-    counts = _ceil_weight_counts(d, max(n_max - 1, 0))
-    out = [0] * (n_max + 1)
-    out[1] = 3 * d
-    for n in range(2, n_max + 1):
-        out[n] = d * counts[n - 1]
-    return out
+    check_int("d and n_max", 1, d, n_max)
+    counts = _ceil_weight_counts(d, n_max - 1)
+    return [0, 3 * d] + [d * c for c in counts[1:]]
 
 
 def wplus_gamma_closed(d: int, n_max: int) -> list[int]:
-    graded = wplus_graded_dims(d, n_max)
-    gamma = [0]
-    for n in range(1, n_max + 1):
-        gamma.append(gamma[-1] + graded[n])
-    return gamma
+    return list(accumulate(wplus_graded_dims(d, n_max)))
 
 
 def w_gamma_closed(d: int, n_max: int) -> list[int]:
     """Plain model: gamma(n) = d + d * C(n-1+d, d) (torus plus module monomials)."""
-    if d < 1 or n_max < 1:
-        raise ValueError("d and n must be >= 1")
+    check_int("d and n", 1, d, n_max)
     return [0] + [d + d * comb(n - 1 + d, d) for n in range(1, n_max + 1)]
 
 
 def wplus_spanning_count(d: int, n: int) -> int:
     """Letter count of the module towers of torus length < n, plus generators."""
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
+    check_int("d and n", 1, d, n)
     return 3 * d + d * sum(comb(s + d - 1, d - 1) for s in range(1, n))
 
 
 def wplus_growth_bound(d: int, n: int) -> int:
     """Valid exact upper bound for gamma(n): tower length capped at 2(n-1)."""
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
+    check_int("d and n", 1, d, n)
     return wplus_spanning_count(d, 2 * n - 1)

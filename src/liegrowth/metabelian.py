@@ -26,12 +26,12 @@ normal form is certified externally by the wreath-model embedding (see
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Sequence
 
 from .expr import LieExpr, left_normalize
-from .poly import Rational, add_into, exact, format_terms, scaled
+from .poly import Rational, add_into, check_int, exact, format_terms, scaled
 
 Monomial = tuple[int, ...]
 
@@ -58,16 +58,15 @@ class MetabelianElement:
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: dict[Monomial, Rational] | None = None):
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        check_int("d", 1, d)
         self.d = d
         clean: dict[Monomial, Rational] = {}
         if terms:
             for word, coeff in terms.items():
+                if type(word) is not tuple or any(type(i) is not int or not 0 <= i < d for i in word):
+                    raise ValueError(f"generator index out of range in {word}")
                 if not is_basis_monomial(word):
                     raise ValueError(f"not a basis monomial: {word}")
-                if any(not 0 <= i < d for i in word):
-                    raise ValueError(f"generator index out of range in {word}")
                 c = exact(coeff)
                 if c:
                     clean[tuple(word)] = c
@@ -138,10 +137,11 @@ class MetabelianElement:
 
 def normalize_word(word: Sequence[int], d: int) -> MetabelianElement:
     """Normal form of the left-normed word with the given generator indices."""
+    check_int("d", 1, d)
     w = tuple(word)
     if not w:
         raise ValueError("empty word")
-    if any(not 0 <= i < d for i in w):
+    if any(type(i) is not int or not 0 <= i < d for i in w):
         raise ValueError(f"generator index out of range in {w}")
     return MetabelianElement._trusted(d, _normalize(w))
 
@@ -220,10 +220,7 @@ def basis_monomials(d: int, n: int) -> list[Monomial]:
     tail, the head runs over the indices strictly above the tail minimum in
     ascending order.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int("d and n", 1, d, n)
     if n == 1:
         return [(i,) for i in range(d)]
     out: list[Monomial] = []
@@ -240,8 +237,7 @@ def graded_dim(d: int, n: int) -> int:
     grouping basis monomials by their minimum letter j (0-based j-1), there
     are d-j choices of head and C(n-2+d-j, d-j) tails. Degree 1 is d.
     """
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
+    check_int("d and n", 1, d, n)
     if n == 1:
         return d
     return sum((d - j) * comb(n - 2 + d - j, d - j) for j in range(1, d))
@@ -249,9 +245,5 @@ def graded_dim(d: int, n: int) -> int:
 
 def growth(d: int, n_max: int) -> list[int]:
     """Cumulative dimensions gamma(0..n_max); gamma[0] = 0."""
-    gamma = [0]
-    total = 0
-    for n in range(1, n_max + 1):
-        total += graded_dim(d, n)
-        gamma.append(total)
-    return gamma
+    check_int("d and n_max", 1, d, n_max)
+    return list(accumulate((graded_dim(d, n) for n in range(1, n_max + 1)), initial=0))

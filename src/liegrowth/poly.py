@@ -10,6 +10,12 @@ an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`;
 an operation on a non-integral `Fraction` may leave an integral `Fraction`,
 which compares and hashes equal to its `int`.
 
+`check_int(names, low, *values)` checks every size, bound and count the
+public API takes: an `int`, not a `bool`, at or above `low`, or `ValueError`.
+The indices of `normalize_word`, `MetabelianElement` and `expr.Generator`
+stay inline `type(i) is int` tests: they run once per leaf or letter of a
+normal form, where a call would cost more than the test itself.
+
 The helpers here keep that rule: `exact` converts one coefficient, `scaled`
 multiplies a term dict by a scalar, `add_into` is the one in-place sum, and
 it deletes a key whose sum is 0; `format_terms` is the one place that writes
@@ -41,17 +47,26 @@ Rational = int | Fraction
 K = TypeVar("K")
 
 
+def check_int(names: str, low: int, *values: object) -> None:
+    """Raise `ValueError` unless every value is an `int` (not a `bool`) >= low; `names` names them."""
+    for v in values:  # a plain loop: all() over a generator costs 3x as much
+        if type(v) is not int:
+            raise ValueError(f"{names} must be int, not {type(v).__name__}")
+        if v < low:
+            raise ValueError(f"{names} must be >= {low}")
+
+
 def exact(value: Fraction | int | float | str) -> Rational:
     """`value` as an exact rational: an `int` if integral, else a `Fraction`.
 
     Anything `Fraction` accepts is accepted; a `float` is converted exactly.
-    NaN and infinities raise `ValueError`.
+    NaN, infinities and anything `Fraction` cannot read raise `ValueError`.
     """
     if type(value) is int:
         return value
     try:
         c = Fraction(value)
-    except OverflowError:  # +-inf; an ArithmeticError here would read as a failed cross-check
+    except (OverflowError, TypeError):  # +-inf, or not a number: bad input, not a failed cross-check
         raise ValueError(f"{value!r} is not a finite rational") from None
     return c.numerator if c.denominator == 1 else c
 
@@ -120,16 +135,14 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Rational] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+        check_int("nvars", 0, nvars)
         self.nvars = nvars
         clean: dict[Exponents, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError(f"exponent vector {exps!r} has wrong arity (nvars={nvars})")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps!r}")
+                check_int("exponents", 0, *exps)
                 c = exact(coeff)
                 if c:
                     clean[tuple(exps)] = c

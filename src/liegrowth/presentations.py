@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
+from .poly import check_int
 from .wreath import MODE_W, MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
 
 
@@ -73,8 +74,8 @@ def _leaves(kind: str, count: int) -> list[Generator]:
 
 def wreath_presentation(m: int, n: int, pair_len_max: int = 6) -> Presentation:
     """Torus commutation plus commuting towers, with r + s <= pair_len_max."""
-    if pair_len_max < 0:
-        raise ValueError("pair_len_max must be >= 0")
+    check_int("m and n", 1, m, n)
+    check_int("pair_len_max", 0, pair_len_max)
     a, t = _leaves("a", m), _leaves("t", n)
     relators = [Relator(Bracket(ti, tj)) for ti in t for tj in t]
     # towers[r][k]: every [a_k, t_i1, ..., t_ir], subscripts in lexicographic order
@@ -95,8 +96,8 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
     The separator family uses strictly increasing torus subscripts, so it is
     finite on its own; s_max only truncates it further when s_max < n.
     """
-    if s_max < 0:
-        raise ValueError("s_max must be >= 0")
+    check_int("m and n", 1, m, n)
+    check_int("s_max", 0, s_max)
     a, t, u = _leaves("a", m), _leaves("t", n), _leaves("u", n)
     relators: list[Relator] = []
     # a_t[l][k] = [a_k, t_l]: the s = 1 towers, shared with the square links
@@ -138,12 +139,12 @@ def check_presentation(pres: Presentation) -> RelationReport:
 # ------------------------------------------------------------- bracket towers
 
 _TOWER_HYPOTHESES = (
-    ("[a,b]", lambda br, a, b, t, u: br(a, b)),
-    ("[a,t,b]", lambda br, a, b, t, u: br(br(a, t), b)),
-    ("[b,t,a]", lambda br, a, b, t, u: br(br(b, t), a)),
-    ("[t,u]", lambda br, a, b, t, u: br(t, u)),
-    ("[a,u]-[a,t,t]", lambda br, a, b, t, u: br(a, u) - br(br(a, t), t)),
-    ("[b,u]-[b,t,t]", lambda br, a, b, t, u: br(b, u) - br(br(b, t), t)),
+    ("[a,b]", lambda a, b, t, u: wreath_bracket(a, b)),
+    ("[a,t,b]", lambda a, b, t, u: wreath_bracket(wreath_bracket(a, t), b)),
+    ("[b,t,a]", lambda a, b, t, u: wreath_bracket(wreath_bracket(b, t), a)),
+    ("[t,u]", lambda a, b, t, u: wreath_bracket(t, u)),
+    ("[a,u]-[a,t,t]", lambda a, b, t, u: wreath_bracket(a, u) - wreath_bracket(wreath_bracket(a, t), t)),
+    ("[b,u]-[b,t,t]", lambda a, b, t, u: wreath_bracket(b, u) - wreath_bracket(wreath_bracket(b, t), t)),
 )
 
 
@@ -160,11 +161,10 @@ def tower_commutation_report(
     evaluated (the report carries the hypothesis witnesses instead). The
     hypotheses bracket with u, which only Wplus has.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    check_int("bound", 0, bound)
     report = RelationReport("towers", MODE_WPLUS, a.m, a.n, {"i_max": bound, "j_max": bound})
     for label, fn in _TOWER_HYPOTHESES:
-        value = fn(wreath_bracket, a, b, t, u)
+        value = fn(a, b, t, u)
         report.checked += 1
         if not value.is_zero():
             report.failures.append(f"hypothesis {label} evaluated to {value}")

@@ -1,11 +1,11 @@
 """Incremental exact rank tracking by sparse Gaussian elimination.
 
-Vectors are sparse dicts mapping totally ordered coordinate keys to exact
-rationals; a zero entry of an input vector is dropped on entry, a `float`
-entry is converted exactly by `poly.exact` (the rule of the public
-constructors), and every sum goes through `poly.add_into`. Invariant: no stored coefficient is zero, and
-each is an `int` or a `fractions.Fraction`, never a `float` (the convention
-of `poly`: integral values are mostly `int`, whose arithmetic runs in C).
+Vectors are sparse dicts mapping mutually comparable keys to exact rationals;
+keys that do not compare raise `ValueError`. A zero entry of an input vector
+is dropped, any entry but an `int` or a `Fraction` goes through `poly.exact`
+(a `float` is converted exactly, a value it cannot read raises `ValueError`),
+and every sum goes through `poly.add_into`. Invariant: no stored coefficient
+is zero, and each is an `int` or a `fractions.Fraction`, never a `float`.
 Each stored row is scaled so its smallest coordinate (its pivot) has
 coefficient 1, and pivots are distinct across rows, so reducing a vector
 means repeatedly cancelling its smallest coordinate until it is either empty
@@ -23,6 +23,7 @@ from typing import Hashable
 from .poly import Rational, add_into, exact, scaled
 
 Vector = dict[Hashable, Rational]
+_EXACT = frozenset((int, Fraction))
 
 
 def _divide(vec: dict, lead: Rational) -> dict:
@@ -59,13 +60,16 @@ class RowSpace:
         """The residual of `vec` modulo the span; adds the expansion of what
         was subtracted into `combo` when one is given (tracked spaces only)."""
         vals = vec.values()
-        if all(vals) and float not in map(type, vals):
+        if all(vals) and _EXACT.issuperset(map(type, vals)):
             residual = dict(vec)
         else:
             residual = {k: exact(c) for k, c in vec.items() if c}
         rows = self._rows
         while residual:
-            pivot = min(residual)
+            try:
+                pivot = min(residual)
+            except TypeError:  # two keys that do not compare
+                raise ValueError("the keys of a vector must be mutually comparable") from None
             row = rows.get(pivot)
             if row is None:
                 break

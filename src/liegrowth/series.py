@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
+from .poly import check_int
+
 
 def _graded_range(a: Sequence[int]) -> int:
     """Check a graded sequence and return N, its last degree."""
@@ -83,9 +85,10 @@ def fit_stretched_exponent(b: Sequence[int], points: Sequence[int]) -> ExponentF
     """
     if not points:
         raise ValueError("need at least one evaluation point")
+    check_int("points", 1, *points)
     estimates: list[tuple[int, float]] = []
     for n in sorted(points):
-        if n < 1 or 2 * n >= len(b):
+        if 2 * n >= len(b):
             raise ValueError(f"point {n} needs b up to index {2 * n}")
         if b[n] <= 1 or b[2 * n] <= 1:
             raise ValueError(f"b must exceed 1 at n = {n} and 2n for the log ratio")

@@ -52,7 +52,7 @@ from typing import Callable
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Rational, add_into, exact, format_terms, monomial_text, scaled
+from .poly import Rational, add_into, check_int, exact, format_terms, monomial_text, scaled
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -108,8 +108,7 @@ class WreathElement:
 
     def __init__(self, m: int, n: int, terms: Terms | None = None, torus: Terms | None = None):
         """Module terms {(k, exps): c} and torus letters {(-power, i): c}, in the stored layout."""
-        if m < 1 or n < 1:
-            raise ValueError("m and n must be >= 1")
+        check_int("m and n", 1, m, n)
         self.m = m
         self.n = n
         self.terms = _checked(terms, lambda key: _is_module_key(key, m, n))
@@ -259,6 +258,7 @@ def _check_mode(mode: str) -> None:
 def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generator, WreathElement]:
     """Generator -> model element map: a_k, t_i, and (in Wplus) u_i, in that order."""
     _check_mode(mode)
+    check_int("m and n", 1, m, n)
     out: dict[Generator, WreathElement] = {}
     for k in range(m):
         out[Generator("a", k)] = WreathElement.gen_a(k, m, n)
@@ -338,10 +338,8 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     equals direct evaluation under x_i -> a_i + t_i. Each degree and each
     trial counts as one check.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    check_int("d and n_max", 1, d, n_max)
+    check_int("trials", 0, trials)
     report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
     x = [images[Generator("x", i)] for i in range(d)]
@@ -409,14 +407,13 @@ def model_laws_report(
     that the iterated bracket [a_l, t_{j1}, ..., t_{js}] equals the module
     monomial a_l * t_{j1} * ... * t_{js}, and that the towers of torus length
     s span the degree-s module slice (exact rank d * C(s+d-1, d-1)). An
-    unknown mode or a negative trials or span_degree raises ValueError
-    before any bracket is made.
+    unknown mode, or a d, trials or span_degree that `poly.check_int`
+    rejects, raises ValueError before any bracket is made.
     """
     _check_mode(mode)
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    if span_degree < 0:
-        raise ValueError("span_degree must be >= 0")
+    check_int("d", 1, d)
+    check_int("trials", 0, trials)
+    check_int("span_degree", 0, span_degree)
     rng = random.Random(seed)
     report = RelationReport("model-laws", mode, d, d, {"trials": trials})
 
