@@ -95,7 +95,9 @@ Memo = dict[int, tuple[Bracket, V]]
 def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], V], memo: Memo | None = None) -> V:
     """Post-order fold: leaf(gen) at each leaf, bracket(left, right) at each bracket.
 
-    Iterative, so no depth of tree reaches the recursion limit. Going down a
+    Iterative, so no depth of tree reaches the recursion limit. A node that
+    is neither a `Generator` nor a `Bracket` raises `ValueError`; `Bracket`
+    checks nothing, as the presentation builders make thousands. Going down a
     left spine leaves a None and then the right subtree on `todo` for each
     bracket passed; a None popped means the two values of its bracket top
     `values`, which holds only values still waiting for their bracket.
@@ -119,6 +121,8 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
             todo += (None, node.right)
             node = node.left
         else:
+            if type(node) is not Generator:
+                raise ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
             values.append(leaf(node))
         while todo:
             node = todo.pop()
@@ -184,6 +188,8 @@ def parse_expr(text: str) -> LieExpr:
 
 
 def _tokenize(text: str) -> list[str]:
+    if not isinstance(text, str):
+        raise ParseError(f"expected a str, not {type(text).__name__}")
     tokens = []
     i = 0
     while i < len(text):

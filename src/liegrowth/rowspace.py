@@ -26,39 +26,25 @@ Vector = dict[Hashable, Rational]
 _EXACT = frozenset((int, Fraction))
 
 
-def _divide(vec: dict, lead: Rational) -> dict:
-    """vec / lead exactly, with integral quotients stored as `int`.
-
-    A lead of 1 returns `vec` itself, so callers pass a dict they own.
-    """
-    if lead == 1:
-        return vec
-    if lead == -1:
-        return {k: -c for k, c in vec.items()}
-    return scaled(vec, Fraction(1, lead))
-
-
 class RowSpace:
     """Grows one vector at a time; `rank` is the dimension of the span.
 
-    With track=True every stored row remembers its expansion in terms of the
-    vectors that were inserted (by insertion id), so a dependent insert can
-    report the exact linear combination that produces it.
+    A space keeps only its rows. For a dependency witness, reduce `[A | I]`:
+    give the i-th vector an extra key i, after every other key, with
+    coefficient 1. The vector is dependent exactly when the residual
+    `add_with_witness` returns has its pivot among the extra keys, and then
+    the residual is a relation among the vectors (`wreath.certify_embedding`).
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self._rows: dict[Hashable, Vector] = {}  # pivot -> row (row[pivot] == 1)
-        self._track = track
-        self._combos: dict[Hashable, dict[int, Rational]] = {}
-        self._inserts = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector, combo: dict[int, Rational] | None = None) -> Vector:
-        """The residual of `vec` modulo the span; adds the expansion of what
-        was subtracted into `combo` when one is given (tracked spaces only)."""
+    def reduce(self, vec: Vector) -> Vector:
+        """Normal form of `vec` modulo the current span (forward elimination)."""
         vals = vec.values()
         if all(vals) and _EXACT.issuperset(map(type, vals)):
             residual = dict(vec)
@@ -73,55 +59,24 @@ class RowSpace:
             row = rows.get(pivot)
             if row is None:
                 break
-            factor = residual[pivot]
-            add_into(residual, row, -factor)
-            if combo is not None:
-                add_into(combo, self._combos[pivot], factor)
+            add_into(residual, row, -residual[pivot])
         return residual
-
-    def _store(self, residual: Vector) -> tuple[Hashable, Rational]:
-        """Store a nonzero residual as the row of its pivot; returns (pivot, lead)."""
-        pivot = min(residual)
-        lead = residual[pivot]
-        row = _divide(residual, lead)
-        row[pivot] = 1
-        self._rows[pivot] = row
-        return pivot, lead
-
-    def reduce(self, vec: Vector) -> Vector:
-        """Normal form of `vec` modulo the current span (forward elimination)."""
-        return self._reduce(vec)
 
     def add(self, vec: Vector) -> bool:
         """Insert a vector; returns True iff the rank grew."""
-        if self._track:
-            return self.add_with_witness(vec)[0]
-        residual = self._reduce(vec)
-        if not residual:
-            return False
-        self._store(residual)
-        return True
+        return self.add_with_witness(vec)[0]
 
-    def add_with_witness(self, vec: Vector) -> tuple[bool, dict[int, Rational]]:
-        """Insert a vector.
+    def add_with_witness(self, vec: Vector) -> tuple[bool, Vector]:
+        """Insert a vector; returns (grew, residual).
 
-        Returns (True, {}) when the rank grew. Returns (False, combo) when the
-        vector was already in the span; with tracking enabled, combo maps
-        insertion ids of previously added vectors to coefficients such that
-        vec = sum(combo[i] * inserted_i). Insertion ids count every call,
-        `add` included, dependent or not.
+        The residual is `reduce(vec)` before the insert: empty when the rank
+        did not grow, else the new row before it is scaled to pivot 1. The
+        caller must not mutate it: for a pivot of 1 it is the stored row.
         """
-        insert_id = self._inserts
-        self._inserts += 1
-        combo: dict[int, Rational] = {}
-        residual = self._reduce(vec, combo if self._track else None)
+        residual = self.reduce(vec)
         if not residual:
-            return False, combo
-        pivot, lead = self._store(residual)
-        if self._track:
-            # row = (vec - sum combo_i * inserted_i) / lead
-            expansion = {insert_id: 1}
-            for idx, c in combo.items():
-                expansion[idx] = -c
-            self._combos[pivot] = _divide(expansion, lead)
-        return True, {}
+            return False, residual
+        pivot = min(residual)
+        lead = residual[pivot]
+        self._rows[pivot] = residual if lead == 1 else scaled(residual, -1 if lead == -1 else Fraction(1, lead))
+        return True, residual

@@ -79,7 +79,8 @@ class ExponentFit:
 def fit_stretched_exponent(b: Sequence[int], points: Sequence[int]) -> ExponentFit:
     """Estimate alpha from b via doubling ratios at the given points.
 
-    Every point n needs b_n >= 2 and 2n within range. The classification
+    Every point n needs 2n within range and b_n, b_2n ints >= 2; a b value
+    read that is not an int >= 0 fails `poly.check_int`. The classification
     flags sequences that are not of intermediate growth: alpha_hat below 0.1
     reads as polynomial-like, above 0.98 as exponential-like.
     """
@@ -90,6 +91,7 @@ def fit_stretched_exponent(b: Sequence[int], points: Sequence[int]) -> ExponentF
     for n in sorted(points):
         if 2 * n >= len(b):
             raise ValueError(f"point {n} needs b up to index {2 * n}")
+        check_int("b", 0, b[n], b[2 * n])
         if b[n] <= 1 or b[2 * n] <= 1:
             raise ValueError(f"b must exceed 1 at n = {n} and 2n for the log ratio")
         # math.log of an int reads its exponent and a full-width mantissa, so it

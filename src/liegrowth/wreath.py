@@ -333,7 +333,12 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 
     For each degree n <= n_max the images of the degree-n basis monomials are
     flattened to sparse vectors and their exact rank must equal the graded
-    dimension; a deficiency reports the offending dependent combination. Then
+    dimension. The i-th image gets the extra key (d, i), after every key of
+    W(d, d), so `RowSpace` reduces the rows of `[A | I]`: an image adds to
+    the rank exactly when its residual's pivot is a key of W(d, d), and
+    otherwise the extra keys of the residual name its dependent combination
+    (or the image is 0). A witness may name an earlier dependent image: with
+    x2 -> 2*x1 and x3 -> 3*x1, x3 depends on 3/2*x2, not on 3*x1. Then
     `trials` random expressions check that normal form followed by embedding
     equals direct evaluation under x_i -> a_i + t_i. Each degree and each
     trial counts as one check.
@@ -349,17 +354,18 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
         expected = metabelian.graded_dim(d, n)
         # a prefix of a basis monomial is a basis monomial, of the degree before
         image = {m: wreath_bracket(image[m[:-1]], x[m[-1]]) if n > 1 else x[m[0]] for m in monos}
-        space = RowSpace(track=True)
+        space = RowSpace()
         rank = 0
-        for mono in monos:
-            grew, combo = space.add_with_witness(image[mono].coords())
-            if grew:
+        for idx, mono in enumerate(monos):
+            residual = space.add_with_witness({**image[mono].coords(), (d, idx): 1})[1]
+            if min(residual) < (d, 0):
                 rank += 1
                 continue
             image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
-            if combo:
+            witness = {i: -c for (_, i), c in residual.items() if i != idx}
+            if witness:
                 deps = " + ".join(
-                    f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(combo.items())
+                    f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(witness.items())
                 )
                 report.failures.append(f"{image_of} depends on {deps}")
             else:

@@ -27,3 +27,28 @@ def _build(draw, d: int, size: int):
 
 def seeded_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+def augment(vec: dict, idx: int) -> dict:
+    """`vec` as the idx-th row of [A | I]: each key k becomes (0, k), and the
+    extra key (1, idx), which sorts after all of them, gets coefficient 1."""
+    return {**{(0, k): c for k, c in vec.items()}, (1, idx): 1}
+
+
+def add_augmented(space, vec: dict, idx: int) -> tuple[bool, dict]:
+    """Add augment(vec, idx) to a `RowSpace` and read its residual the way
+    `wreath.certify_embedding` does: (True, {}) when the rank of the A part
+    grew, else (False, witness) with vec == sum(witness[i] * vector i)."""
+    residual = space.add_with_witness(augment(vec, idx))[1]
+    if min(residual) < (1, 0):
+        return True, {}
+    return False, {i: -c for (_, i), c in residual.items() if i != idx}
+
+
+def combine(witness: dict, vectors: list[dict]) -> dict:
+    """sum(witness[i] * vectors[i]) without its zero entries."""
+    total: dict = {}
+    for idx, c in witness.items():
+        for k, v in vectors[idx].items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v}

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import torus_blocks
+from conftest import add_augmented, augment, combine
 from liegrowth import metabelian
 from liegrowth.expr import Generator, left_normalize, random_expr
 from liegrowth.growth import growth_bfs
@@ -187,14 +188,6 @@ def _random_int_vectors(rng: random.Random, count: int, keys: int) -> list[dict]
     return out
 
 
-def _combine(combo: dict, inserted: list[dict]) -> dict:
-    total: dict = {}
-    for idx, c in combo.items():
-        for k, v in inserted[idx].items():
-            total[k] = total.get(k, 0) + c * v
-    return {k: v for k, v in total.items() if v}
-
-
 def _assert_exact_vector(vec: dict) -> None:
     assert all(_is_exact(c) and c for c in vec.values())
 
@@ -207,50 +200,52 @@ def test_rowspace_int_inputs_match_fraction_inputs(seed):
     # dependent vectors: integer combinations of earlier ones
     for _ in range(keys):
         a, b = rng.sample(vectors, 2)
-        combo = _combine({0: rng.randint(-3, 3), 1: rng.randint(-3, 3)}, [a, b])
+        combo = combine({0: rng.randint(-3, 3), 1: rng.randint(-3, 3)}, [a, b])
         if combo:
             vectors.insert(rng.randint(0, len(vectors)), combo)
-    as_int = RowSpace(track=True)
-    as_frac = RowSpace(track=True)
+    as_int, as_frac, plain = RowSpace(), RowSpace(), RowSpace()
     inserted: list[dict] = []
-    probes = _random_int_vectors(rng, 10, keys)
-    for vec in vectors:
+    probes = [augment(vec, len(vectors)) for vec in _random_int_vectors(rng, 10, keys)]
+    for idx, vec in enumerate(vectors):
         frac = {k: Fraction(c) for k, c in vec.items()}
-        grew_i, combo_i = as_int.add_with_witness(vec)
-        grew_f, combo_f = as_frac.add_with_witness(frac)
+        grew_i, combo_i = add_augmented(as_int, vec, idx)
+        grew_f, combo_f = add_augmented(as_frac, frac, idx)
         inserted.append(vec)
-        assert grew_i == grew_f
+        assert grew_i == grew_f == plain.add(vec)
         assert combo_i == combo_f
-        assert as_int.rank == as_frac.rank
+        assert as_int.rank == as_frac.rank == idx + 1
         if not grew_i:
             _assert_exact_vector(combo_i)
-            assert _combine(combo_i, inserted) == vec
+            assert combine(combo_i, inserted) == vec
         for probe in probes:
             res_i = as_int.reduce(probe)
             assert res_i == as_frac.reduce({k: Fraction(c) for k, c in probe.items()})
             _assert_exact_vector(res_i)
     for vec in inserted:
-        assert not as_int.reduce(vec)
+        assert not plain.reduce(vec)
 
 
 def test_rowspace_non_unit_and_negative_pivots():
-    rs = RowSpace(track=True)
+    rs, augmented = RowSpace(), RowSpace()
     inserted = [{0: 2, 1: 3}, {1: -3, 2: 5}, {2: -1, 3: 4}]  # pivots 2, -3, -1
-    for vec in inserted:
+    for idx, vec in enumerate(inserted):
         assert rs.add(vec)
+        assert add_augmented(augmented, vec, idx) == (True, {})
     assert rs.rank == 3
     assert rs.reduce({0: 1}) == {3: -10}
     assert rs.reduce({1: 1, 3: 1}) == {3: Fraction(23, 3)}
     # the row of pivot -1 keeps integer entries
     assert rs.reduce({2: 1}) == {3: 4} and type(rs.reduce({2: 1})[3]) is int
+    # the second witness names the dependent target before it; a reduction
+    # over independent rows alone gives {0: 1/2, 1: -1/2, 2: 5}
     for target, expected in (
         ({0: 4, 1: 3, 2: 5}, {0: 2, 1: 1}),
-        ({0: 1, 1: 3, 2: Fraction(-15, 2), 3: 20}, {0: Fraction(1, 2), 1: Fraction(-1, 2), 2: 5}),
+        ({0: 1, 1: 3, 2: Fraction(-15, 2), 3: 20}, {1: Fraction(-3, 4), 2: 5, 3: Fraction(1, 4)}),
         ({2: 3, 3: -12}, {2: -3}),
     ):
-        grew, combo = rs.add_with_witness(target)
+        grew, combo = add_augmented(augmented, target, len(inserted))
         inserted.append(target)
         assert not grew
         assert combo == expected
         _assert_exact_vector(combo)
-        assert _combine(combo, inserted) == target
+        assert combine(combo, inserted) == target

@@ -58,6 +58,10 @@ def test_parse_rejects_malformed():
         with pytest.raises(ParseError) as exc:
             parse_expr(bad)
         assert str(exc.value) == message, bad
+    for bad, kind in ((5, "int"), (None, "NoneType"), (b"x1", "bytes")):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(bad)
+        assert str(exc.value) == f"expected a str, not {kind}"
 
 
 def test_format_round_trip_examples():
@@ -173,6 +177,26 @@ def test_trees_compare_by_structure():
     assert e != parse_expr("[x1,x2,x3]") and e != Generator("x", 0) and e != "[x1,[x2,x3]]"
     assert {e: 1}[Bracket(Generator("x", 0), parse_expr("[x2,x3]"))] == 1
     assert repr(e) == "parse_expr('[x1,[x2,x3]]')"
+
+
+def test_every_walk_rejects_a_leaf_that_is_not_a_generator():
+    # `Bracket` takes any children; the walk of the tree rejects the leaf
+    x1 = Generator("x", 0)
+    walks = (
+        format_expr,
+        repr,
+        hash,
+        left_normalize,
+        lambda e: normalize_expr(e, 2),
+        lambda e: evaluate(e, {x1: 1}, int.__add__),
+    )
+    for bad, kind in ((Bracket(x1, 5), "int"), (left_normed([1, 2]), "int"), (Bracket(Bracket(x1, "x2"), x1), "str")):
+        for walk in walks:
+            with pytest.raises(ValueError) as exc:
+                walk(bad)
+            assert str(exc.value) == f"expression node must be a Generator or a Bracket, not {kind}"
+    with pytest.raises(ValueError):
+        format_expr(None)
 
 
 def test_left_normalize_and_normal_form_of_a_long_flat_word():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import add_augmented, augment, combine
 from liegrowth.metabelian import MetabelianElement
 from liegrowth.poly import MultiPoly
 from liegrowth.rowspace import RowSpace
@@ -131,15 +132,14 @@ def test_rowspace_exactness_no_float_noise():
 
 
 def test_rowspace_dependency_witness():
-    rs = RowSpace(track=True)
-    v0 = {"x": Fraction(1), "y": Fraction(1)}
-    v1 = {"y": Fraction(2)}
-    rs.add(v0)
-    rs.add(v1)
-    grew, combo = rs.add_with_witness({"x": Fraction(3), "y": Fraction(5)})
+    rs = RowSpace()
+    vecs = [{"x": Fraction(1), "y": Fraction(1)}, {"y": Fraction(2)}, {"x": Fraction(3), "y": Fraction(5)}]
+    assert add_augmented(rs, vecs[0], 0) == add_augmented(rs, vecs[1], 1) == (True, {})
+    grew, combo = add_augmented(rs, vecs[2], 2)
     assert not grew
-    # verify the combination reproduces the vector
+    # the combination reproduces the vector
     assert combo == {0: Fraction(3), 1: Fraction(1)}
+    assert combine(combo, vecs) == vecs[2]
 
 
 def test_rowspace_mixed_tuple_keys():
@@ -170,36 +170,46 @@ def test_rowspace_ignores_zero_entries():
 
 
 def test_rowspace_witness_ignores_zero_entries():
-    rs = RowSpace(track=True)
-    assert rs.add_with_witness({"x": 0, "y": 2}) == (True, {})
-    assert rs.add_with_witness({"x": 0}) == (False, {})
-    assert rs.add_with_witness({"x": 0, "y": 6, "z": 0}) == (False, {0: 3})
-    assert rs.add_with_witness({"x": 1, "y": 0}) == (True, {})
-    assert rs.add_with_witness({"x": -1, "y": 1}) == (False, {0: F(1, 2), 3: -1})
+    rs = RowSpace()
+    vecs = [{"x": 0, "y": 2}, {"x": 0}, {"x": 0, "y": 6, "z": 0}, {"x": 1, "y": 0}, {"x": -1, "y": 1}]
+    witnesses = [add_augmented(rs, v, i) for i, v in enumerate(vecs)]
+    # the zero vector has the empty witness; the last names the dependent
+    # vector 2 where a reduction over independent rows alone gives {0: 1/2, 3: -1}
+    assert witnesses == [(True, {}), (False, {}), (False, {0: 3}), (True, {}), (False, {2: F(1, 6), 3: -1})]
+    nonzero = [{k: c for k, c in v.items() if c} for v in vecs]
+    for (grew, combo), vec in zip(witnesses, nonzero):
+        assert grew or combine(combo, nonzero) == vec
 
 
-def test_rowspace_tracked_add_and_witness_share_insertion_ids():
-    # `add` on a tracked space takes an insertion id and records its row's
-    # expansion, so a later witness may name it; zeros are dropped and floats
-    # taken exactly on both paths
-    rs = RowSpace(track=True)
-    assert rs.add({"x": 2, "y": 0})  # id 0
-    assert not rs.add({"x": 1.0})  # id 1, dependent
-    assert rs.add_with_witness({"y": 0.5, "z": 0.0}) == (True, {})  # id 2
-    assert not rs.add({"x": 0, "z": 0})  # id 3, the zero vector
-    assert rs.add({"x": 1, "z": 3})  # id 4
-    assert rs.add_with_witness({"x": 0.5}) == (False, {0: F(1, 4)})  # id 5
-    grew, combo = rs.add_with_witness({"x": 3, "y": 1, "z": 6})  # id 6
+def test_rowspace_add_and_witness_share_one_space():
+    # `add` stores the same row as `add_with_witness`, so a later witness may
+    # name a vector inserted by `add`; zeros are dropped and floats taken
+    # exactly on both paths
+    rs = RowSpace()
+    vecs = [{"x": 2, "y": 0}, {"x": 1.0}, {"y": 0.5, "z": 0.0}, {"x": 0, "z": 0}, {"x": 1, "z": 3}, {"x": 0.5}]
+    assert rs.add(augment(vecs[0], 0))
+    assert add_augmented(rs, vecs[1], 1) == (False, {0: F(1, 2)})
+    assert add_augmented(rs, vecs[2], 2) == (True, {})
+    assert rs.add(augment(vecs[3], 3))  # the zero vector still adds its extra key
+    assert rs.add(augment(vecs[4], 4))
+    assert add_augmented(rs, vecs[5], 5) == (False, {1: F(1, 2)})
+    vecs.append({"x": 3, "y": 1, "z": 6})
+    grew, combo = add_augmented(rs, vecs[6], 6)
     assert not grew
-    assert combo == {0: F(1, 2), 2: 2, 4: 2}
-    assert rs.rank == 3
+    assert combo == {2: 2, 4: 2, 5: 2}
+    assert combine(combo, vecs) == vecs[6]
+    assert rs.rank == 7
     for c in (*combo.values(), *(v for row in rs._rows.values() for v in row.values())):
         assert type(c) in (int, F) and c
 
 
-def test_rowspace_untracked_add_matches_add_with_witness():
+def test_rowspace_add_matches_add_with_witness():
     vecs = [{"x": 2, "y": 0}, {"x": 1.0}, {"y": 0.5, "z": 0.0}, {"x": 0}, {"x": 1, "z": F(3, 2)}, {"z": 7}]
     plain, witnessed = RowSpace(), RowSpace()
-    assert [plain.add(v) for v in vecs] == [witnessed.add_with_witness(v) == (True, {}) for v in vecs]
+    results = [witnessed.add_with_witness(v) for v in vecs]
+    assert [plain.add(v) for v in vecs] == [grew for grew, _ in results] == [True, False, True, False, True, False]
     assert plain._rows == witnessed._rows
     assert plain.rank == 3
+    # the residual is reduce(vec) before the insert; for a pivot of 1 it is the stored row
+    assert [residual for _, residual in results] == [{"x": 2}, {}, {"y": F(1, 2)}, {}, {"z": F(3, 2)}, {}]
+    assert witnessed.add_with_witness({"w": 1})[1] is witnessed._rows["w"]

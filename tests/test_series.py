@@ -122,6 +122,21 @@ def test_fit_tracks_exponent_of_consecutive_power_differences():
         assert abs(fit.final - target) < 0.05, (d, fit.final, target)
 
 
+def test_fit_rejects_b_values_that_are_not_int():
+    b = [1, 1, 2, 3, 5, 8]
+    for bad, message in (
+        (["a"] * 10, "b must be int, not str"),
+        (b[:2] + [2.0] + b[3:], "b must be int, not float"),
+        (b[:4] + [True] + b[5:], "b must be int, not bool"),
+        (b[:4] + [-5] + b[5:], "b must be >= 0"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            fit_stretched_exponent(bad, [2])
+        assert str(exc.value) == message
+    # only b_n and b_2n are read
+    assert fit_stretched_exponent(b[:3] + ["c"] + b[4:], [2]) == fit_stretched_exponent(b, [2])
+
+
 def test_fit_rejects_degenerate_points():
     b = [1, 1, 1, 2, 3, 4, 5, 6, 7]
     with pytest.raises(ValueError):

@@ -171,6 +171,42 @@ def test_zero_image_is_reported_as_zero(monkeypatch):
     ]
 
 
+def _collapsed_images(monkeypatch, images_of):
+    """certify_embedding with x_i -> images_of(real images)[i] in degree 1."""
+    real = wreath.magnus_generator_images
+
+    def collapsed(d):
+        images = real(d)
+        x = [images[Generator("x", i)] for i in range(d)]
+        return {Generator("x", i): image for i, image in enumerate(images_of(x))}
+
+    monkeypatch.setattr(wreath, "magnus_generator_images", collapsed)
+
+
+def test_dependent_image_names_its_combination(monkeypatch):
+    _collapsed_images(monkeypatch, lambda x: [x[0], x[1], x[0] + x[1] * 2])
+    rep = certify_embedding(3, 1, trials=0)
+    assert rep.failures == [
+        "degree 1: image of x3 depends on 1*x1 + 2*x2",
+        "degree 1: rank 2 != expected 3",
+    ]
+
+
+def test_witness_may_name_an_earlier_dependent_image(monkeypatch):
+    # x2 -> 2*x1 and x3 -> 3*x1: the residual of x3 reduces through the
+    # relation row of x2, so x3's witness is 3/2*x2, not 3*x1; both are true
+    _collapsed_images(monkeypatch, lambda x: [x[0], x[0] * 2, x[0] * 3])
+    rep = certify_embedding(3, 1, trials=0)
+    assert rep.failures == [
+        "degree 1: image of x2 depends on 2*x1",
+        "degree 1: image of x3 depends on 3/2*x2",
+        "degree 1: rank 1 != expected 3",
+    ]
+    images = wreath.magnus_generator_images(3)
+    x1, x2, x3 = (images[Generator("x", i)] for i in range(3))
+    assert x2 == x1 * 2 and x3 == x2 * Fraction(3, 2)
+
+
 def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
     # every image 0: each random expression whose direct value is nonzero fails
     monkeypatch.setattr(wreath, "magnus_embedding", lambda elem: WreathElement.zero(elem.d, elem.d))
@@ -209,12 +245,13 @@ def test_model_law_failures_are_pinned(monkeypatch):
 
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
     # the certificate ranks each monomial's image as the bracket of its
-    # prefix's image with one generator; it must be the monomial's embedding
+    # prefix's image with one generator; it must be the monomial's embedding,
+    # once the extra key (d, i) of the i-th image of a degree is stripped
     ranked = []
 
     class Recording(RowSpace):
         def add_with_witness(self, vec):
-            ranked.append(list(vec.items()))
+            ranked.append([(k, c) for k, c in vec.items() if k[0] != d])
             return super().add_with_witness(vec)
 
     monkeypatch.setattr(wreath, "RowSpace", Recording)
