@@ -268,6 +268,8 @@ def evaluate(
 def random_expr(rng: random.Random, gens: Sequence[Generator], size: int) -> LieExpr:
     """Uniform-ish random bracketing with `size` leaves drawn from gens."""
     check_int("size", 1, size)
+    if not gens:
+        raise ValueError("gens must not be empty")
     if size == 1:
         return rng.choice(list(gens))
     split = rng.randint(1, size - 1)

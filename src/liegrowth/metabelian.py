@@ -26,12 +26,13 @@ normal form is certified externally by the wreath-model embedding (see
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Sequence
 
 from .expr import LieExpr, left_normalize
-from .poly import Rational, add_into, check_int, exact, format_terms, scaled
+from .poly import Rational, add_into, check_int, checked_terms, exact, format_terms, scaled
 
 Monomial = tuple[int, ...]
 
@@ -52,25 +53,31 @@ def format_monomial(word: Monomial) -> str:
     return "[" + ",".join(f"x{i + 1}" for i in word) + "]"
 
 
+def _check_word(word: object, d: int) -> Monomial:
+    """`word` itself if it is a basis monomial over x1..xd; else `ValueError`."""
+    if type(word) is not tuple or any(type(i) is not int or not 0 <= i < d for i in word):
+        raise ValueError(f"generator index out of range in {word}")
+    if not is_basis_monomial(word):
+        raise ValueError(f"not a basis monomial: {word}")
+    return word
+
+
+@dataclass(slots=True, repr=False)
 class MetabelianElement:
-    """Rational combination of basis monomials over x1..xd."""
+    """Rational combination of basis monomials over x1..xd.
 
-    __slots__ = ("d", "terms")
+    `MetabelianElement(d, terms)` validates through `poly.checked_terms`, and
+    a word that is not a basis monomial raises `ValueError`. Normal forms and
+    arithmetic build their results with `_trusted` instead.
+    """
 
-    def __init__(self, d: int, terms: dict[Monomial, Rational] | None = None):
+    d: int
+    terms: dict[Monomial, Rational] | None = None
+
+    def __post_init__(self) -> None:
+        d = self.d
         check_int("d", 1, d)
-        self.d = d
-        clean: dict[Monomial, Rational] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if type(word) is not tuple or any(type(i) is not int or not 0 <= i < d for i in word):
-                    raise ValueError(f"generator index out of range in {word}")
-                if not is_basis_monomial(word):
-                    raise ValueError(f"not a basis monomial: {word}")
-                c = exact(coeff)
-                if c:
-                    clean[tuple(word)] = c
-        self.terms = clean
+        self.terms = checked_terms(self.terms, lambda word: _check_word(word, d))
 
     @classmethod
     def _trusted(cls, d: int, terms: dict[Monomial, Rational]) -> "MetabelianElement":
@@ -95,13 +102,6 @@ class MetabelianElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetabelianElement):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __add__(self, other: "MetabelianElement") -> "MetabelianElement":
         if self.d != other.d:
             raise ValueError("elements over different generator counts")
@@ -116,10 +116,7 @@ class MetabelianElement:
         return self + (-other)
 
     def __mul__(self, scalar: Rational) -> "MetabelianElement":
-        c = exact(scalar)
-        if not c:
-            return MetabelianElement._trusted(self.d, {})
-        return MetabelianElement._trusted(self.d, scaled(self.terms, c))
+        return MetabelianElement._trusted(self.d, scaled(self.terms, exact(scalar)))
 
     __rmul__ = __mul__
 

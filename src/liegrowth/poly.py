@@ -17,30 +17,34 @@ stay inline `type(i) is int` tests: they run once per leaf or letter of a
 normal form, where a call would cost more than the test itself.
 
 The helpers here keep that rule: `exact` converts one coefficient, `scaled`
-multiplies a term dict by a scalar, `add_into` is the one in-place sum, and
-it deletes a key whose sum is 0; `format_terms` is the one place that writes
-a term dict as the signed string `c*m + m - ...`, and `monomial_text` writes
-an exponent tuple as `t1*t2^2`. The only other accumulate loop is
-`wreath._add_product(out, terms, torus, sign)`, which adds into one (k, exps)
-term dict the copies of a module term dict shifted by each torus letter,
-rather than a plain sum.
+multiplies a term dict by a scalar (by 0 it gives `{}`), `add_into` is the
+one in-place sum, and it deletes a key whose sum is 0; `format_terms` is the
+one place that writes a term dict as the signed string `c*m + m - ...`, and
+`monomial_text` writes an exponent tuple as `t1*t2^2`. The only other
+accumulate loop is `wreath._add_product(out, terms, torus, sign)`, which adds
+into one (k, exps) term dict the copies of a module term dict shifted by each
+torus letter, rather than a plain sum.
 
 `MultiPoly` is the ring k[t1..tn] itself, with exponent vectors as int tuples
 of one slot per variable. No program path multiplies polynomials: the tests
 use it as the reference for the wreath bracket, and the benchmark's tracer
-wraps its `__mul__` and `__add__`. Instances are immutable by convention;
-every operation returns a fresh polynomial. The public constructor
-`MultiPoly(nvars, terms)` validates arity, signs and coefficients, and stores
-an integral coefficient as `int` (see `exact`). Results of arithmetic go
-through the trusted constructor `MultiPoly._trusted(nvars, terms)` instead,
-which stores `terms` as given: its coefficients are as above, and `nvars`
-and the exponent arities come from operands that were already checked.
+wraps its `__mul__` and `__add__`.
+
+`MultiPoly`, `metabelian.MetabelianElement` and `wreath.WreathElement` are
+slotted dataclasses, unhashable and immutable by convention. Each public
+constructor validates through `checked_terms(terms, check_key)`, where
+`check_key` raises `ValueError` for a malformed key and returns the key to
+store. Arithmetic builds its results with the type's trusted constructor
+`_trusted`, which stores the dicts as given: coefficients as above, no zeros,
+and the shape and every key from operands that were already checked.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, TypeVar
+from typing import TypeVar
 
 Exponents = tuple[int, ...]
 Rational = int | Fraction
@@ -71,11 +75,25 @@ def exact(value: Fraction | int | float | str) -> Rational:
     return c.numerator if c.denominator == 1 else c
 
 
-def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
-    """The products coeff * c of a term dict, integral ones stored as `int`.
+def checked_terms(terms: object, check_key: Callable[[object], K]) -> dict[K, Rational]:
+    """{check_key(k): exact(c)} over `terms`, zeros dropped; `{}` for None or empty, `ValueError` for a non-mapping."""
+    if not terms:
+        return {}
+    if not isinstance(terms, Mapping):
+        raise ValueError(f"terms must be a mapping, not {type(terms).__name__}")
+    out: dict[K, Rational] = {}
+    for key, coeff in terms.items():
+        key = check_key(key)
+        c = exact(coeff)
+        if c:
+            out[key] = c
+    return out
 
-    `c` must be nonzero, so no product is zero.
-    """
+
+def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
+    """The products coeff * c of a term dict, integral ones stored as `int`; `{}` for c = 0."""
+    if not c:
+        return {}
     out = {k: v * c for k, v in terms.items()}
     for k, v in out.items():
         if type(v) is not int and v.denominator == 1:
@@ -131,22 +149,22 @@ def format_terms(pairs: Iterable[tuple[str, Rational]]) -> str:
     return "".join(out) if out else "0"
 
 
+@dataclass(slots=True, repr=False)
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    nvars: int
+    terms: dict[Exponents, Rational] | None = None
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Rational] | None = None):
+    def __post_init__(self) -> None:
+        nvars = self.nvars
         check_int("nvars", 0, nvars)
-        self.nvars = nvars
-        clean: dict[Exponents, Rational] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps!r} has wrong arity (nvars={nvars})")
-                check_int("exponents", 0, *exps)
-                c = exact(coeff)
-                if c:
-                    clean[tuple(exps)] = c
-        self.terms = clean
+
+        def check_exps(exps: Exponents) -> Exponents:
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps!r} has wrong arity (nvars={nvars})")
+            check_int("exponents", 0, *exps)
+            return tuple(exps)
+
+        self.terms = checked_terms(self.terms, check_exps)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[Exponents, Rational]) -> "MultiPoly":
@@ -165,13 +183,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     def _check_arity(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
@@ -205,10 +216,7 @@ class MultiPoly:
                     c1,
                 )
             return MultiPoly._trusted(self.nvars, out)
-        c = exact(other)
-        if not c:
-            return MultiPoly._trusted(self.nvars, {})
-        return MultiPoly._trusted(self.nvars, scaled(self.terms, c))
+        return MultiPoly._trusted(self.nvars, scaled(self.terms, exact(other)))
 
     def __rmul__(self, other: Rational) -> "MultiPoly":
         return self * other

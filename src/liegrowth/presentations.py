@@ -130,9 +130,7 @@ def check_presentation(pres: Presentation) -> RelationReport:
     for rel in pres.relators:
         lhs = evaluate(rel.lhs, assignment, wreath_bracket, memo)
         value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, wreath_bracket, memo)
-        report.checked += 1
-        if not value.is_zero():
-            report.failures.append(f"{rel.label} evaluated to {value}")
+        report.check(value.is_zero(), lambda: f"{rel.label} evaluated to {value}")
     return report
 
 
@@ -165,9 +163,7 @@ def tower_commutation_report(
     report = RelationReport("towers", MODE_WPLUS, a.m, a.n, {"i_max": bound, "j_max": bound})
     for label, fn in _TOWER_HYPOTHESES:
         value = fn(a, b, t, u)
-        report.checked += 1
-        if not value.is_zero():
-            report.failures.append(f"hypothesis {label} evaluated to {value}")
+        report.check(value.is_zero(), lambda: f"hypothesis {label} evaluated to {value}")
     if report.failures:
         return report
     towers_a = [a]
@@ -178,9 +174,7 @@ def tower_commutation_report(
     for i in range(bound + 1):
         for j in range(bound + 1):
             value = wreath_bracket(towers_a[i], towers_b[j])
-            report.checked += 1
-            if not value.is_zero():
-                report.failures.append(f"[[a,t^{i}],[b,t^{j}]] evaluated to {value}")
+            report.check(value.is_zero(), lambda: f"[[a,t^{i}],[b,t^{j}]] evaluated to {value}")
     return report
 
 

@@ -25,15 +25,12 @@ t_{i+1}^power: (-1, i) for t_{i+1} and (-2, i) for u_{i+1}. Every torus key
 sorts before every module key and all keys are mutually comparable, so the
 merged dict is a `rowspace` vector as it stands. Neither dict stores a zero.
 
-Coefficients follow the convention of `poly`: an `int` where the value is
-integral, a `fractions.Fraction` where it is not, never a `float`. The public
-constructor `WreathElement(m, n, terms, torus)` takes the two dicts in this
-layout, rejects a malformed key with `ValueError`, stores each coefficient
-through `poly.exact` and drops zeros. Brackets and the arithmetic operators
-build their results with the trusted constructor
-`WreathElement._trusted(m, n, terms, torus)` instead, which stores the dicts
-as given. Its invariant, kept by every caller: coefficients as above, no
-zeros, and m, n and every key come from operands that were already checked.
+Coefficients follow the convention of `poly`. The public constructor
+`WreathElement(m, n, terms, torus)` takes the two dicts in this layout and
+checks each through `poly.checked_terms`: a malformed key raises `ValueError`.
+Brackets and the arithmetic operators build their results with the trusted
+constructor `WreathElement._trusted(m, n, terms, torus)` instead, which
+stores the dicts as given; every caller keeps the invariant stated in `poly`.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -52,7 +49,7 @@ from typing import Callable
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Rational, add_into, check_int, exact, format_terms, monomial_text, scaled
+from .poly import Rational, add_into, check_int, checked_terms, exact, format_terms, monomial_text, scaled
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -63,56 +60,41 @@ MODES = (MODE_W, MODE_WPLUS)
 Terms = dict[tuple, Rational]
 
 
-def _is_module_key(key: object, m: int, n: int) -> bool:
-    """(k, exps): 0 <= k < m and n exponents, each an int >= 0."""
-    if not (isinstance(key, tuple) and len(key) == 2):
-        return False
-    k, exps = key
-    return (
-        type(k) is int
-        and 0 <= k < m
-        and isinstance(exps, tuple)
-        and len(exps) == n
-        and all(type(e) is int and e >= 0 for e in exps)
-    )
+def _module_key(key: object, m: int, n: int) -> object:
+    """`key` if it is (k, exps) with 0 <= k < m and n int exponents >= 0; else `ValueError`."""
+    k, exps = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+    if type(k) is int and 0 <= k < m and isinstance(exps, tuple) and len(exps) == n:
+        if all(type(e) is int and e >= 0 for e in exps):
+            return key
+    raise ValueError(f"malformed key {key!r}")
 
 
-def _is_torus_key(key: object, n: int) -> bool:
-    """(-1, i) for t_{i+1} or (-2, i) for u_{i+1}, with 0 <= i < n."""
-    if not (isinstance(key, tuple) and len(key) == 2):
-        return False
-    neg_power, i = key
-    return type(neg_power) is int and neg_power in (-1, -2) and type(i) is int and 0 <= i < n
+def _torus_key(key: object, n: int) -> object:
+    """`key` if it is (-1, i) for t_{i+1} or (-2, i) for u_{i+1}, 0 <= i < n; else `ValueError`."""
+    neg_power, i = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+    if type(neg_power) is int and neg_power in (-1, -2) and type(i) is int and 0 <= i < n:
+        return key
+    raise ValueError(f"malformed key {key!r}")
 
 
-def _checked(terms: Terms | None, valid: Callable[[object], bool]) -> Terms:
-    """A copy of terms with every key checked and every coefficient exact and nonzero."""
-    out: Terms = {}
-    for key, coeff in (terms or {}).items():
-        if not valid(key):
-            raise ValueError(f"malformed key {key!r}")
-        c = exact(coeff)
-        if c:
-            out[key] = c
-    return out
-
-
+@dataclass(slots=True, repr=False)
 class WreathElement:
     """Module terms {(k, exps): c} plus torus letters {(-power, i): c}.
 
-    See the module docstring for the layout. An element of W is one whose
-    torus holds no u-letter (key (-2, i)).
+    See the module docstring for the layout and the constructors. An element
+    of W is one whose torus holds no u-letter (key (-2, i)).
     """
 
-    __slots__ = ("m", "n", "terms", "torus")
+    m: int
+    n: int
+    terms: Terms | None = None
+    torus: Terms | None = None
 
-    def __init__(self, m: int, n: int, terms: Terms | None = None, torus: Terms | None = None):
-        """Module terms {(k, exps): c} and torus letters {(-power, i): c}, in the stored layout."""
+    def __post_init__(self) -> None:
+        m, n = self.m, self.n
         check_int("m and n", 1, m, n)
-        self.m = m
-        self.n = n
-        self.terms = _checked(terms, lambda key: _is_module_key(key, m, n))
-        self.torus = _checked(torus, lambda key: _is_torus_key(key, n))
+        self.terms = checked_terms(self.terms, lambda key: _module_key(key, m, n))
+        self.torus = checked_terms(self.torus, lambda key: _torus_key(key, n))
 
     @classmethod
     def _trusted(cls, m: int, n: int, terms: Terms, torus: Terms) -> "WreathElement":
@@ -146,20 +128,10 @@ class WreathElement:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def _check_shape(self, other: "WreathElement") -> None:
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("elements from different models")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WreathElement):
-            return NotImplemented
-        return (self.m, self.n, self.terms, self.torus) == (other.m, other.n, other.terms, other.torus)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def _plus(self, other: "WreathElement", c: Rational) -> "WreathElement":
         """self + c * other, for c = 1 or -1."""
-        self._check_shape(other)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError("elements from different models")
         terms = dict(self.terms)
         add_into(terms, other.terms, c)
         torus = dict(self.torus)
@@ -177,8 +149,6 @@ class WreathElement:
 
     def __mul__(self, scalar: Rational) -> "WreathElement":
         c = exact(scalar)
-        if not c:
-            return WreathElement._trusted(self.m, self.n, {}, {})
         return WreathElement._trusted(self.m, self.n, scaled(self.terms, c), scaled(self.torus, c))
 
     __rmul__ = __mul__
@@ -293,6 +263,12 @@ class RelationReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def check(self, ok: bool, failure: Callable[[], str]) -> None:
+        """Count one check; only if it failed, format `failure()` and append it."""
+        self.checked += 1
+        if not ok:
+            self.failures.append(failure())
+
     def to_dict(self) -> dict:
         """The JSON report; only the presentation suite writes m and n."""
         out = {"suite": self.suite, "mode": self.mode, "d": self.m if self.m == self.n else None}
@@ -371,18 +347,14 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
             else:
                 report.failures.append(f"{image_of} is 0")
         report.ranks.append((n, rank, expected))
-        report.checked += 1
-        if rank != expected:
-            report.failures.append(f"degree {n}: rank {rank} != expected {expected}")
+        report.check(rank == expected, lambda: f"degree {n}: rank {rank} != expected {expected}")
     rng = random.Random(seed)
     gens = [Generator("x", i) for i in range(d)]
     for _ in range(trials):
         e = random_expr(rng, gens, rng.randint(1, 6))
         via_normal_form = magnus_embedding(metabelian.normalize_expr(e, d))
         direct = evaluate(e, images, wreath_bracket)
-        report.checked += 1
-        if via_normal_form != direct:
-            report.failures.append(f"homomorphism property failed on {format_expr(e)}")
+        report.check(via_normal_form == direct, lambda: f"homomorphism property failed on {format_expr(e)}")
     return report
 
 
@@ -422,12 +394,7 @@ def model_laws_report(
     check_int("span_degree", 0, span_degree)
     rng = random.Random(seed)
     report = RelationReport("model-laws", mode, d, d, {"trials": trials})
-
-    def check(ok: bool, message: Callable[[], str]) -> None:
-        # the message is formatted only for a failed check
-        report.checked += 1
-        if not ok:
-            report.failures.append(message())
+    check = report.check
 
     for _ in range(trials):
         p = _random_element(rng, d, d, mode)

@@ -1,0 +1,107 @@
+"""Value semantics of the three term-dict element types, and their one construction path.
+
+`MultiPoly`, `MetabelianElement` and `WreathElement` are slotted dataclasses
+that validate through `poly.checked_terms`. These tests pin what that design
+promises: no hash, no instance `__dict__`, equality by shape and terms, and
+results of arithmetic that the public constructor rebuilds unchanged.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from liegrowth.metabelian import MetabelianElement
+from liegrowth.poly import MultiPoly, checked_terms, scaled
+from liegrowth.wreath import WreathElement
+
+# (element, an element of the same shape, one of another shape, rebuild through the public constructor)
+CASES = {
+    "MultiPoly": (
+        MultiPoly(2, {(1, 0): 2, (0, 3): Fraction(1, 2)}),
+        MultiPoly(2, {(1, 0): -2, (2, 2): 5}),
+        MultiPoly(3),
+        lambda x: MultiPoly(x.nvars, x.terms),
+    ),
+    "MetabelianElement": (
+        MetabelianElement(3, {(0,): 1, (2, 1): Fraction(-3, 4), (1, 0, 0): 5}),
+        MetabelianElement(3, {(0,): -1, (2, 0, 1): 7}),
+        MetabelianElement(2),
+        lambda x: MetabelianElement(x.d, x.terms),
+    ),
+    "WreathElement": (
+        WreathElement(2, 2, {(0, (1, 0)): 3, (1, (0, 2)): Fraction(2, 3)}, {(-1, 0): 1, (-2, 1): -2}),
+        WreathElement(2, 2, {(0, (1, 0)): -3}, {(-1, 0): -1, (-1, 1): 4}),
+        WreathElement(2, 3),
+        lambda x: WreathElement(x.m, x.n, x.terms, x.torus),
+    ),
+}
+
+
+@pytest.fixture(params=list(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_elements_are_unhashable_and_have_no_instance_dict(case):
+    x = case[0]
+    with pytest.raises(TypeError):
+        hash(x)
+    assert not hasattr(x, "__dict__")
+
+
+def test_equality_is_by_type_shape_and_terms(case):
+    x, y, other_shape, rebuild = case
+    assert (x == object()) is False
+    assert x != object()
+    assert x == rebuild(x) and x != y
+    zero = x * 0  # equal terms, {}, in another shape
+    assert not zero.terms and not other_shape.terms
+    assert zero != other_shape and other_shape != zero
+
+
+def test_arithmetic_results_rebuild_unchanged(case):
+    x, y, _, rebuild = case
+    results = [x + y, x - y, -x, x + x * -1, x * 3, x * Fraction(1, 2), x * Fraction(4, 2), x * 0, 0 * x]
+    for r in results:
+        assert rebuild(r) == r
+        assert type(r) is type(x)
+    assert (x * 0).is_zero() and (x + x * -1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda terms: MultiPoly(1, terms),
+        lambda terms: MetabelianElement(2, terms),
+        lambda terms: WreathElement(2, 2, terms),
+        lambda terms: WreathElement(2, 2, None, terms),
+    ],
+    ids=["MultiPoly", "MetabelianElement", "WreathElement.terms", "WreathElement.torus"],
+)
+def test_terms_must_be_a_mapping(make):
+    for bad in ([1], [((1, 0), 1)], ((0, 1),), 5, "x1"):
+        with pytest.raises(ValueError) as exc:
+            make(bad)
+        assert str(exc.value) == f"terms must be a mapping, not {type(bad).__name__}"
+    for empty in (None, {}, [], ()):
+        assert make(empty).is_zero()
+
+
+def test_checked_terms_stores_the_checked_key_and_exact_nonzero_coefficients():
+    out = checked_terms({(1, 2): 0.5, (3,): Fraction(4, 2), (5,): 0}, lambda key: key + (0,))
+    assert out == {(1, 2, 0): Fraction(1, 2), (3, 0): 2}
+    assert type(out[3, 0]) is int
+
+    def reject(key):
+        raise ValueError(f"bad key {key!r}")
+
+    with pytest.raises(ValueError, match="bad key 1"):
+        checked_terms({1: 0}, reject)  # the key is checked even where the coefficient is 0
+
+
+def test_scaled_by_zero_is_empty():
+    assert scaled({"a": 2, "b": Fraction(1, 3)}, 0) == {}
+    assert scaled({}, 0) == {}
+    assert scaled({"a": Fraction(1, 3)}, 3) == {"a": 1}

@@ -131,6 +131,12 @@ def test_random_expr_is_reproducible():
     assert e1 == e2 and leaf_count(e1) == 6
 
 
+def test_random_expr_rejects_empty_gens():
+    for size in (1, 3):
+        with pytest.raises(ValueError, match="gens must not be empty"):
+            random_expr(seeded_rng(0), [], size)
+
+
 # Deep trees: no walk, comparison, hash or repr may reach the recursion limit.
 
 DEEP = 5000

@@ -289,3 +289,19 @@ def test_model_laws_both_modes():
         assert rep.passed, rep.failures
     rep = model_laws_report(3, MODE_WPLUS, seed=1, trials=15, span_degree=3)
     assert rep.passed, rep.failures
+
+
+def test_report_check_counts_every_check_and_formats_only_failures():
+    report = wreath.RelationReport("towers", MODE_WPLUS, 2, 2, {})
+    formatted = []
+
+    def failure(text):
+        return lambda: formatted.append(text) or text
+
+    report.check(True, failure("not formatted"))
+    report.check(False, failure("first"))
+    report.check(1 == 1, failure("also not formatted"))
+    report.check(False, failure("second"))
+    assert report.checked == 4
+    assert report.failures == formatted == ["first", "second"]
+    assert not report.passed
