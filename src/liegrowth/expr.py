@@ -164,7 +164,10 @@ def parse_expr(text: str) -> LieExpr:
                 continue
             if tok[0] not in KINDS:
                 raise ParseError(f"unexpected token {tok!r}")
-            index = int(tok[1:])
+            try:
+                index = int(tok[1:])
+            except ValueError:  # past int's limit on the digits of a str
+                raise ParseError(f"index of {tok[0]!r} at token {pos} is too long ({len(tok) - 1} digits)") from None
             if index < 1:
                 raise ParseError(f"index in {tok!r} must be >= 1")
             open_lists[-1].append(Generator(tok[0], index - 1))
@@ -201,7 +204,7 @@ def _tokenize(text: str) -> list[str]:
             i += 1
         elif ch in KINDS:
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":  # str.isdigit also takes '²' and '١'
                 j += 1
             if j == i + 1:
                 raise ParseError(f"generator {ch!r} needs a 1-based index")

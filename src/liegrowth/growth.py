@@ -33,20 +33,26 @@ The search prunes three kinds of work, all exactly.
 
 For the extended model two counting functions accompany the search. A module
 monomial a_i * t^beta first appears at level 1 + sum_j ceil(beta_j / 2)
-(u-letters contribute exponent pairs), which yields the exact graded counts
-used to extend growth sequences beyond the search range. Counting towers
-[a_i, t_{j1}, ..., t_{js}] by letters instead gives
+(u-letters contribute exponent pairs). Each coordinate contributes the
+generating function (1+t)/(1-t), so the graded counts are the coefficients
+of d * ((1+t)/(1-t))^d, for n > d a polynomial of degree d-1 in n:
 
-    spanning_count(n) = 3d + d * sum_{s=1}^{n-1} C(s+d-1, d-1),
+    a_1 = 3d,  a_n = d * sum_{k=0}^{min(d, n-1)} C(d, k) * C(n-2-k+d, d-1),
+
+exact, and used to extend growth sequences beyond the search range.
+Counting towers [a_i, t_{j1}, ..., t_{js}] by letters instead gives, by the
+hockey-stick identity,
+
+    spanning_count(n) = 3d + d * sum_{s=1}^{n-1} C(s+d-1, d-1) = 2d + d * C(n+d-1, d),
 
 which undercounts reachability: one u-letter buys two degrees, so the exact
 gamma(n) exceeds this already at n = 2. The valid letter-count bound caps the
 module degree at 2(n-1):
 
-    growth_bound(n) = 3d + d * sum_{s=1}^{2(n-1)} C(s+d-1, d-1),
+    growth_bound(n) = spanning_count(2n-1) = 2d + d * C(2n+d-2, d),
 
-and growth_bound(n) == spanning_count(2n-1), so both count the same towers up
-to the linear rescaling under which growth types are compared.
+so both count the same towers up to the linear rescaling under which growth
+types are compared.
 """
 
 from __future__ import annotations
@@ -159,31 +165,17 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
 
 # ---------------------------------------------------------- closed-form counts
 
-def _ceil_weight_counts(d: int, s_max: int) -> list[int]:
-    """counts[s] = #{beta in N^d : sum_j ceil(beta_j/2) = s}.
-
-    Per coordinate the weight generating function is (1+t)/(1-t); this
-    multiplies d of them by repeated shift-add and prefix summation.
-    """
-    c = [0] * (s_max + 1)
-    c[0] = 1
-    for _ in range(d):
-        c = [c[i] + (c[i - 1] if i > 0 else 0) for i in range(s_max + 1)]
-        for i in range(1, s_max + 1):
-            c[i] += c[i - 1]
-    return c
-
-
 def wplus_graded_dims(d: int, n_max: int) -> list[int]:
     """Exact graded dimensions a_n of the extended-model filtration.
 
     a_1 = 3d (the generators); for n >= 2, a_n = d * #{beta : sum_j
-    ceil(beta_j/2) = n-1}, since a module monomial a_i * t^beta is first
-    reachable by a word of 1 + sum_j ceil(beta_j/2) letters.
+    ceil(beta_j/2) = n-1}, in the closed form of the module docstring.
     """
     check_int("d and n_max", 1, d, n_max)
-    counts = _ceil_weight_counts(d, n_max - 1)
-    return [0, 3 * d] + [d * c for c in counts[1:]]
+    return [0, 3 * d] + [
+        d * sum(comb(d, k) * comb(n - 2 - k + d, d - 1) for k in range(min(d, n - 1) + 1))
+        for n in range(2, n_max + 1)
+    ]
 
 
 def wplus_gamma_closed(d: int, n_max: int) -> list[int]:
@@ -199,7 +191,7 @@ def w_gamma_closed(d: int, n_max: int) -> list[int]:
 def wplus_spanning_count(d: int, n: int) -> int:
     """Letter count of the module towers of torus length < n, plus generators."""
     check_int("d and n", 1, d, n)
-    return 3 * d + d * sum(comb(s + d - 1, d - 1) for s in range(1, n))
+    return 2 * d + d * comb(n + d - 1, d)
 
 
 def wplus_growth_bound(d: int, n: int) -> int:

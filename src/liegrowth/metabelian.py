@@ -9,19 +9,20 @@ generator indices with
     w0 > w1 <= w2 <= ... <= w_{n-1},
 
 i.e. the second letter is the minimum and the tail is sorted; degree-1
-monomials are the generators themselves. Every left-normed word reduces to a
-combination of these using three facts that hold in any metabelian algebra:
+monomials are the generators themselves. In any metabelian algebra the first
+two letters anticommute, letters at positions >= 2 commute freely (the prefix
+of length 2 lies in the derived subalgebra, which is abelian), and Jacobi
+gives [c,b,a] = [c,a,b] - [b,a,c] for a <= b <= c. So a left-normed word w of
+length >= 2, with h = max(w0, w1), s = min(w0, w1) and sigma = +1 if w0 > w1
+else -1, has a normal form of at most two terms, in closed form:
 
-* antisymmetry in the first two letters,
-* letters at positions >= 2 commute freely (the prefix of length 2 already
-  lies in the derived subalgebra, which is abelian),
-* the degree-3 rewrite [c,b,a] = [c,a,b] - [b,a,c] for a <= b <= c, applied
-  at the first three positions.
+* 0 if w0 == w1;
+* sigma * (h, s, *sorted(w[2:])) if s <= every tail letter;
+* else, with a = min(w[2:]) and r the other tail letters, one Jacobi step:
+  sigma * (h, a, *sorted((s, *r))) - sigma * (s, a, *sorted((h, *r))).
 
-The rewrite terminates after at most one degree-3 step per word because it
-moves the global minimum letter into position 1. Soundness of the whole
-normal form is certified externally by the wreath-model embedding (see
-`wreath.certify_embedding`) rather than trusted.
+Soundness of the whole normal form is certified externally by the
+wreath-model embedding (see `wreath.certify_embedding`) rather than trusted.
 """
 
 from __future__ import annotations
@@ -144,29 +145,23 @@ def normalize_word(word: Sequence[int], d: int) -> MetabelianElement:
 
 
 def _normalize(w: Monomial) -> dict[Monomial, int]:
+    """Normal form of a left-normed word, by the closed form of the module docstring."""
     if len(w) == 1:
         return {w: 1}
-    if len(w) == 2:
-        i, j = w
-        if i == j:
-            return {}
-        if i > j:
-            return {w: 1}
-        return {(j, i): -1}
     head, second = w[0], w[1]
-    rest = tuple(sorted(w[2:]))  # positions >= 2 commute freely
     if head == second:
         return {}
+    sign = 1
     if head < second:
-        return {m: -c for m, c in _normalize((second, head) + rest).items()}
-    if second <= rest[0]:
-        return {(head, second) + rest: 1}
-    # move the minimum into position 1: for a <= b <= c,
-    # [c,b,a,...] = [c,a,b,...] - [b,a,c,...]
-    small, remainder = rest[0], rest[1:]
-    out = _normalize((head, small, second) + remainder)
-    add_into(out, _normalize((second, small, head) + remainder), -1)
-    return out
+        head, second, sign = second, head, -1
+    tail = sorted(w[2:])
+    if not tail or second <= tail[0]:
+        return {(head, second, *tail): sign}
+    small, rest = tail[0], tail[1:]
+    return {
+        (head, small, *sorted((second, *rest))): sign,
+        (second, small, *sorted((head, *rest))): -sign,
+    }
 
 
 def normalize_expr(e: LieExpr, d: int) -> MetabelianElement:

@@ -159,7 +159,7 @@ class MultiPoly:
         check_int("nvars", 0, nvars)
 
         def check_exps(exps: Exponents) -> Exponents:
-            if len(exps) != nvars:
+            if not isinstance(exps, tuple) or len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps!r} has wrong arity (nvars={nvars})")
             check_int("exponents", 0, *exps)
             return tuple(exps)

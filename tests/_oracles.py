@@ -6,9 +6,10 @@ are found by filtering every word against the ordering predicate and counted
 by a closed form, the leaves of an expression are counted with an explicit
 stack instead of `expr._fold`, a left-normed word is evaluated as a plain
 chain of brackets, not through an expression tree, gamma(n) comes from the
-filtration search without the pruning of `growth.growth_bfs`, and the
-enveloping series comes from multiplying truncated factors instead of the
-divisor-sum recurrence.
+filtration search without the pruning of `growth.growth_bfs`, the Wplus
+graded counts come from listing exponent vectors instead of their closed
+form, and the enveloping series comes from multiplying truncated factors
+instead of the divisor-sum recurrence.
 
 A wreath element is also viewed here the way the paper writes it: its module
 part as m polynomials of `poly.MultiPoly` (`module_polys`), its torus part as
@@ -73,6 +74,17 @@ def graded_dim_closed(d: int, n: int) -> int:
     if n == 1:
         return d
     return (n - 1) * math.comb(n + d - 2, n)
+
+
+def ceil_weight_counts(d: int, s_max: int) -> list[int]:
+    """counts[s] = #{beta in N^d : sum_j ceil(beta_j/2) = s} for s <= s_max,
+    by listing every beta with entries up to 2 * s_max."""
+    counts = [0] * (s_max + 1)
+    for beta in product(range(2 * s_max + 1), repeat=d):
+        weight = sum((b + 1) // 2 for b in beta)
+        if weight <= s_max:
+            counts[weight] += 1
+    return counts
 
 
 def euler_product_direct(a: Sequence[int]) -> list[int]:

@@ -266,7 +266,7 @@ def test_output_bytes_are_stable(tmp_path):
     assert growth_outputs[0] == growth_outputs[1]
 
 
-# stdout of seven commands at a fixed configuration, byte for byte
+# stdout of eight commands at a fixed configuration, byte for byte
 DIMS_JSON = """\
 {
   "command": "dims",
@@ -421,6 +421,36 @@ MODEL_LAWS_JSON = """\
 """
 
 
+EULER_FIT_METABELIAN_JSON = """\
+{
+  "command": "euler-fit",
+  "mode": "metabelian",
+  "d": 2,
+  "fit_n": 48,
+  "method": "doubling-log-ratio",
+  "classification": "intermediate",
+  "points": [
+    {
+      "n": 16,
+      "alphaHat": 0.7855035557442864
+    },
+    {
+      "n": 32,
+      "alphaHat": 0.7528161718186624
+    },
+    {
+      "n": 48,
+      "alphaHat": 0.7384075518834149
+    }
+  ],
+  "final": 0.7384075518834149,
+  "target": 0.6666666666666666,
+  "tolerance": 0.1,
+  "pass": true
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     (
@@ -431,6 +461,8 @@ MODEL_LAWS_JSON = """\
         ("verify --suite presentation --mode W --d 2 --bound-s 1", PRESENTATION_W_JSON),
         ("verify --suite towers --d 2 --bound-s 1", TOWERS_JSON),
         ("verify --suite model-laws --d 2 --trials 2 --seed 7", MODEL_LAWS_JSON),
+        # points 16, 32 and 48: a fit-n that is not a power of two is a point itself
+        ("euler-fit --mode metabelian --d 2 --fit-n 48", EULER_FIT_METABELIAN_JSON),
     ),
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):
@@ -516,6 +548,11 @@ def test_failed_w_closed_form_check_exits_1(monkeypatch, capsys):
         ("1,2\n2,3\n2,3\n", "given twice"),
         ("n,a_n\n0,7\n1,2\n2,3\n", "n must be >= 1"),
         ("n,a_n\n1,2\n-3,1\n2,3\n", "n must be >= 1"),
+        ("n,a_n\n1,2\n2\n", "bad csv row: '2'"),
+        ("n,a_n\n1,2,3\n2,3\n", "bad csv row: '1,2,3'"),
+        ("", "empty sequence file"),
+        ("n,a_n\n", "empty sequence file"),
+        ("n,a_n\n1,2\n", "input provides a_n up to n = 1, need 2 for fit_n = 1"),
     ),
 )
 def test_euler_fit_input_rejects_bad_rows(tmp_path, capsys, rows, message):

@@ -33,6 +33,13 @@ def test_parse_atom_and_brackets():
     assert e == Bracket(Generator("x", 0), Bracket(Generator("x", 1), Generator("x", 2)))
 
 
+def test_empty_word_and_unknown_family_are_rejected():
+    with pytest.raises(ValueError, match="empty word"):
+        left_normed([])
+    with pytest.raises(ValueError, match="unknown generator family 'y'"):
+        Generator("y", 0)
+
+
 def test_flat_list_is_left_nested():
     assert parse_expr("[a1,t2,t2,u1]") == parse_expr("[[[a1,t2],t2],u1]")
 
@@ -53,6 +60,11 @@ def test_parse_rejects_malformed():
         ("[,x1]", "unexpected token ','"),
         ("[x1,,x2]", "unexpected token ','"),
         ("[]", "unexpected token ']'"),
+        # ASCII digits only: '²' and the Arabic-Indic one are no index
+        ("x\u00b2", "generator 'x' needs a 1-based index"),
+        ("x\u0661", "generator 'x' needs a 1-based index"),
+        ("[x1,x2\u0661]", "unexpected character '\u0661' at position 6"),
+        ("x" + "1" * 5000, "index of 'x' at token 0 is too long (5000 digits)"),
     ]
     for bad, message in table:
         with pytest.raises(ParseError) as exc:

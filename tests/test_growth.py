@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import _oracles
@@ -122,10 +124,14 @@ def test_growth_sandwich():
 
 
 def test_bound_relationships():
-    # the capped bound is the letter count taken at 2n-1, and the letter
-    # count alone undercounts reachability as soon as u-letters matter
-    for d in (1, 2, 3):
-        for n in range(1, 10):
+    # the letter count is 3d generators plus d module letters per torus
+    # monomial of degree 1..n-1, the capped bound is the letter count taken at
+    # 2n-1, and the letter count alone undercounts reachability as soon as
+    # u-letters matter
+    for d in (1, 2, 3, 4):
+        for n in range(1, 30):
+            towers = sum(math.comb(s + d - 1, d - 1) for s in range(1, n))
+            assert wplus_spanning_count(d, n) == 3 * d + d * towers
             assert wplus_growth_bound(d, n) == wplus_spanning_count(d, 2 * n - 1)
     assert wplus_spanning_count(2, 2) == 10
     rep = growth_bfs(MODE_WPLUS, 2, 2)
@@ -135,6 +141,14 @@ def test_bound_relationships():
 def test_wplus_growth_bound_tight_for_d1():
     for n in range(1, 12):
         assert wplus_growth_bound(1, n) == 2 * n + 1
+
+
+def test_wplus_graded_dims_count_exponent_vectors():
+    # a_1 = 3d, and a_n = d * #{beta : sum_j ceil(beta_j/2) = n-1}, here past
+    # the search's range
+    for d in (1, 2, 3):
+        counts = _oracles.ceil_weight_counts(d, 15)
+        assert wplus_graded_dims(d, 16) == [0, 3 * d] + [d * c for c in counts[1:]]
 
 
 def test_graded_extension_consistency():

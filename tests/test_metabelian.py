@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import basis_words_by_filter, graded_dim_closed
 from conftest import lie_exprs, seeded_rng, x_gens
-from liegrowth.expr import Bracket, parse_expr, random_expr
+from liegrowth.expr import Bracket, Generator, evaluate, left_normed, parse_expr, random_expr
 from liegrowth.metabelian import (
     MetabelianElement,
     basis_monomials,
@@ -19,6 +21,7 @@ from liegrowth.metabelian import (
     normalize_expr,
     normalize_word,
 )
+from liegrowth.wreath import magnus_embedding, magnus_generator_images, wreath_bracket
 
 
 def elem(text: str, d: int) -> MetabelianElement:
@@ -71,6 +74,47 @@ def test_normalize_expr_rejects_non_x_leaves():
 def test_index_out_of_range():
     with pytest.raises(ValueError):
         normalize_word((0, 3), 3)
+
+
+def test_empty_word_and_bad_monomials_are_rejected():
+    with pytest.raises(ValueError, match="empty word"):
+        normalize_word([], 2)
+    with pytest.raises(ValueError, match="not a basis monomial"):
+        MetabelianElement(2, {(0, 1): 1})
+
+
+def test_sum_across_generator_counts_is_rejected():
+    with pytest.raises(ValueError, match="different generator counts"):
+        MetabelianElement.generator(0, 2) + MetabelianElement.generator(0, 3)
+
+
+def test_truth_value_is_nonzero():
+    assert not MetabelianElement.zero(2)
+    assert MetabelianElement.generator(1, 2)
+    assert not normalize_word((1, 1, 0), 2)
+
+
+def test_words_agree_with_their_magnus_images():
+    # the image of the normal form of w under x_i -> a_i + t_i is the image
+    # of the left-normed bracket w itself, evaluated letter by letter in W
+    for d in (1, 2, 3):
+        images = magnus_generator_images(d)
+        for n in range(1, 7):
+            for w in product(range(d), repeat=n):
+                nf = normalize_word(w, d)
+                assert len(nf.terms) <= 2 and all(is_basis_monomial(m) for m in nf.terms), w
+                direct = evaluate(left_normed([Generator("x", i) for i in w]), images, wreath_bracket)
+                assert magnus_embedding(nf) == direct, w
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), lie_exprs(d=d, max_size=5))))
+def test_normal_form_is_the_fold_through_the_bracket(case):
+    # expanding into left-normed words and normalizing each equals bracketing
+    # the generators' normal forms node by node
+    d, e = case
+    gens = {Generator("x", i): MetabelianElement.generator(i, d) for i in range(d)}
+    assert normalize_expr(e, d) == evaluate(e, gens, bracket)
 
 
 @settings(max_examples=80)

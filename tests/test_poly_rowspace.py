@@ -35,6 +35,16 @@ def test_poly_rejects_bad_exponents():
         MultiPoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         MultiPoly(2, {(-1, 0): 1})
+    # a key that is not a tuple has no arity either
+    for key in (5, None):
+        with pytest.raises(ValueError, match="wrong arity"):
+            MultiPoly(1, {key: 1})
+
+
+def test_poly_truth_value_is_nonzero():
+    assert not MultiPoly(2)
+    assert not MultiPoly(2, {(1, 0): 0})
+    assert MultiPoly(2, {(1, 0): Fraction(1, 2)})
 
 
 def test_poly_str_is_deterministic():

@@ -71,6 +71,11 @@ def test_torus_is_abelian_and_commutators_land_in_module():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         wreath_bracket(a(0, 2, 2), WreathElement.gen_a(0, 3, 3))
+    for other in (WreathElement.gen_a(0, 3, 2), WreathElement.gen_t(0, 2, 3)):
+        with pytest.raises(ValueError, match="different models"):
+            a(0) + other
+        with pytest.raises(ValueError, match="different models"):
+            a(0) - other
 
 
 def test_action_poly():
