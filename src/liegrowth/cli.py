@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from typing import Sequence
 
 from . import growth as growthmod
@@ -141,7 +142,9 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
     }
     _emit(_json(report), args.out)
     if args.dump_coeffs is not None:
-        rows = [(n, b[n]) for n in range(len(b))]
+        # str() refuses an int past 4,300 digits by default, and the limit is
+        # global to the interpreter; Decimal holds it exactly and prints it whole
+        rows = [(n, Decimal(v)) for n, v in enumerate(b)]
         _emit(_csv(("n", "b_n"), rows), args.dump_coeffs)
     return 0 if passed in (True, None) else 1
 

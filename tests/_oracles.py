@@ -9,7 +9,8 @@ chain of brackets, not through an expression tree, gamma(n) comes from the
 filtration search without the pruning of `growth.growth_bfs`, the Wplus
 graded counts come from listing exponent vectors instead of their closed
 form, and the enveloping series comes from multiplying truncated factors
-instead of the divisor-sum recurrence.
+instead of the divisor-sum recurrence. That recurrence, taken one n at a
+time, is the reference for the midpoint split of `series.euler_transform`.
 
 A wreath element is also viewed here the way the paper writes it: its module
 part as m polynomials of `poly.MultiPoly` (`module_polys`), its torus part as
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from liegrowth import metabelian
@@ -109,6 +111,27 @@ def euler_product_direct(a: Sequence[int]) -> list[int]:
                         break
                     out[pos] += coeff * f
         b = out
+    return b
+
+
+def euler_transform_by_recurrence(a: Sequence[int]) -> list[int]:
+    """The coefficients of prod (1-t^n)^(-a_n), one n at a time.
+
+    n * b_n = sum_{k=1}^{n} c_k * b_{n-k}, c_k = sum_{delta | k} delta * a_delta.
+    The reversed c pairs its last n entries with b_0..b_(n-1).
+    """
+    N = _graded_range(a)
+    c = [0] * (N + 1)
+    for delta in range(1, N + 1):
+        for k in range(delta, N + 1, delta):
+            c[k] += delta * a[delta]
+    c_rev = c[:0:-1]
+    b = [1]
+    for n in range(1, N + 1):
+        quotient, rest = divmod(sum(map(mul, c_rev[N - n:], b)), n)
+        if rest:
+            raise ArithmeticError(f"divisor-sum recurrence not integral at n = {n}")
+        b.append(quotient)
     return b
 
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
+from _oracles import euler_product_direct
 from liegrowth import growth as growthmod
 from liegrowth.cli import main
 
@@ -109,6 +112,33 @@ def test_euler_fit_input_file_and_dump(tmp_path, capsys):
     assert rows[0] == "n,b_n"
     assert rows[1] == "0,1"
     assert rows[5] == "4,5" and rows[11] == "10,42"  # partition numbers
+
+
+def test_euler_fit_dumps_coefficients_past_the_int_string_limit(tmp_path, capsys):
+    # a_n = 10^100 takes b_64 past 4,300 decimal digits, where str() of an int
+    # fails by default; the dump must write it whole, and leave the limit alone
+    a = [0] + [10 ** 100] * 64
+    b_64 = euler_product_direct(a)[64]
+    assert b_64.bit_length() > 4300 * math.log2(10)
+    src = tmp_path / "huge.csv"
+    src.write_text("n,a_n\n" + "".join(f"{n},{a[n]}\n" for n in range(1, 65)))
+    dump = tmp_path / "coeffs.csv"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(["euler-fit", "--input", str(src), "--fit-n", "32", "--dump-coeffs", str(dump)], capsys)
+    assert code == 0
+    assert json.loads(out)["mode"] == "input"
+    n, b_n = dump.read_text().splitlines()[-1].split(",")
+    assert n == "64" and Decimal(b_n) == b_64
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_euler_fit_largest_benchmark_output_is_pinned(tmp_path, capsys):
+    # the largest exponent-fit job: 4,097 coefficients of up to 2,692 bits
+    report, dump = tmp_path / "report.json", tmp_path / "coeffs.csv"
+    argv = ["euler-fit", "--mode", "Wplus", "--d", "3", "--fit-n", "2048", "--out", str(report), "--dump-coeffs", str(dump)]
+    assert run_cli(argv, capsys) == (0, "")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == "5d0140e9141934fa1c8eda7e1ec69df385b515cf20d9ed44f1aa346031fc6a06"
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == "8a6281603c8c075dcd6ce4bbda3aa6802d7571ac5ad6072ce9ed0d3098be7250"
 
 
 def test_euler_fit_input_reads_only_the_rows_the_fit_needs(tmp_path, capsys):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import euler_product_direct, partition_counts
+from _oracles import euler_product_direct, euler_transform_by_recurrence, partition_counts
 from liegrowth import series
 from liegrowth.growth import wplus_graded_dims
 from liegrowth.series import euler_transform, fit_stretched_exponent
@@ -26,23 +27,42 @@ def test_euler_transform_all_ones_gives_partitions():
     assert b[4] == 5 and b[10] == 42
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60)
-)
-def test_euler_transform_matches_direct_product(values):
+# At the real base these sizes never reach a square product; bases 1..3 run
+# every branch of the split: the square product, its Karatsuba halves, the
+# odd-size padding and the rows left unwritten.
+_bases = st.sampled_from((1, 2, 3, series._BASE))
+
+# a value followed by a run of zeros, repeated: zero blocks of every length
+# reach the square products and their halves
+_runs_of_zeros = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2 ** 64), st.integers(min_value=0, max_value=20)),
+    min_size=1,
+    max_size=12,
+).map(lambda runs: [x for value, zeros in runs for x in (value, *[0] * zeros)])
+
+
+def _euler_transform_at_base(base, a):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_BASE", base)
+        return euler_transform(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bases, st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60))
+def test_euler_transform_matches_direct_product(base, values):
     a = [0] + values
-    assert euler_transform(a) == euler_product_direct(a)
+    assert _euler_transform_at_base(base, a) == euler_product_direct(a)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(min_value=0, max_value=2 ** 64), min_size=1, max_size=30)
+    _bases,
+    st.one_of(st.lists(st.integers(min_value=0, max_value=2 ** 64), min_size=1, max_size=30), _runs_of_zeros),
 )
-def test_euler_transform_matches_direct_product_on_multi_digit_values(values):
+def test_euler_transform_matches_direct_product_on_multi_digit_values(base, values):
     # a_n up to 2^64 makes every c_k and b_n span several machine digits
     a = [0] + values
-    b = euler_transform(a)
+    b = _euler_transform_at_base(base, a)
     assert b == euler_product_direct(a)
     assert all(type(v) is int for v in b)
 
@@ -56,10 +76,55 @@ def test_euler_transform_matches_direct_product_on_wplus_d3():
 
 def test_euler_transform_reports_a_non_integral_step(monkeypatch):
     # exact products of nonnegative integers always divide; an off-by-one
-    # product makes n = 2 sum to 5
+    # product makes n = 2 sum to 5. At bases 1 and 2 that sum comes through a
+    # square product, so the per-n check also catches a wrong square product
     monkeypatch.setattr(series, "mul", lambda x, y: x * y + 1)
-    with pytest.raises(ArithmeticError, match=r"^divisor-sum recurrence not integral at n = 2$"):
-        series.euler_transform([0, 1, 0])
+    for base in (1, 2, series._BASE):
+        monkeypatch.setattr(series, "_BASE", base)
+        with pytest.raises(ArithmeticError, match=r"^divisor-sum recurrence not integral at n = 2$"):
+            series.euler_transform([0, 1, 0])
+
+
+def test_split_matches_the_per_n_recurrence():
+    # b_n depends only on a_1..a_n, so one recurrence run gives every prefix;
+    # each N splits [0, N] at its own midpoints. a_n below 2^16 takes b_300
+    # to about 2,400 bits, the size of the largest benchmark coefficients
+    rng = random.Random(20)
+    sequences = (
+        wplus_graded_dims(3, 300),
+        [0] + [rng.randrange(6) for _ in range(300)],
+        [0] + [rng.randrange(2 ** 16) for _ in range(300)],
+    )
+    for a in sequences:
+        expected = euler_transform_by_recurrence(a)
+        for N in range(301):
+            assert euler_transform(a[:N + 1]) == expected[:N + 1], N
+    a = wplus_graded_dims(3, 1024)
+    assert euler_transform(a) == euler_transform_by_recurrence(a)
+
+
+def test_split_recursion_depth_is_logarithmic(monkeypatch):
+    # base 1 recurses furthest; the depth follows the bit length of N, so no
+    # input comes near the interpreter's recursion limit
+    depth = deepest = 0
+
+    def tracked(function):
+        def wrapper(*args):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                return function(*args)
+            finally:
+                depth -= 1
+        return wrapper
+
+    monkeypatch.setattr(series, "_BASE", 1)
+    for name in ("_solve", "_toeplitz_add"):
+        monkeypatch.setattr(series, name, tracked(getattr(series, name)))
+    N = 1000
+    assert euler_transform([0] + [1] * N) == partition_counts(N)
+    assert deepest <= 2 * N.bit_length() + 1, deepest
 
 
 def test_euler_transform_monotone_for_nonzero_a1():
