@@ -22,8 +22,8 @@ one in-place sum, and it deletes a key whose sum is 0; `format_terms` is the
 one place that writes a term dict as the signed string `c*m + m - ...`, and
 `monomial_text` writes an exponent tuple as `t1*t2^2`. The only other
 accumulate loop is `wreath._add_product(out, terms, torus, sign)`, which adds
-into one (k, exps) term dict the copies of a module term dict shifted by each
-torus letter, rather than a plain sum.
+into one module term dict the copies of another shifted by each torus
+letter, each key shifted by one int subtraction (the packed keys of `wreath`).
 
 `MultiPoly` is the ring k[t1..tn] itself, with exponent vectors as int tuples
 of one slot per variable. No program path multiplies polynomials: the tests

@@ -18,19 +18,24 @@ every commutator lands inside B. Each torus letter acts by a single monomial
 two module parts, accumulated into one term dict; a product with an empty
 factor is never formed.
 
-An element is two sparse term dicts, the layout of the paper's basis:
-`terms` maps (k, exps) to the coefficient of a_{k+1} * t^exps, and `torus`
-maps (-power, i) to the coefficient of the torus letter acting by
-t_{i+1}^power: (-1, i) for t_{i+1} and (-2, i) for u_{i+1}. Every torus key
-sorts before every module key and all keys are mutually comparable, so the
-merged dict is a `rowspace` vector as it stands. Neither dict stores a zero.
-
-Coefficients follow the convention of `poly`. The public constructor
-`WreathElement(m, n, terms, torus)` takes the two dicts in this layout and
-checks each through `poly.checked_terms`: a malformed key raises `ValueError`.
-Brackets and the arithmetic operators build their results with the trusted
-constructor `WreathElement._trusted(m, n, terms, torus)` instead, which
-stores the dicts as given; every caller keeps the invariant stated in `poly`.
+An element is two sparse term dicts, `terms` and `torus`, under packed int
+keys. The module monomial a_{k+1} * t^exps has the key k * 2^(64n) +
+e_1 * 2^(64(n-1)) + ... + e_n: k on top, then one 64-bit field per exponent,
+so integer order is the order of the tuples (k, exps), the order of the
+paper's basis. The letter acting by t_{i+1}^power (t_{i+1} by power 1, u_{i+1}
+by 2) has the key -power * 2^(64(n-1-i)), minus the shift it applies to a
+module key: it sorts before every module key, and the bracket shifts a term
+with one subtraction. The merged dict is a `rowspace` vector as it stands,
+and neither dict stores a zero. `decoded()` and `decode_key` give back the
+layout of the basis, {(k, exps): c} and {(-power, i): c}, which the public
+constructor `WreathElement(m, n, terms, torus)` takes, checks through
+`poly.checked_terms` (`ValueError` for a malformed key) and packs. It rejects
+an exponent of 2^32 or more. A bracket raises one exponent, and so the
+exponent sum, by at most 2, so a field carries into the next, or the field
+sum `module_degree` reads overflows, only after more than 2^62 nested
+brackets. Coefficients follow `poly`. Brackets and the arithmetic operators
+build results with `_trusted`, which stores packed dicts as given; every
+caller keeps the invariant of `poly`.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable
@@ -56,33 +62,55 @@ MODE_W = "W"
 MODE_WPLUS = "Wplus"
 MODES = (MODE_W, MODE_WPLUS)
 
-# a term dict: (k, exps) -> c for module terms, (-power, i) -> c for torus letters
-Terms = dict[tuple, Rational]
+# a term dict: packed int key -> c (module docstring)
+Terms = dict[int, Rational]
+
+_BITS = 64  # bits per exponent field of a key
+_FIELD = (1 << _BITS) - 1
+_EXP_BOUND = 1 << 32  # the constructor's bound on an exponent
 
 
-def _module_key(key: object, m: int, n: int) -> object:
-    """`key` if it is (k, exps) with 0 <= k < m and n int exponents >= 0; else `ValueError`."""
+def _module_key(key: object, m: int, n: int) -> int:
+    """The packed key of (k, exps), 0 <= k < m, n int exponents in [0, 2^32); else `ValueError`."""
     k, exps = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
     if type(k) is int and 0 <= k < m and isinstance(exps, tuple) and len(exps) == n:
-        if all(type(e) is int and e >= 0 for e in exps):
-            return key
+        for e in exps:
+            if type(e) is not int or not 0 <= e < _EXP_BOUND:
+                break
+            k = k << _BITS | e
+        else:
+            return k
     raise ValueError(f"malformed key {key!r}")
 
 
-def _torus_key(key: object, n: int) -> object:
-    """`key` if it is (-1, i) for t_{i+1} or (-2, i) for u_{i+1}, 0 <= i < n; else `ValueError`."""
+def _torus_key(key: object, n: int) -> int:
+    """The packed key of (-1, i) for t_{i+1} or (-2, i) for u_{i+1}, 0 <= i < n; else `ValueError`."""
     neg_power, i = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
     if type(neg_power) is int and neg_power in (-1, -2) and type(i) is int and 0 <= i < n:
-        return key
+        return neg_power << _BITS * (n - 1 - i)
     raise ValueError(f"malformed key {key!r}")
+
+
+def decode_key(key: int, n: int) -> tuple:
+    """A packed key in the layout of the basis: (k, exps) for a module key, (-power, i) for a torus key."""
+    if key < 0:
+        j = (-key).bit_length() // _BITS  # -key is power << 64j, power 1 or 2
+        return key >> _BITS * j, n - 1 - j
+    return key >> _BITS * n, tuple(key >> s & _FIELD for s in range(_BITS * (n - 1), -1, -_BITS))
+
+
+@cache
+def _field_sum(n: int) -> tuple[int, int, int]:
+    """(mul, mask, shift): (key * mul & mask) >> shift is the sum of the n exponent fields of a module key."""
+    return sum(1 << _BITS * j for j in range(n)), _FIELD << _BITS * (n - 1), _BITS * (n - 1)
 
 
 @dataclass(slots=True, repr=False)
 class WreathElement:
-    """Module terms {(k, exps): c} plus torus letters {(-power, i): c}.
+    """Module terms plus torus letters, two term dicts with packed int keys.
 
     See the module docstring for the layout and the constructors. An element
-    of W is one whose torus holds no u-letter (key (-2, i)).
+    of W is one whose torus holds no u-letter ((-2, i) in the basis layout).
     """
 
     m: int
@@ -155,7 +183,15 @@ class WreathElement:
 
     def module_degree(self) -> int:
         """Max total degree of a module term; -1 if the module part is 0."""
-        return max((sum(exps) for _, exps in self.terms), default=-1)
+        if not self.terms:
+            return -1
+        mul, mask, shift = _field_sum(self.n)
+        return max(key * mul & mask for key in self.terms) >> shift
+
+    def decoded(self) -> tuple[dict, dict]:
+        """`terms` and `torus` in the layout of the basis: {(k, exps): c} and {(-power, i): c}."""
+        n = self.n
+        return tuple({decode_key(key, n): c for key, c in part.items()} for part in (self.terms, self.torus))
 
     def coords(self) -> Terms:
         """The element as one sparse vector over mutually comparable keys.
@@ -169,12 +205,13 @@ class WreathElement:
         return {**self.torus, **self.terms}
 
     def __str__(self) -> str:
+        terms, torus = self.decoded()
         pairs = []
-        for (k, exps), coeff in sorted(self.terms.items()):
+        for (k, exps), coeff in sorted(terms.items()):
             mono = monomial_text(exps)
             pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", coeff))
         # t-letters (key (-1, i)) before u-letters (key (-2, i)), each by index
-        for (neg_power, i), coeff in sorted(self.torus.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
+        for (neg_power, i), coeff in sorted(torus.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
             pairs.append((f"{'t' if neg_power == -1 else 'u'}{i + 1}", coeff))
         return format_terms(pairs)
 
@@ -186,14 +223,13 @@ class WreathElement:
 
 
 def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
-    """out += sign * terms * act(torus), for sign = 1 or -1, keeping no zeros."""
+    """out += sign * terms * act(torus), for sign = 1 or -1, keeping no zeros; a letter's key is minus its shift."""
     get = out.get
-    for (neg_power, i), a in torus.items():
-        power = -neg_power
+    for letter, a in torus.items():
         a = a * sign
         unit = a == 1
-        for (k, e), c in terms.items():
-            key = (k, e[:i] + (e[i] + power,) + e[i + 1:])
+        for key, c in terms.items():
+            key -= letter
             prod = c if unit else c * a
             old = get(key)
             if old is None:
@@ -309,9 +345,10 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 
     For each degree n <= n_max the images of the degree-n basis monomials are
     flattened to sparse vectors and their exact rank must equal the graded
-    dimension. The i-th image gets the extra key (d, i), after every key of
-    W(d, d), so `RowSpace` reduces the rows of `[A | I]`: an image adds to
-    the rank exactly when its residual's pivot is a key of W(d, d), and
+    dimension. The i-th image gets the extra key extra + i, above every key
+    of W(d, d) (extra is the key of (d, (0, .., 0))), so `RowSpace` reduces
+    the rows of `[A | I]`: an image adds to the rank exactly when its
+    residual's pivot is a key of W(d, d), and
     otherwise the extra keys of the residual name its dependent combination
     (or the image is 0). A witness may name an earlier dependent image: with
     x2 -> 2*x1 and x3 -> 3*x1, x3 depends on 3/2*x2, not on 3*x1. Then
@@ -325,6 +362,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     images = magnus_generator_images(d)
     x = [images[Generator("x", i)] for i in range(d)]
     image: dict[tuple[int, ...], WreathElement] = {}
+    extra = d << _BITS * d
     for n in range(1, n_max + 1):
         monos = metabelian.basis_monomials(d, n)
         expected = metabelian.graded_dim(d, n)
@@ -333,12 +371,12 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
         space = RowSpace()
         rank = 0
         for idx, mono in enumerate(monos):
-            residual = space.add_with_witness({**image[mono].coords(), (d, idx): 1})[1]
-            if min(residual) < (d, 0):
+            residual = space.add_with_witness({**image[mono].coords(), extra + idx: 1})[1]
+            if min(residual) < extra:
                 rank += 1
                 continue
             image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
-            witness = {i: -c for (_, i), c in residual.items() if i != idx}
+            witness = {key - extra: -c for key, c in residual.items() if key != extra + idx}
             if witness:
                 deps = " + ".join(
                     f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(witness.items())
@@ -400,18 +438,18 @@ def model_laws_report(
         p = _random_element(rng, d, d, mode)
         q = _random_element(rng, d, d, mode)
         r = _random_element(rng, d, d, mode)
-        anti = wreath_bracket(p, q) + wreath_bracket(q, p)
+        pq = wreath_bracket(p, q)
+        anti = pq + wreath_bracket(q, p)
         check(anti.is_zero(), lambda: f"antisymmetry failed: p={p}, q={q}")
         jac = (
-            wreath_bracket(wreath_bracket(p, q), r)
+            wreath_bracket(pq, r)
             + wreath_bracket(wreath_bracket(q, r), p)
             + wreath_bracket(wreath_bracket(r, p), q)
         )
         check(jac.is_zero(), lambda: f"Jacobi failed: p={p}, q={q}, r={r}")
-        pq = wreath_bracket(p, q)
         check(not pq.torus, lambda: f"commutator left the module: [{p}, {q}] = {pq}")
-        b1 = WreathElement(d, d, p.terms)
-        b2 = WreathElement(d, d, q.terms)
+        b1 = WreathElement._trusted(d, d, p.terms, {})
+        b2 = WreathElement._trusted(d, d, q.terms, {})
         check(wreath_bracket(b1, b2).is_zero(), lambda: f"module part not abelian: {b1}, {b2}")
 
     # towers [a_l, t_{j1}, ..., t_{js}] against explicit monomials, per degree

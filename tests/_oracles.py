@@ -17,7 +17,9 @@ part as m polynomials of `poly.MultiPoly` (`module_polys`), its torus part as
 the polynomial by which it acts (`action_poly`) or as the coefficient blocks
 of t1..tn and u1..un (`torus_blocks`), and `from_polys` builds an element from
 that view. The polynomial ring is the reference the bracket
-kernel is tested against.
+kernel is tested against. Each view reads the element through `decoded()`,
+the layout of the basis; `wreath_text` writes that layout as the text format
+of an element, term by term, as `str` did on the tuple-keyed dicts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from liegrowth import metabelian
 from liegrowth.expr import Bracket
-from liegrowth.poly import MultiPoly, Rational
+from liegrowth.poly import MultiPoly, Rational, format_terms, monomial_text
 from liegrowth.rowspace import RowSpace
 from liegrowth.series import _graded_range
 from liegrowth.wreath import MODE_WPLUS, WreathElement, wreath_bracket
@@ -141,7 +143,7 @@ def module_polys(e: WreathElement) -> tuple[MultiPoly, ...]:
     The coefficients are e's own, unchecked, so a test can read them.
     """
     parts: list[dict] = [{} for _ in range(e.m)]
-    for (k, exps), c in e.terms.items():
+    for (k, exps), c in e.decoded()[0].items():
         parts[k][exps] = c
     return tuple(MultiPoly._trusted(e.n, part) for part in parts)
 
@@ -149,16 +151,29 @@ def module_polys(e: WreathElement) -> tuple[MultiPoly, ...]:
 def action_poly(e: WreathElement) -> MultiPoly:
     """The polynomial by which the torus part of e acts on the module."""
     terms = {}
-    for (neg_power, i), c in e.torus.items():
+    for (neg_power, i), c in e.decoded()[1].items():
         exps = [0] * e.n
         exps[i] = -neg_power
         terms[tuple(exps)] = c
     return MultiPoly._trusted(e.n, terms)
 
 
+def wreath_text(terms: Mapping, torus: Mapping) -> str:
+    """The text of an element from {(k, exps): c} and {(-power, i): c}: module
+    terms in (k, exps) order, then the t-letters and the u-letters by index."""
+    pairs = []
+    for (k, exps), c in sorted(terms.items()):
+        mono = monomial_text(exps)
+        pairs.append((f"a{k + 1}*{mono}" if mono else f"a{k + 1}", c))
+    for (neg_power, i), c in sorted(torus.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
+        pairs.append((f"{'t' if neg_power == -1 else 'u'}{i + 1}", c))
+    return format_terms(pairs)
+
+
 def torus_blocks(e: WreathElement) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
     """The coefficients of t1..tn and of u1..un, zeros included."""
-    return tuple(tuple(e.torus.get((-power, i), 0) for i in range(e.n)) for power in (1, 2))
+    torus = e.decoded()[1]
+    return tuple(tuple(torus.get((-power, i), 0) for i in range(e.n)) for power in (1, 2))
 
 
 def from_polys(

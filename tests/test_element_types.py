@@ -34,7 +34,7 @@ CASES = {
         WreathElement(2, 2, {(0, (1, 0)): 3, (1, (0, 2)): Fraction(2, 3)}, {(-1, 0): 1, (-2, 1): -2}),
         WreathElement(2, 2, {(0, (1, 0)): -3}, {(-1, 0): -1, (-1, 1): 4}),
         WreathElement(2, 3),
-        lambda x: WreathElement(x.m, x.n, x.terms, x.torus),
+        lambda x: WreathElement(x.m, x.n, *x.decoded()),
     ),
 }
 

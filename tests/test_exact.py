@@ -68,14 +68,15 @@ def test_public_constructors_store_int_or_fraction():
     module = {(0, (1, 0)): Fraction(4, 2), (0, (0, 1)): Fraction(1, 2), (0, (0, 0)): 0.5, (0, (2, 0)): 0, (1, (1, 1)): 0.0}
     torus = {(-1, 0): Fraction(2), (-1, 1): 0.5, (-2, 0): 0, (-2, 1): Fraction(-3, 3)}
     e = WreathElement(2, 2, module, torus)
-    assert e.terms == {(0, (1, 0)): 2, (0, (0, 1)): Fraction(1, 2), (0, (0, 0)): Fraction(1, 2)}
-    assert [type(c) for c in e.terms.values()] == [int, Fraction, Fraction]
-    assert e.torus == {(-1, 0): 2, (-1, 1): Fraction(1, 2), (-2, 1): -1}
+    terms, torus = e.decoded()
+    assert terms == {(0, (1, 0)): 2, (0, (0, 1)): Fraction(1, 2), (0, (0, 0)): Fraction(1, 2)}
+    assert [type(c) for c in terms.values()] == [int, Fraction, Fraction]
+    assert torus == {(-1, 0): 2, (-1, 1): Fraction(1, 2), (-2, 1): -1}
     assert torus_blocks(e) == ((2, Fraction(1, 2)), (0, -1))
     assert [type(c) for block in torus_blocks(e) for c in block] == [int, Fraction, int, int]
     # the constructor copies its input
     module[(1, (0, 0))] = 1
-    assert (1, (0, 0)) not in e.terms
+    assert (1, (0, 0)) not in e.decoded()[0]
     for g in (WreathElement.gen_a(0, 2, 2), WreathElement.gen_t(1, 2, 2), WreathElement.gen_u(0, 2, 2)):
         assert all(type(c) is int for c in _wreath_coeffs(g))
 

@@ -149,7 +149,7 @@ def test_failure_strings_of_built_relators(monkeypatch):
 
     def u1_doubles(p, q):
         out = real(p, q)
-        return out * 2 if (-2, 0) in q.torus else out
+        return out * 2 if (-2, 0) in q.decoded()[1] else out
 
     monkeypatch.setattr(presentations, "wreath_bracket", u1_doubles)
     assert check_presentation(pres).failures == [

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import action_poly
+from _oracles import action_poly, wreath_text
 from conftest import seeded_rng, x_gens
 from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
@@ -16,6 +19,7 @@ from liegrowth.wreath import (
     MODE_WPLUS,
     WreathElement,
     certify_embedding,
+    decode_key,
     magnus_embedding,
     magnus_generator_images,
     model_laws_report,
@@ -122,6 +126,102 @@ def test_negative_sizes_are_rejected_before_any_bracket(monkeypatch):
     ):
         with pytest.raises(ValueError, match=rf"^{message} must be >= 0$"):
             check()
+
+
+# ----------------------------------------------------------------- key layout
+
+TOP = 2**32 - 1  # the largest exponent the constructor accepts
+
+
+def _exponents(n):
+    return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, TOP))] * n)
+
+
+def _packed(m, n, key):
+    """The packed key of one module monomial (k, exps)."""
+    (packed,) = WreathElement(m, n, {key: 1}).terms
+    return packed
+
+
+def _torus_keys(n):
+    """The keys of t1..tn, then of u1..un."""
+    return [next(iter(gen(i, 1, n).torus)) for gen in (WreathElement.gen_t, WreathElement.gen_u) for i in range(n)]
+
+
+@given(st.data())
+def test_packed_keys_keep_the_order_of_the_basis(data):
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    keys = data.draw(st.lists(st.tuples(st.integers(0, m - 1), _exponents(n)), min_size=2, max_size=8))
+    packed = [_packed(m, n, key) for key in keys]
+    for (x, px), (y, py) in combinations(zip(keys, packed), 2):
+        assert (x < y) == (px < py) and (x == y) == (px == py)
+    assert [decode_key(key, n) for key in packed] == keys
+    # every torus key before every module key, each decoding to (-power, i)
+    torus = _torus_keys(n)
+    assert max(torus) < min(packed)
+    assert [decode_key(key, n) for key in torus] == [(-p, i) for p in (1, 2) for i in range(n)]
+
+
+coefficients = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def basis_layouts(draw):
+    """(m, n, terms, torus) with the two dicts in the layout of the basis and no zero."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), _exponents(n)), coefficients, max_size=6))
+    letters = st.tuples(st.sampled_from((-1, -2)), st.integers(0, n - 1))
+    return m, n, terms, draw(st.dictionaries(letters, coefficients, max_size=4))
+
+
+@given(basis_layouts())
+def test_decoded_gives_back_the_constructor_input(layout):
+    m, n, terms, torus = layout
+    e = WreathElement(m, n, terms, torus)
+    assert e.decoded() == (terms, torus)
+    assert WreathElement(m, n, *e.decoded()) == e
+    assert str(e) == wreath_text(terms, torus)
+    assert e.module_degree() == max((sum(exps) for _, exps in terms), default=-1)
+
+
+def test_extra_keys_of_the_certificate_sort_after_every_module_key(monkeypatch):
+    rows = []
+
+    class Recording(RowSpace):
+        def add_with_witness(self, vec):
+            rows.append(list(vec))
+            return super().add_with_witness(vec)
+
+    monkeypatch.setattr(wreath, "RowSpace", Recording)
+    for d in (1, 2, 3):
+        rows.clear()
+        assert certify_embedding(d, 4, trials=0).passed
+        extras = [row[-1] for row in rows]
+        # per degree, the i-th image's extra key decodes to (d, (0, .., 0, i))
+        assert [decode_key(key, d) for key in extras] == [
+            (d, (0,) * (d - 1) + (i,)) for n in range(1, 5) for i in range(graded_dim(d, n))
+        ]
+        module = [key for row in rows for key in row[:-1]]
+        # the largest key the constructor takes, and one a bracket raised past it
+        largest = WreathElement(d, d, {(d - 1, (TOP,) * d): 1})
+        (raised,) = wreath_bracket(largest, u(d - 1, d, d)).terms
+        assert max(module + _torus_keys(d) + [*largest.terms, raised]) < min(extras)
+
+
+def test_exponents_are_bounded_and_a_bracket_passes_the_bound():
+    e = WreathElement(2, 2, {(0, (TOP, 5)): 1})
+    assert e.decoded() == ({(0, (TOP, 5)): 1}, {})
+    for bad in (TOP + 1, -1):
+        with pytest.raises(ValueError, match="malformed key"):
+            WreathElement(2, 2, {(0, (bad, 5)): 1})
+    # a bracket raises an exponent past 2^32 and leaves k and the other exponent alone
+    raised = wreath_bracket(e, u(0))
+    assert raised.decoded() == ({(0, (TOP + 2, 5)): 1}, {})
+    assert raised.module_degree() == TOP + 7
+    f = WreathElement(2, 2, {(1, (5, TOP)): 1})
+    assert wreath_bracket(f, u(1)).decoded() == ({(1, (5, TOP + 2)): 1}, {})
 
 
 # ------------------------------------------------------------------ embedding
@@ -251,12 +351,13 @@ def test_model_law_failures_are_pinned(monkeypatch):
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
     # the certificate ranks each monomial's image as the bracket of its
     # prefix's image with one generator; it must be the monomial's embedding,
-    # once the extra key (d, i) of the i-th image of a degree is stripped
+    # once the extra key of the i-th image of a degree, (d, (0, .., i)) when
+    # decoded, is stripped
     ranked = []
 
     class Recording(RowSpace):
         def add_with_witness(self, vec):
-            ranked.append([(k, c) for k, c in vec.items() if k[0] != d])
+            ranked.append([(k, c) for k, c in vec.items() if decode_key(k, d)[0] != d])
             return super().add_with_witness(vec)
 
     monkeypatch.setattr(wreath, "RowSpace", Recording)
@@ -294,6 +395,19 @@ def test_model_laws_both_modes():
         assert rep.passed, rep.failures
     rep = model_laws_report(3, MODE_WPLUS, seed=1, trials=15, span_degree=3)
     assert rep.passed, rep.failures
+
+
+def test_model_laws_make_each_commutator_once(monkeypatch):
+    # per trial: [p,q] and [q,p]; [[p,q],r], [q,r], [[q,r],p], [r,p], [[r,p],q]; [b1,b2]
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return wreath_bracket(p, q)
+
+    monkeypatch.setattr(wreath, "wreath_bracket", counting)
+    assert model_laws_report(2, trials=3, span_degree=0).passed
+    assert len(calls) == 3 * 8
 
 
 def test_report_check_counts_every_check_and_formats_only_failures():
