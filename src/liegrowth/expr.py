@@ -13,12 +13,13 @@ expressions. The text format writes ``x1`` for leaves and ``[e1,e2]`` for
 brackets, and a flat list ``[a1,t2,t2]`` abbreviates the left-nested
 ``[[a1,t2],t2]``, so ``format_expr`` and ``parse_expr`` round-trip exactly.
 
-Every walk over a tree is one iterative post-order fold, ``_fold``:
-``format_expr``, ``left_normalize`` and ``evaluate`` differ only
-in what they do at a leaf and at a bracket. ``_fold`` and ``evaluate`` can
-carry a node memo (``Memo``) across calls, so trees that share subtrees, as
-the relators of a presentation share their towers, walk and bracket each
-shared node once. ``parse_expr`` is one loop over
+Every walk over a tree is one post-order fold, ``_fold``: one loop over one
+stack that holds the nodes still to walk and, under a marker, each bracket
+whose children are being walked. ``format_expr``, ``left_normalize`` and
+``evaluate`` differ only in what they do at a leaf and at a bracket. ``_fold``
+and ``evaluate`` can carry a node memo (``Memo``) across calls, so trees that
+share subtrees, as the relators of a presentation share their towers, walk
+and bracket each shared node once. ``parse_expr`` is one loop over
 the tokens with a stack of open brackets. A ``Bracket``'s ``==``, ``hash``
 and ``repr`` go through the text format. None of these recurses, so no depth
 of tree reaches the interpreter's recursion limit.
@@ -90,51 +91,44 @@ Word = tuple[Generator, ...]
 Combination = dict[Word, int]
 # a node memo of _fold: id(node) -> (node, value); keeping the node keeps its id from reuse
 Memo = dict[int, tuple[Bracket, V]]
+# on _fold's stack, marks that both children of the node beneath it are folded
+_BRACKETED = object()
 
 
 def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], V], memo: Memo | None = None) -> V:
     """Post-order fold: leaf(gen) at each leaf, bracket(left, right) at each bracket.
 
-    Iterative, so no depth of tree reaches the recursion limit. A node that
-    is neither a `Generator` nor a `Bracket` raises `ValueError`; `Bracket`
-    checks nothing, as the presentation builders make thousands. Going down a
-    left spine leaves a None and then the right subtree on `todo` for each
-    bracket passed; a None popped means the two values of its bracket top
-    `values`, which holds only values still waiting for their bracket.
+    One stack, `todo`, walked by one loop, so no depth of tree reaches the
+    recursion limit. A node that is neither a `Generator` nor a `Bracket`
+    raises `ValueError`; `Bracket` checks nothing, as the presentation
+    builders make thousands. A bracket popped from `todo` goes back on it
+    under `_BRACKETED`, with its right and then its left child on top, so
+    its left subtree is walked first. `_BRACKETED` popped means the values
+    of its node's two children top `values`, which holds only values still
+    waiting for their bracket.
 
     With a `memo`, a bracket node found there is not descended into, and each
-    bracket value made is recorded under its node; `pending` holds the nodes
-    of the None markers on `todo`, in order.
+    bracket value made is recorded under its node.
     """
-    todo: list[LieExpr | None] = []
+    todo: list[object] = [e]
     values: list[V] = []
-    pending: list[Bracket] = []
-    node: LieExpr | None = e
-    while True:
-        while type(node) is Bracket:
-            if memo is not None:
-                entry = memo.get(id(node))
-                if entry is not None:
-                    values.append(entry[1])
-                    break
-                pending.append(node)
-            todo += (None, node.right)
-            node = node.left
-        else:
-            if type(node) is not Generator:
-                raise ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
-            values.append(leaf(node))
-        while todo:
+    while todo:
+        node = todo.pop()
+        if node is _BRACKETED:
             node = todo.pop()
-            if node is not None:
-                break
             right = values.pop()
             values[-1] = value = bracket(values[-1], right)
             if memo is not None:
-                done = pending.pop()
-                memo[id(done)] = (done, value)
+                memo[id(node)] = (node, value)
+        elif type(node) is Generator:
+            values.append(leaf(node))
+        elif type(node) is not Bracket:
+            raise ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
+        elif memo is None or (entry := memo.get(id(node))) is None:
+            todo += (node, _BRACKETED, node.right, node.left)
         else:
-            return values[0]
+            values.append(entry[1])
+    return values[0]
 
 
 def left_normed(letters: Sequence[Generator]) -> LieExpr:

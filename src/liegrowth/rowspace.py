@@ -1,15 +1,17 @@
 """Incremental exact rank tracking by sparse Gaussian elimination.
 
 Vectors are sparse dicts mapping mutually comparable keys to exact rationals;
-keys that do not compare raise `ValueError`. A zero entry of an input vector
-is dropped, any entry but an `int` or a `Fraction` goes through `poly.exact`
-(a `float` is converted exactly, a value it cannot read raises `ValueError`),
-and every sum goes through `poly.add_into`. Invariant: no stored coefficient
-is zero, and each is an `int` or a `fractions.Fraction`, never a `float`.
-Each stored row is scaled so its smallest coordinate (its pivot) has
-coefficient 1, and pivots are distinct across rows, so reducing a vector
-means repeatedly cancelling its smallest coordinate until it is either empty
-or introduces a new pivot. All arithmetic is rational: rank decisions are
+keys that do not compare raise `ValueError`. A vector that is not a `dict`
+of nonzero `int` and `Fraction` values goes through `poly.checked_terms`, as
+the input of every element constructor does: each value through `poly.exact`
+(a `float` is converted exactly, a value it cannot read, `None` too, raises
+`ValueError`) and then zeros dropped; a vector that is not a mapping raises
+`ValueError`, and `None` or an empty one is the zero vector. Every sum goes
+through `poly.add_into`. Invariant: no stored coefficient is zero, and each
+is an `int` or a `fractions.Fraction`, never a `float`. Each stored row is
+scaled so its smallest coordinate (its pivot) has coefficient 1, and pivots
+are distinct across rows, so reducing a vector means repeatedly cancelling
+its smallest coordinate until it is either empty or introduces a new pivot. All arithmetic is rational: rank decisions are
 exact, never a float tolerance. Scaling a new row by its pivot is the only
 division; a pivot of 1 or -1 keeps the row integral, any other pivot divides
 through `Fraction`.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable
 
-from .poly import Rational, add_into, exact, scaled
+from .poly import Rational, add_into, checked_terms, scaled
 
 Vector = dict[Hashable, Rational]
 _EXACT = frozenset((int, Fraction))
@@ -45,11 +47,10 @@ class RowSpace:
 
     def reduce(self, vec: Vector) -> Vector:
         """Normal form of `vec` modulo the current span (forward elimination)."""
-        vals = vec.values()
-        if all(vals) and _EXACT.issuperset(map(type, vals)):
+        if isinstance(vec, dict) and all(vals := vec.values()) and _EXACT.issuperset(map(type, vals)):
             residual = dict(vec)
         else:
-            residual = {k: exact(c) for k, c in vec.items() if c}
+            residual = checked_terms(vec, lambda key: key)
         rows = self._rows
         while residual:
             try:

@@ -4,7 +4,8 @@ These deliberately avoid the package's own algorithms: partition counts come
 from the coin-change recurrence, basis monomials of the metabelian algebra
 are found by filtering every word against the ordering predicate and counted
 by a closed form, the leaves of an expression are counted with an explicit
-stack instead of `expr._fold`, a left-normed word is evaluated as a plain
+stack instead of `expr._fold`, and the fold itself by plain recursion
+(`reference_fold`), a left-normed word is evaluated as a plain
 chain of brackets, not through an expression tree, gamma(n) comes from the
 filtration search without the pruning of `growth.growth_bfs`, the Wplus
 graded counts come from listing exponent vectors instead of their closed
@@ -50,6 +51,21 @@ def leaf_count(e) -> int:
         else:
             count += 1
     return count
+
+
+def reference_fold(e, leaf: Callable, bracket: Callable, memo: dict | None = None):
+    """The fold `expr._fold` makes, by plain recursion, for the small trees of
+    the tests: leaf(gen) at a leaf and bracket(left, right) at a bracket, the
+    left factor first; a bracket found in `memo` (id -> (node, value)) is not
+    descended into, and each bracket made is recorded there."""
+    if not isinstance(e, Bracket):
+        return leaf(e)
+    if memo is not None and id(e) in memo:
+        return memo[id(e)][1]
+    value = bracket(reference_fold(e.left, leaf, bracket, memo), reference_fold(e.right, leaf, bracket, memo))
+    if memo is not None:
+        memo[id(e)] = (e, value)
+    return value
 
 
 def partition_counts(n_max: int) -> list[int]:

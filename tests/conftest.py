@@ -25,6 +25,17 @@ def _build(draw, d: int, size: int):
     return Bracket(_build(draw, d, split), _build(draw, d, size - split))
 
 
+@st.composite
+def lie_dags(draw, d: int = 3, max_brackets: int = 10):
+    """Bracketings over x1..xd that share nodes: each new bracket takes two
+    earlier nodes, leaves or brackets, so a subtree may recur by identity."""
+    nodes = x_gens(d)
+    for _ in range(draw(st.integers(min_value=1, max_value=max_brackets))):
+        left, right = (nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(2))
+        nodes.append(Bracket(left, right))
+    return nodes[-1]
+
+
 def seeded_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 

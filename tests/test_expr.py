@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import evaluate_combination, leaf_count
-from conftest import lie_exprs, seeded_rng, x_gens
+from _oracles import evaluate_combination, leaf_count, reference_fold
+from conftest import lie_dags, lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
     Generator,
@@ -122,6 +124,46 @@ def test_left_normalize_sound_in_wreath_model(e):
     direct = evaluate(e, images, wreath_bracket)
     expanded = evaluate_combination(left_normalize(e), images, wreath_bracket, WreathElement.zero(d, d))
     assert direct == expanded
+
+
+@given(st.one_of(lie_exprs(d=3, max_size=8), lie_dags(d=3, max_brackets=10)))
+def test_fold_matches_a_recursive_reference_on_trees_and_shared_nodes(e):
+    made, read = [], []
+
+    def pair(left, right):  # neither commutative nor associative: the value keeps the whole shape
+        made.append((left, right))
+        return left, right
+
+    class Reading(dict):
+        def __getitem__(self, gen):
+            read.append(gen)
+            return super().__getitem__(gen)
+
+    def shape(node):
+        return reference_fold(node, str, lambda l, r: (l, r))
+
+    assignment = Reading((g, str(g)) for g in x_gens(3))
+    expected = shape(e)
+    # without a memo every leaf is read, left to right
+    assert evaluate(e, assignment, pair) == expected
+    assert read == reference_fold(e, lambda g: [g], operator.add)
+    # with a memo, leaves are read and brackets made in the reference's order
+    made.clear()
+    read.clear()
+    memo = {}
+    assert evaluate(e, assignment, pair, memo) == expected
+    ref_made, ref_read = [], []
+    reference_fold(e, lambda g: ref_read.append(g) or str(g), lambda l, r: ref_made.append((l, r)) or (l, r), {})
+    assert made == ref_made and read == ref_read
+    # and each distinct bracket node is bracketed once, its value kept under its id
+    nodes, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bracket) and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack += (node.left, node.right)
+    assert len(made) == len(nodes) and memo.keys() == nodes.keys()
+    assert all(memo[key][0] is node and memo[key][1] == shape(node) for key, node in nodes.items())
 
 
 def test_evaluate_antisymmetric_bracket_kills_repeated_leaf():

@@ -172,11 +172,16 @@ def test_rowspace_rejects_unreadable_input_and_keeps_its_rows():
     for vec, message in (
         ({2: "x"}, "x"),
         ({2: [1]}, "is not a finite rational"),
+        ({2: None}, "is not a finite rational"),
+        ({2: ""}, "Invalid literal for Fraction"),
+        ([1, 2], "terms must be a mapping, not list"),
         ({"a": 1, 1: 2}, r"^the keys of a vector must be mutually comparable$"),
     ):
         with pytest.raises(ValueError, match=message):
             space.add(vec)
     assert space.rank == 1
+    # as for the element constructors, None and an empty non-dict are the zero vector
+    assert not space.add(None) and not space.add([]) and space.rank == 1
     # a key set of one type never meets the other, so both types may live in one space
     assert space.add({"a": 1}) and space.rank == 2
     # a bool coefficient reads as the int it equals, and is stored as one
