@@ -14,15 +14,20 @@ brackets, and a flat list ``[a1,t2,t2]`` abbreviates the left-nested
 ``[[a1,t2],t2]``, so ``format_expr`` and ``parse_expr`` round-trip exactly.
 
 Every walk over a tree is one post-order fold, ``_fold``: one loop over one
-stack that holds the nodes still to walk and, under a marker, each bracket
-whose children are being walked. ``format_expr``, ``left_normalize`` and
-``evaluate`` differ only in what they do at a leaf and at a bracket. ``_fold``
-and ``evaluate`` can carry a node memo (``Memo``) across calls, so trees that
-share subtrees, as the relators of a presentation share their towers, walk
-and bracket each shared node once. ``parse_expr`` is one loop over
-the tokens with a stack of open brackets. A ``Bracket``'s ``==``, ``hash``
-and ``repr`` go through the text format. None of these recurses, so no depth
-of tree reaches the interpreter's recursion limit.
+stack that holds the right children still to walk and, under a marker, each
+bracket whose children are being walked. ``format_expr``, ``left_normalize``
+and ``evaluate`` differ only in what they do at a leaf and at a bracket.
+``_fold`` and ``evaluate`` can carry a node memo (``Memo``) across calls, so
+trees that share subtrees, as the relators of a presentation share their
+towers, walk and bracket each shared node once. ``parse_expr`` is one loop
+over the tokens with a stack of open brackets. A ``Bracket``'s ``==``,
+``hash`` and ``repr`` go through the text format. None of these recurses, so
+no depth of tree reaches the interpreter's recursion limit.
+
+A ``Bracket`` is a slotted dataclass, not a frozen one, so that making one
+costs no ``object.__setattr__`` per field. It must still never be mutated:
+trees share nodes, a memo is keyed by node identity, and the hash is that of
+the text, so only the constructor sets ``left`` and ``right``.
 
 ``left_normalize`` rewrites any expression as an exact integer combination of
 left-normed words (words w = (w0, w1, ..., wk) standing for the iterated
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .poly import add_into, check_int
@@ -69,7 +74,8 @@ class Generator:
         return f"{self.kind}{self.index + 1}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# slotted, not frozen (module docstring): never assign to a node's fields
+@dataclass(slots=True, eq=False, repr=False)
 class Bracket:
     left: "LieExpr"
     right: "LieExpr"
@@ -100,20 +106,19 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
 
     One stack, `todo`, walked by one loop, so no depth of tree reaches the
     recursion limit. A node that is neither a `Generator` nor a `Bracket`
-    raises `ValueError`; `Bracket` checks nothing, as the presentation
-    builders make thousands. A bracket popped from `todo` goes back on it
-    under `_BRACKETED`, with its right and then its left child on top, so
-    its left subtree is walked first. `_BRACKETED` popped means the values
-    of its node's two children top `values`, which holds only values still
-    waiting for their bracket.
+    raises `ValueError`; nothing else checks a node, as the presentation
+    builders make thousands. A bracket goes on `todo` under `_BRACKETED`,
+    with its right child on top, and its left child is walked next, straight
+    away. `_BRACKETED` popped means the values of its node's two children top
+    `values`, which holds only values still waiting for their bracket.
 
     With a `memo`, a bracket node found there is not descended into, and each
     bracket value made is recorded under its node.
     """
-    todo: list[object] = [e]
+    todo: list[object] = []
     values: list[V] = []
-    while todo:
-        node = todo.pop()
+    node: object = e
+    while True:
         if node is _BRACKETED:
             node = todo.pop()
             right = values.pop()
@@ -123,12 +128,20 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
         elif type(node) is Generator:
             values.append(leaf(node))
         elif type(node) is not Bracket:
-            raise ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
+            raise _not_a_node(node)
         elif memo is None or (entry := memo.get(id(node))) is None:
-            todo += (node, _BRACKETED, node.right, node.left)
+            todo += (node, _BRACKETED, node.right)
+            node = node.left
+            continue
         else:
             values.append(entry[1])
-    return values[0]
+        if not todo:
+            return values[0]
+        node = todo.pop()
+
+
+def _not_a_node(node: object) -> ValueError:
+    return ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
 
 
 def left_normed(letters: Sequence[Generator]) -> LieExpr:
@@ -242,22 +255,25 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
 
 # ------------------------------------------------------------------ evaluation
 
+def leaf_value(assignment: Mapping[Generator, V], node: LieExpr) -> V:
+    """The value of a leaf: `UnboundGeneratorError` if it is unbound, `ValueError` if it is not a `Generator`."""
+    if type(node) is not Generator:
+        raise _not_a_node(node)
+    try:
+        return assignment[node]
+    except KeyError:
+        raise UnboundGeneratorError(f"unbound generator: {node}") from None
+
+
 def evaluate(
     e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V], memo: Memo | None = None
 ) -> V:
-    """Structural fold: leaves via assignment, brackets via the callback.
+    """Structural fold: leaves via assignment (`leaf_value`), brackets via the callback.
 
     Trees that share bracket nodes can share one `memo` (see `_fold`), so
     that each node is walked and bracketed once over all of them.
     """
-
-    def leaf(gen: Generator) -> V:
-        try:
-            return assignment[gen]
-        except KeyError:
-            raise UnboundGeneratorError(f"unbound generator: {gen}") from None
-
-    return _fold(e, leaf, bracket, memo)
+    return _fold(e, partial(leaf_value, assignment), bracket, memo)
 
 
 # ------------------------------------------------------------- random inputs

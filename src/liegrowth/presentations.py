@@ -15,10 +15,15 @@ the extended model the finite presentation consists of
 
 A presentation has far more relators than towers (m^2 * sum n^(r+s) against
 m * sum n^r in the plain model). Both presentations build each tower once,
-from the tower one torus letter shorter, and relators share the tower objects;
-`check_presentation` evaluates every relator through one memo keyed by tree
-node, so each shared tower is walked and bracketed once, and each relator
-costs one bracket of two stored tower values.
+from the tower one torus letter shorter, and relators share the tower objects.
+So building a relator costs two slotted objects, a `Relator` and its root
+`Bracket` (three for a square link, whose right-hand side is a bracket too),
+and checking it costs one bracket per side: `check_presentation` looks a
+side's leaf children up in the assignment, and takes its tower children from
+one memo keyed by tree node, which `evaluate` fills the first time a tower is
+seen. Each shared tower is thus walked and bracketed once over the whole
+presentation. A side is stored in the memo too, so a side that is also a
+subtree elsewhere is bracketed once.
 
 A presentation records its model: `wreath_presentation` builds one for W and
 `wplus_presentation` one for Wplus, and `check_presentation` evaluates it
@@ -33,23 +38,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
+from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr, leaf_value
 from .poly import check_int
 from .wreath import MODE_W, MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Relator:
     """lhs = rhs as elements of the presented algebra; rhs None means 0.
 
     `label` names the relator in failure reports. It is the text format of
     the relation, ``format_expr(lhs)`` or ``"lhs = rhs"``, made when read: a
     presentation holds thousands of relators, and a label is wanted only for
-    a relator that fails.
+    a relator that fails. Slotted, not frozen, like `Bracket`, and for the
+    same reason; it is hashed by value, so it must never be mutated.
     """
 
     lhs: LieExpr
     rhs: LieExpr | None = None
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
     @property
     def label(self) -> str:
@@ -126,11 +135,24 @@ def check_presentation(pres: Presentation) -> RelationReport:
     # brackets each node once
     memo: Memo[WreathElement] = {}
 
+    def child(node: LieExpr) -> WreathElement:
+        # a tower is evaluated the first time it is seen, and read from the memo after
+        if type(node) is not Bracket:
+            return leaf_value(assignment, node)
+        entry = memo.get(id(node))
+        return evaluate(node, assignment, wreath_bracket, memo) if entry is None else entry[1]
+
+    def side(node: LieExpr) -> WreathElement:
+        # one bracket of the two children, stored, as a side may be a subtree elsewhere
+        if type(node) is Bracket and id(node) not in memo:
+            memo[id(node)] = (node, wreath_bracket(child(node.left), child(node.right)))
+        return child(node)
+
     report = RelationReport("presentation", pres.mode, pres.m, pres.n, dict(pres.bounds))
     for rel in pres.relators:
-        lhs = evaluate(rel.lhs, assignment, wreath_bracket, memo)
-        value = lhs if rel.rhs is None else lhs - evaluate(rel.rhs, assignment, wreath_bracket, memo)
-        report.check(value.is_zero(), lambda: f"{rel.label} evaluated to {value}")
+        lhs = side(rel.lhs)
+        diff = lhs if rel.rhs is None else lhs - side(rel.rhs)
+        report.check(diff.is_zero(), lambda: f"{rel.label} evaluated to {diff}")
     return report
 
 

@@ -399,14 +399,18 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 # ------------------------------------------------------------------ model laws
 
 def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElement:
+    """Up to two module terms per a_k, exponents and coefficients drawn small, and every torus letter of the mode."""
     terms: Terms = {}
     for k in range(m):
         for _ in range(rng.randint(0, 2)):
-            exps = tuple(rng.randint(0, 2) for _ in range(n))
-            terms[k, exps] = rng.randint(-3, 3)
+            key = k
+            for _ in range(n):
+                key = key << _BITS | rng.randint(0, 2)
+            terms[key] = rng.randint(-3, 3)
     powers = (1, 2) if mode == MODE_WPLUS else (1,)
-    torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
-    return WreathElement(m, n, terms, torus)
+    torus = {-power << _BITS * (n - 1 - i): rng.randint(-2, 2) for power in powers for i in range(n)}
+    # a zero drawn is dropped, as the constructor drops it
+    return WreathElement._trusted(m, n, *({key: c for key, c in part.items() if c} for part in (terms, torus)))
 
 
 def model_laws_report(

@@ -21,6 +21,8 @@ that view. The polynomial ring is the reference the bracket
 kernel is tested against. Each view reads the element through `decoded()`,
 the layout of the basis; `wreath_text` writes that layout as the text format
 of an element, term by term, as `str` did on the tuple-keyed dicts.
+`random_element_by_constructor` draws the model-law elements in that layout
+through the validated constructor, the reference for the packed draw.
 """
 
 from __future__ import annotations
@@ -203,6 +205,19 @@ def from_polys(
     terms = {(k, exps): c for k, p in enumerate(module or ()) for exps, c in p.terms.items()}
     torus = {(-1, i): c for i, c in enumerate(tor_t or ())}
     torus.update({(-2, i): c for i, c in enumerate(tor_u or ())})
+    return WreathElement(m, n, terms, torus)
+
+
+def random_element_by_constructor(rng, m: int, n: int, mode: str) -> WreathElement:
+    """The model-law draw of `wreath._random_element`, in the layout of the basis
+    through the validated constructor: the same `rng` calls in the same order."""
+    terms = {}
+    for k in range(m):
+        for _ in range(rng.randint(0, 2)):
+            exps = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[k, exps] = rng.randint(-3, 3)
+    powers = (1, 2) if mode == MODE_WPLUS else (1,)
+    torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
     return WreathElement(m, n, terms, torus)
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
 from liegrowth import presentations
-from liegrowth.expr import Bracket, Generator, left_normed, parse_expr
+from liegrowth.expr import Bracket, Generator, UnboundGeneratorError, format_expr, left_normed, parse_expr
 from liegrowth.presentations import (
     Relator,
     check_presentation,
@@ -194,20 +195,21 @@ def test_shared_towers_match_left_normed_relators():
 
 
 @pytest.mark.parametrize(
-    "mode, d, bound, brackets",
+    "mode, d, bound, brackets, towers",
     [
         # one bracket per relator, plus one per tower [a_k, t_i1, ..., t_ir]
-        # with r >= 1: 520 + 2 * (2 + 4 + 8 + 16) and 4932 + 3 * (3 + 9 + 27 + 81)
-        (MODE_W, 2, 4, 580),
-        (MODE_W, 3, 4, 5292),
+        # with r >= 1: 520 + 2 * (2 + 4 + 8 + 16) and 4932 + 3 * (3 + 9 + 27 + 81);
+        # the last figure counts those towers; the ids are the figures before it
+        pytest.param(MODE_W, 2, 4, 580, 60, id="W-2-4-580"),
+        pytest.param(MODE_W, 3, 4, 5292, 360, id="W-3-4-5292"),
         # the separator towers have strict subscripts, and the right-hand side
         # [a_k,t_l,t_l] of a square link reuses the tower node [a_k,t_l], so it
         # adds one bracket: 900 + 5 * (2^5 - 1) + 5 * 5 and 2448 + 6 * (2^6 - 1) + 6 * 6
-        (MODE_WPLUS, 5, 5, 1080),
-        (MODE_WPLUS, 6, 6, 2862),
+        pytest.param(MODE_WPLUS, 5, 5, 1080, 155, id="Wplus-5-5-1080"),
+        pytest.param(MODE_WPLUS, 6, 6, 2862, 378, id="Wplus-6-6-2862"),
     ],
 )
-def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound, brackets):
+def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound, brackets, towers):
     real_bracket, real_evaluate = presentations.wreath_bracket, presentations.evaluate
     calls, evaluated = [], []
 
@@ -226,9 +228,78 @@ def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound,
     rep = check_presentation(pres)
     assert rep.passed and rep.checked == len(pres.relators)
     assert len(calls) == brackets
-    # presentations.evaluate is called once per relator side
-    sides = [side for rel in pres.relators for side in (rel.lhs, rel.rhs) if side is not None]
-    assert len(evaluated) == len(sides) and all(e is side for e, side in zip(evaluated, sides))
+    # presentations.evaluate is called once per distinct tower [a_k, t_i1, ..., t_ir]
+    # with r >= 1, and never on a relator side or a leaf
+    sides = {id(side) for rel in pres.relators for side in (rel.lhs, rel.rhs)}
+    assert len(evaluated) == towers
+    assert len(set(map(format_expr, evaluated))) == towers
+    assert not any(id(e) in sides for e in evaluated)
+    for e in evaluated:
+        assert type(e) is Bracket
+        word = [e]
+        while type(word[0]) is Bracket:
+            word[:1] = [word[0].left, word[0].right]
+        assert [g.kind for g in word] == ["a"] + ["t"] * (len(word) - 1), format_expr(e)
+
+
+def _pres(*relators):
+    """The relators as a presentation of W with m = n = 2."""
+    return presentations.Presentation(relators=relators, bounds={}, mode=MODE_W, m=2, n=2)
+
+
+A1, A2, T1, U1 = (Generator(k, i) for k, i in (("a", 0), ("a", 1), ("t", 0), ("u", 0)))
+
+
+@pytest.mark.parametrize(
+    "relator",
+    [
+        Relator(Bracket(A1, U1)),  # a bracket child
+        Relator(U1),  # a bare side
+        Relator(Bracket(A1, T1), U1),  # a bare right-hand side
+        Relator(Bracket(Bracket(Bracket(A1, U1), T1), A2)),  # inside a tower child
+    ],
+)
+def test_check_presentation_rejects_a_generator_outside_the_model(relator):
+    # u1 is a generator of Wplus, not of W
+    with pytest.raises(UnboundGeneratorError, match="^unbound generator: u1$"):
+        check_presentation(_pres(relator))
+
+
+@pytest.mark.parametrize(
+    "relator",
+    [
+        Relator(Bracket(A1, "a1")),  # a child
+        Relator(Bracket(Bracket(A1, 3), A2)),  # inside a tower child
+        Relator(("a", 0)),  # a root
+        Relator(Bracket(A1, T1), "t1"),  # a right-hand side
+    ],
+)
+def test_check_presentation_rejects_a_node_that_is_not_an_expression(relator):
+    with pytest.raises(ValueError, match="^expression node must be a Generator or a Bracket, not ") as err:
+        check_presentation(_pres(relator))
+    assert err.type is ValueError
+
+
+def test_check_presentation_takes_a_deep_side():
+    # [a1, t1, ..., t1, a2] with 3,000 letters holds; [a1, t1, ..., t1] fails
+    # and its label and value are written without recursion
+    deep = left_normed([A1] + [T1] * 2998)
+    rep = check_presentation(_pres(Relator(Bracket(deep, A2)), Relator(Bracket(deep, T1))))
+    assert rep.checked == 2
+    assert rep.failures == [f"{format_expr(Bracket(deep, T1))} evaluated to a1*t1^2999"]
+
+
+def test_check_presentation_leaves_no_reference_cycle():
+    # a cycle (such as a helper closure that refers to itself) would keep the
+    # memo of every tower and relator value alive until the cycle collector runs
+    pres = wreath_presentation(2, 2, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_presentation(pres).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import action_poly, wreath_text
+from _oracles import action_poly, random_element_by_constructor, wreath_text
 from conftest import seeded_rng, x_gens
 from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
@@ -346,6 +346,21 @@ def test_model_law_failures_are_pinned(monkeypatch):
         "tower a2,(1,) is not the expected monomial",
         "towers of torus length 1 span rank 2, expected 4",
     ]
+
+
+@pytest.mark.parametrize("mode", [MODE_W, MODE_WPLUS])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_model_elements_match_the_constructor_draw(d, mode):
+    # the packed draw makes the same rng calls, in the same order, as the
+    # constructor draw, and gives the same element dicts, key order included
+    for seed in range(6):
+        rng, ref_rng = seeded_rng(seed), seeded_rng(seed)
+        for _ in range(8):
+            got = wreath._random_element(rng, d, d, mode)
+            want = random_element_by_constructor(ref_rng, d, d, mode)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert list(got.torus.items()) == list(want.torus.items())
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
