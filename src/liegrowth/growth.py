@@ -57,6 +57,7 @@ types are compared.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -120,8 +121,8 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
                 )
 
     if generator_order is not None:
-        order = list(generator_order)
-        if not all(type(i) is int for i in order) or sorted(order) != list(range(len(gens))):
+        order = list(generator_order) if isinstance(generator_order, Iterable) else None
+        if order is None or not all(type(i) is int for i in order) or sorted(order) != list(range(len(gens))):
             raise ValueError("generator_order must be a permutation")
         gens = [gens[i] for i in order]
 

@@ -27,13 +27,13 @@ wreath-model embedding (see `wreath.certify_embedding`) rather than trusted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import comb
-from typing import Sequence
 
 from .expr import LieExpr, left_normalize
-from .poly import Rational, add_into, check_int, checked_terms, exact, format_terms, scaled
+from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms
 
 Monomial = tuple[int, ...]
 
@@ -54,26 +54,35 @@ def format_monomial(word: Monomial) -> str:
     return "[" + ",".join(f"x{i + 1}" for i in word) + "]"
 
 
-def _check_word(word: object, d: int) -> Monomial:
-    """`word` itself if it is a basis monomial over x1..xd; else `ValueError`."""
+def _check_indices(word: object, d: int) -> None:
+    """`ValueError` unless `word` is a tuple of generator indices in 0..d-1."""
     if type(word) is not tuple or any(type(i) is not int or not 0 <= i < d for i in word):
         raise ValueError(f"generator index out of range in {word}")
+
+
+def _check_word(word: object, d: int) -> Monomial:
+    """`word` itself if it is a basis monomial over x1..xd; else `ValueError`."""
+    _check_indices(word, d)
     if not is_basis_monomial(word):
         raise ValueError(f"not a basis monomial: {word}")
     return word
 
 
 @dataclass(slots=True, repr=False)
-class MetabelianElement:
+class MetabelianElement(TermElement):
     """Rational combination of basis monomials over x1..xd.
 
     `MetabelianElement(d, terms)` validates through `poly.checked_terms`, and
     a word that is not a basis monomial raises `ValueError`. Normal forms and
-    arithmetic build their results with `_trusted` instead.
+    arithmetic build their results with `_trusted` instead. The arithmetic
+    (`zero`, truth value, `+`, `-`, negation, scalar `*`) is
+    `poly.TermElement`'s, over the shape (d,) and the one term dict.
     """
 
     d: int
     terms: dict[Monomial, Rational] | None = None
+
+    _MISMATCH = "elements over different generator counts"
 
     def __post_init__(self) -> None:
         d = self.d
@@ -89,9 +98,8 @@ class MetabelianElement:
         res.terms = terms
         return res
 
-    @classmethod
-    def zero(cls, d: int) -> "MetabelianElement":
-        return cls(d)
+    def _unpack(self) -> tuple:
+        return (self.d,), (self.terms,)
 
     @classmethod
     def generator(cls, i: int, d: int) -> "MetabelianElement":
@@ -99,27 +107,6 @@ class MetabelianElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "MetabelianElement") -> "MetabelianElement":
-        if self.d != other.d:
-            raise ValueError("elements over different generator counts")
-        out = dict(self.terms)
-        add_into(out, other.terms)
-        return MetabelianElement._trusted(self.d, out)
-
-    def __neg__(self) -> "MetabelianElement":
-        return MetabelianElement._trusted(self.d, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "MetabelianElement") -> "MetabelianElement":
-        return self + (-other)
-
-    def __mul__(self, scalar: Rational) -> "MetabelianElement":
-        return MetabelianElement._trusted(self.d, scaled(self.terms, exact(scalar)))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_terms(
@@ -136,11 +123,10 @@ class MetabelianElement:
 def normalize_word(word: Sequence[int], d: int) -> MetabelianElement:
     """Normal form of the left-normed word with the given generator indices."""
     check_int("d", 1, d)
-    w = tuple(word)
+    w = tuple(word) if isinstance(word, Iterable) else word
+    _check_indices(w, d)
     if not w:
         raise ValueError("empty word")
-    if any(type(i) is not int or not 0 <= i < d for i in w):
-        raise ValueError(f"generator index out of range in {w}")
     return MetabelianElement._trusted(d, _normalize(w))
 
 

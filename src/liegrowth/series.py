@@ -36,16 +36,16 @@ so a[0] is the (unused) degree-0 slot and must be 0, and b[0] = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Sequence
 
 from .poly import check_int
 
 
 def _graded_range(a: Sequence[int]) -> int:
     """Check a graded sequence and return N, its last degree."""
-    if not a or a[0] != 0:
+    if not isinstance(a, Sequence) or not a or a[0] != 0:
         raise ValueError("graded sequence must have a[0] = 0")
     if not all(isinstance(v, int) for v in a):
         raise ValueError("graded dimensions must be integers")
@@ -143,12 +143,12 @@ def fit_stretched_exponent(b: Sequence[int], points: Sequence[int]) -> ExponentF
     flags sequences that are not of intermediate growth: alpha_hat below 0.1
     reads as polynomial-like, above 0.98 as exponential-like.
     """
-    if not points:
+    if not isinstance(points, Collection) or not points:
         raise ValueError("need at least one evaluation point")
     check_int("points", 1, *points)
     estimates: list[tuple[int, float]] = []
     for n in sorted(points):
-        if 2 * n >= len(b):
+        if not isinstance(b, Sequence) or 2 * n >= len(b):
             raise ValueError(f"point {n} needs b up to index {2 * n}")
         check_int("b", 0, b[n], b[2 * n])
         if b[n] <= 1 or b[2 * n] <= 1:

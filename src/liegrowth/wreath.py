@@ -55,7 +55,7 @@ from typing import Callable
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Rational, add_into, check_int, checked_terms, exact, format_terms, monomial_text, scaled
+from .poly import Rational, TermElement, check_int, checked_terms, format_terms, monomial_text
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -106,17 +106,21 @@ def _field_sum(n: int) -> tuple[int, int, int]:
 
 
 @dataclass(slots=True, repr=False)
-class WreathElement:
+class WreathElement(TermElement):
     """Module terms plus torus letters, two term dicts with packed int keys.
 
     See the module docstring for the layout and the constructors. An element
     of W is one whose torus holds no u-letter ((-2, i) in the basis layout).
+    The arithmetic (`zero`, truth value, `+`, `-`, negation, scalar `*`) is
+    `poly.TermElement`'s, over the shape (m, n) and the two term dicts.
     """
 
     m: int
     n: int
     terms: Terms | None = None
     torus: Terms | None = None
+
+    _MISMATCH = "elements from different models"
 
     def __post_init__(self) -> None:
         m, n = self.m, self.n
@@ -134,9 +138,8 @@ class WreathElement:
         res.torus = torus
         return res
 
-    @classmethod
-    def zero(cls, m: int, n: int) -> "WreathElement":
-        return cls(m, n)
+    def _unpack(self) -> tuple:
+        return (self.m, self.n), (self.terms, self.torus)
 
     @classmethod
     def gen_a(cls, k: int, m: int, n: int) -> "WreathElement":
@@ -152,34 +155,6 @@ class WreathElement:
 
     def is_zero(self) -> bool:
         return not self.terms and not self.torus
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _plus(self, other: "WreathElement", c: Rational) -> "WreathElement":
-        """self + c * other, for c = 1 or -1."""
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("elements from different models")
-        terms = dict(self.terms)
-        add_into(terms, other.terms, c)
-        torus = dict(self.torus)
-        add_into(torus, other.torus, c)
-        return WreathElement._trusted(self.m, self.n, terms, torus)
-
-    def __add__(self, other: "WreathElement") -> "WreathElement":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "WreathElement") -> "WreathElement":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "WreathElement":
-        return self * -1
-
-    def __mul__(self, scalar: Rational) -> "WreathElement":
-        c = exact(scalar)
-        return WreathElement._trusted(self.m, self.n, scaled(self.terms, c), scaled(self.torus, c))
-
-    __rmul__ = __mul__
 
     def module_degree(self) -> int:
         """Max total degree of a module term; -1 if the module part is 0."""

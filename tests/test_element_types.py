@@ -1,9 +1,11 @@
 """Value semantics of the three term-dict element types, and their one construction path.
 
 `MultiPoly`, `MetabelianElement` and `WreathElement` are slotted dataclasses
-that validate through `poly.checked_terms`. These tests pin what that design
-promises: no hash, no instance `__dict__`, equality by shape and terms, and
-results of arithmetic that the public constructor rebuilds unchanged.
+that validate through `poly.checked_terms` and share the arithmetic of
+`poly.TermElement`. These tests pin what that design promises: no hash, no
+instance `__dict__`, equality by shape and terms, results of arithmetic that
+the public constructor rebuilds unchanged, one mismatch error per type, and
+no type that defines the shared arithmetic again.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from liegrowth.metabelian import MetabelianElement
-from liegrowth.poly import MultiPoly, checked_terms, scaled
+from liegrowth.poly import MultiPoly, TermElement, checked_terms, scaled
 from liegrowth.wreath import WreathElement
 
 # (element, an element of the same shape, one of another shape, rebuild through the public constructor)
@@ -36,6 +38,14 @@ CASES = {
         WreathElement(2, 3),
         lambda x: WreathElement(x.m, x.n, *x.decoded()),
     ),
+}
+
+
+# the text of the ValueError that `+` and `-` raise for an operand of another type or shape
+MISMATCH = {
+    "MultiPoly": "polynomials over different variable sets",
+    "MetabelianElement": "elements over different generator counts",
+    "WreathElement": "elements from different models",
 }
 
 
@@ -105,3 +115,26 @@ def test_scaled_by_zero_is_empty():
     assert scaled({"a": 2, "b": Fraction(1, 3)}, 0) == {}
     assert scaled({}, 0) == {}
     assert scaled({"a": Fraction(1, 3)}, 3) == {"a": 1}
+
+
+@pytest.mark.parametrize("right", list(CASES))
+@pytest.mark.parametrize("left", list(CASES))
+def test_sum_and_difference_across_types_and_shapes_raise_the_left_mismatch(left, right):
+    x = CASES[left][0]
+    operands = [CASES[right][0], 1] if left != right else [CASES[right][2], 1]
+    for other in operands:
+        for op in (x.__add__, x.__sub__):
+            with pytest.raises(ValueError) as exc:
+                op(other)
+            assert str(exc.value) == MISMATCH[left]
+
+
+def test_shared_arithmetic_is_defined_once():
+    shared = {"zero", "__bool__", "_check", "_plus", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"}
+    for cls in (MetabelianElement, WreathElement):
+        assert issubclass(cls, TermElement)
+        assert not shared & set(vars(cls)), cls.__name__
+    # MultiPoly keeps __add__ and __mul__ in its own dict for the benchmark's tracer
+    assert issubclass(MultiPoly, TermElement)
+    assert vars(MultiPoly)["__add__"] is TermElement.__add__
+    assert shared & set(vars(MultiPoly)) == {"__add__", "__mul__"}

@@ -86,7 +86,7 @@ def test_public_constructors_store_int_or_fraction():
     assert type(MetabelianElement.generator(1, 2).terms[(1,)]) is int
 
 
-@pytest.mark.parametrize("value", (float("inf"), float("-inf"), float("nan")))
+@pytest.mark.parametrize("value", (float("inf"), float("-inf"), float("nan"), "1/0", "0/0"))
 @pytest.mark.parametrize(
     "make",
     (
@@ -99,7 +99,7 @@ def test_public_constructors_store_int_or_fraction():
     ids=("MultiPoly", "MetabelianElement", "WreathElement", "RowSpace.add", "WreathElement*"),
 )
 def test_non_finite_coefficients_raise_value_error(make, value):
-    # not OverflowError: an ArithmeticError means a failed cross-check
+    # not OverflowError or ZeroDivisionError: an ArithmeticError means a failed cross-check
     with pytest.raises(ValueError):
         make(value)
 

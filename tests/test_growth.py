@@ -164,8 +164,13 @@ def test_rejects_bad_arguments():
         growth_bfs("nonsense", 2, 4)
     with pytest.raises(ValueError):
         growth_bfs(MODE_WPLUS, 0, 4)
-    # not a permutation of 0..5, of 0..1 by value but not of ints, of mixed types
-    for mode, order in ((MODE_WPLUS, [0, 1]), (MODE_METABELIAN, [1.0, 0]), (MODE_METABELIAN, [0, "1"])):
+    # not a permutation of 0..5, of 0..1 by value but not of ints, of mixed types; not a sequence
+    for mode, order in (
+        (MODE_WPLUS, [0, 1]),
+        (MODE_METABELIAN, [1.0, 0]),
+        (MODE_METABELIAN, [0, "1"]),
+        (MODE_W, 5),
+    ):
         with pytest.raises(ValueError, match=r"^generator_order must be a permutation$"):
             growth_bfs(mode, 2, 4, generator_order=order)
     for closed_form, args in (

@@ -74,6 +74,8 @@ def test_normalize_expr_rejects_non_x_leaves():
 def test_index_out_of_range():
     with pytest.raises(ValueError):
         normalize_word((0, 3), 3)
+    with pytest.raises(ValueError, match=r"^generator index out of range in 5$"):
+        normalize_word(5, 2)  # not a sequence
 
 
 def test_empty_word_and_bad_monomials_are_rejected():

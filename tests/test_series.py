@@ -138,9 +138,10 @@ def test_euler_rejects_bad_input():
         euler_transform([1, 1])
     with pytest.raises(ValueError):
         euler_transform([0, -1])
-    for transform in (euler_transform, euler_product_direct):
-        with pytest.raises(ValueError, match=r"^graded sequence must have a\[0\] = 0$"):
-            transform([])
+    for a in ([], 5):  # empty; not a sequence
+        for transform in (euler_transform, euler_product_direct):
+            with pytest.raises(ValueError, match=r"^graded sequence must have a\[0\] = 0$"):
+                transform(a)
     for a in ([0, "1"], [0, 2.0, 1], [0, 1, Fraction(1, 2)], [0, 1, Fraction(2)], [0, 1, None]):
         for transform in (euler_transform, euler_product_direct):
             with pytest.raises(ValueError, match=r"^graded dimensions must be integers$"):
@@ -210,3 +211,7 @@ def test_fit_rejects_degenerate_points():
         fit_stretched_exponent(b, [8])  # 2n out of range
     with pytest.raises(ValueError):
         fit_stretched_exponent(b, [])
+    with pytest.raises(ValueError, match=r"^point 2 needs b up to index 4$"):
+        fit_stretched_exponent(5, [2])  # b not a sequence
+    with pytest.raises(ValueError, match=r"^need at least one evaluation point$"):
+        fit_stretched_exponent(b, 2)  # points not a collection
