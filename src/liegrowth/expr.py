@@ -256,13 +256,16 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
 # ------------------------------------------------------------------ evaluation
 
 def leaf_value(assignment: Mapping[Generator, V], node: LieExpr) -> V:
-    """The value of a leaf: `UnboundGeneratorError` if it is unbound, `ValueError` if it is not a `Generator`."""
+    """The value of a leaf: `UnboundGeneratorError` if it is unbound, `ValueError` if it is not a `Generator`
+    or `assignment` is not a mapping."""
     if type(node) is not Generator:
         raise _not_a_node(node)
     try:
         return assignment[node]
     except KeyError:
         raise UnboundGeneratorError(f"unbound generator: {node}") from None
+    except TypeError:
+        raise ValueError(f"assignment must be a mapping, not {type(assignment).__name__}") from None
 
 
 def evaluate(

@@ -9,27 +9,33 @@ each newly independent element with the generators is enough.
 Three generating sets are supported: the free metabelian algebra on x1..xd,
 the plain wreath model on {a_i, t_i}, and the extended model on
 {a_i, t_i, u_i} (m = n = d throughout, both from `wreath.standard_assignment`).
+The free metabelian algebra is searched as its image in W under the Magnus
+embedding x_i -> a_i + t_i (`wreath.magnus_generator_images`). The map is
+linear and injective, so the search makes the same candidates and finds the
+same ranks as in the algebra itself; and the result is checked against
+`metabelian.growth` all the same, so it does not rest on the embedding. One
+search runs on `WreathElement`s in every mode: only the generating set and
+the closed form it is checked against depend on the mode.
 
-The search prunes three kinds of work, all exactly.
+The search prunes three kinds of work, all exactly, by one rule in every
+mode. B is the abelian ideal of module elements; it holds every bracket.
 
-1. In the wreath models the movers, the generators the frontier is
-   bracketed with from level 2 on, are those with a torus part (t_i, u_i):
-   from level 3 on the frontier lies in the abelian ideal B, where
-   [B, a_k] = 0, and at level 2 [a_j, a_k] = 0 while [t_i, a_k] =
-   -[a_k, t_i] is already a candidate. In the metabelian algebra every
-   generator is a mover.
+1. The movers, the generators the frontier is bracketed with from level 2
+   on, are those with a torus part: t_i and u_i in the wreath models, every
+   a_i + t_i in the Magnus image. From level 3 on the frontier lies in B,
+   where [B, a_k] = 0, and at level 2 [a_j, a_k] = 0 while [t_i, a_k] =
+   -[a_k, t_i] is already a candidate.
 2. From level 3 on, a frontier element e = [e', g_i] made with the i-th
-   mover is bracketed only with the movers g_j, j >= i. Its e' lies in an
-   abelian ideal that also holds [g_i, g_j]: B in W and Wplus, M' in the
-   metabelian algebra. By Jacobi [[e', g_i], g_j] = [[e', g_j], g_i] +
-   [e', [g_i, g_j]], and the last term is 0. Writing [e', g_j] as a
+   mover is bracketed only with the movers g_j, j >= i. Its e' lies in B,
+   which also holds [g_i, g_j]. By Jacobi [[e', g_i], g_j] = [[e', g_j],
+   g_i] + [e', [g_i, g_j]], and the last term is 0. Writing [e', g_j] as a
    combination of accepted elements, induction on the mover index, from
    the highest down, shows that every skipped bracket already lies in the
-   span. This holds in every mode and for any generator order.
-3. In the wreath models the module-degree guard runs only on candidates
-   that raise the rank: a rejected candidate lies in the span of vectors
-   that passed the guard, so its support lies in the union of theirs, and
-   the cap never decreases with the level.
+   span. This holds for any generator order.
+3. The module-degree guard runs only on candidates that raise the rank: a
+   rejected candidate lies in the span of vectors that passed the guard,
+   so its support lies in the union of theirs, and the cap never decreases
+   with the level.
 
 For the extended model two counting functions accompany the search. A module
 monomial a_i * t^beta first appears at level 1 + sum_j ceil(beta_j / 2)
@@ -61,13 +67,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import metabelian
-from .metabelian import MetabelianElement
 from .poly import check_int
 from .rowspace import RowSpace
-from .wreath import MODE_W, MODE_WPLUS, WreathElement, standard_assignment, wreath_bracket
+from .wreath import MODE_W, MODE_WPLUS, magnus_generator_images, standard_assignment, wreath_bracket
 
 MODE_METABELIAN = "metabelian"
 GROWTH_MODES = (MODE_METABELIAN, MODE_W, MODE_WPLUS)
@@ -88,38 +93,23 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     generator_order optionally permutes the generating set before the search;
     the resulting dimensions are identical (the span does not depend on
     insertion order), which the tests exercise, while the candidates made
-    depend on it. The search prunes three kinds of work, and the module
-    docstring says why none changes gamma: in W and Wplus the frontier is
-    bracketed from level 2 on only with the torus generators; from level 3
+    depend on it. The metabelian generators are searched as their Magnus
+    images a_i + t_i in W, so every mode runs the same search over
+    `WreathElement`s. It prunes three kinds of work, and the module
+    docstring says why none changes gamma: from level 2 on the frontier is
+    bracketed only with the generators that have a torus part; from level 3
     on an element made with the i-th mover is bracketed only with the
     movers from the i-th on; and the module-degree guard (ArithmeticError)
     checks every rank-raising candidate the search makes. The result is
     checked against the closed form of its mode (`wplus_gamma_closed`,
-    `w_gamma_closed` or `metabelian.growth`); a mismatch raises
-    ArithmeticError.
+    `w_gamma_closed` or `metabelian.growth`, looked up when the search
+    runs); a mismatch raises ArithmeticError.
     """
     if mode not in GROWTH_MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
     check_int("d and n_max", 1, d, n_max)
-    if mode == MODE_METABELIAN:
-        gens: list = [MetabelianElement.generator(i, d) for i in range(d)]
-        brack: Callable = metabelian.bracket
-        coords = lambda e: e.terms
-        guard = None
-    else:
-        gens = list(standard_assignment(d, d, mode).values())
-        brack = wreath_bracket
-        coords = lambda e: e.coords()
-        cap = 2 * (n_max - 1)
-
-        def guard(elem: WreathElement, level: int) -> None:
-            # each letter raises module degree by at most 2
-            deg = elem.module_degree()
-            if deg > min(2 * (level - 1), cap):
-                raise ArithmeticError(
-                    f"module degree {deg} overflows the level-{level} cap"
-                )
-
+    images = magnus_generator_images(d) if mode == MODE_METABELIAN else standard_assignment(d, d, mode)
+    gens = list(images.values())
     if generator_order is not None:
         order = list(generator_order) if isinstance(generator_order, Iterable) else None
         if order is None or not all(type(i) is int for i in order) or sorted(order) != list(range(len(gens))):
@@ -130,31 +120,29 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     gamma = [0]
     candidates = [0, 0]
     # (element, start): the element is bracketed with movers[start:] only
-    frontier = [(g, 0) for g in gens if space.add(coords(g))]
+    frontier = [(g, 0) for g in gens if space.add(g.coords())]
     gamma.append(space.rank)
     # [B, a_k] = 0 for the ideal B, and [a_j, a_k] = 0 (module docstring)
-    movers = gens if mode == MODE_METABELIAN else [g for g in gens if g.torus]
+    movers = [g for g in gens if g.torus]
     for level in range(2, n_max + 1):
         candidates.append(sum(len(movers) - start for _, start in frontier))
         fresh = []
         for e, start in frontier:
             for j in range(start, len(movers)):
-                cand = brack(e, movers[j])
-                vec = coords(cand)
+                cand = wreath_bracket(e, movers[j])
+                vec = cand.coords()
                 if vec and space.add(vec):
-                    if guard is not None:
-                        guard(cand, level)
+                    # each letter raises the module degree by at most 2
+                    deg = cand.module_degree()
+                    if deg > 2 * (level - 1):
+                        raise ArithmeticError(f"module degree {deg} overflows the level-{level} cap")
                     # [[e', g_i], g_j] = [[e', g_j], g_i] in the abelian ideal
                     fresh.append((cand, j if level >= 3 else 0))
         gamma.append(space.rank)
         frontier = fresh
     graded = [0] + [gamma[k] - gamma[k - 1] for k in range(1, n_max + 1)]
-    if mode == MODE_WPLUS:
-        closed = wplus_gamma_closed(d, n_max)
-    elif mode == MODE_W:
-        closed = w_gamma_closed(d, n_max)
-    else:
-        closed = metabelian.growth(d, n_max)
+    closed_form = {MODE_METABELIAN: metabelian.growth, MODE_W: w_gamma_closed, MODE_WPLUS: wplus_gamma_closed}
+    closed = closed_form[mode](d, n_max)
     if gamma != closed:
         n = next(n for n in range(n_max + 1) if gamma[n] != closed[n])
         raise ArithmeticError(

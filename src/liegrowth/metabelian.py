@@ -171,10 +171,18 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
     """Lie bracket of two normal-form elements, re-normalized.
 
     The normal forms of the words w1 + w2 are summed into one term dict; a
-    pair of terms that both lie in the derived subalgebra brackets to 0.
+    pair of terms that both lie in the derived subalgebra brackets to 0. An
+    operand that is not a `MetabelianElement` over the other's generators
+    raises `ValueError`.
+
+    No search of the package calls it: `growth.growth_bfs` searches the free
+    metabelian algebra as its Magnus image in W, through `wreath_bracket`.
+    It is the bracket of the public API, the tests' unpruned growth search
+    (`tests/_oracles.py`) uses it as an oracle independent of the Magnus
+    map, and the benchmark's tracer wraps it by name.
     """
-    if p.d != q.d:
-        raise ValueError("elements over different generator counts")
+    if type(p) is not MetabelianElement or type(q) is not MetabelianElement or p.d != q.d:
+        raise ValueError(MetabelianElement._MISMATCH)
     out: dict[Monomial, Rational] = {}
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():

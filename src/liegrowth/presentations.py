@@ -179,9 +179,12 @@ def tower_commutation_report(
 
     Hypotheses are checked first; if any fails, the conclusion is not
     evaluated (the report carries the hypothesis witnesses instead). The
-    hypotheses bracket with u, which only Wplus has.
+    hypotheses bracket with u, which only Wplus has. Unless a, b, t and u
+    are `WreathElement`s of one model, `ValueError` is raised first.
     """
     check_int("bound", 0, bound)
+    if not all(type(x) is WreathElement and x.m == a.m and x.n == a.n for x in (a, b, t, u)):
+        raise ValueError("a, b, t and u must be elements of one model")
     report = RelationReport("towers", MODE_WPLUS, a.m, a.n, {"i_max": bound, "j_max": bound})
     for label, fn in _TOWER_HYPOTHESES:
         value = fn(a, b, t, u)
@@ -209,12 +212,8 @@ def standard_tower_instances(d: int) -> list[tuple[str, WreathElement, WreathEle
     a1 = WreathElement.gen_a(0, d, d)
     t1 = WreathElement.gen_t(0, d, d)
     u1 = WreathElement.gen_u(0, d, d)
-    b_base = WreathElement.gen_a(1, d, d) if d >= 2 else a1
-    out = [("base", a1, b_base, t1, u1)]
-    if d >= 2:
-        t2 = WreathElement.gen_t(1, d, d)
-        a2 = WreathElement.gen_a(1, d, d)
-        step_a = wreath_bracket(a1, t2)
-        step_b = wreath_bracket(a2, t2)
-        out.append(("step", step_a, step_b, t1, u1))
-    return out
+    if d == 1:
+        return [("base", a1, a1, t1, u1)]
+    a2 = WreathElement.gen_a(1, d, d)
+    t2 = WreathElement.gen_t(1, d, d)
+    return [("base", a1, a2, t1, u1), ("step", wreath_bracket(a1, t2), wreath_bracket(a2, t2), t1, u1)]

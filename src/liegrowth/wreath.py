@@ -218,9 +218,12 @@ def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
 
 
 def wreath_bracket(p: WreathElement, q: WreathElement) -> WreathElement:
-    """[p, q] = module(p) * act(q) - module(q) * act(p); torus part is zero. One bracket for W and Wplus."""
-    if p.m != q.m or p.n != q.n:
-        raise ValueError("elements from different models")
+    """[p, q] = module(p) * act(q) - module(q) * act(p); torus part is zero. One bracket for W and Wplus.
+
+    An operand that is not a `WreathElement` of the other's model raises `ValueError`.
+    """
+    if type(p) is not WreathElement or type(q) is not WreathElement or p.m != q.m or p.n != q.n:
+        raise ValueError(WreathElement._MISMATCH)
     tp = p.torus
     tq = q.torus
     out: Terms = {}
@@ -304,6 +307,8 @@ def magnus_generator_images(d: int) -> dict[Generator, WreathElement]:
 
 def magnus_embedding(elem: MetabelianElement) -> WreathElement:
     """Image of a normal-form element under x_i -> a_i + t_i (in W, m = n = elem.d)."""
+    if type(elem) is not MetabelianElement:
+        raise ValueError(f"magnus_embedding takes a MetabelianElement, not {type(elem).__name__}")
     d = elem.d
     images = magnus_generator_images(d)
     total = WreathElement.zero(d, d)

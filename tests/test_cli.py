@@ -508,8 +508,11 @@ def test_output_bytes_are_pinned(capsys, argv, expected):
         ("--mode Wplus --d 4 --max-n 7", "e9d93c7f664462349c5b82a3852e7124f339dadea9445321797ca98d049360e0"),
         ("--mode W --d 4 --max-n 7", "4d3ab6b5e6b7c9ac6df3d7e265b03683dd631714518c37b990de0e9c0615c134"),
         ("--mode metabelian --d 4 --max-n 10", "3b5647c22004fafdce4c7a571c74bdaab2f9be05a6dcff05a186bb78487c6bd2"),
+        # the other two metabelian searches of the benchmark
+        ("--mode metabelian --d 2 --max-n 75", "77882e11ae8f23e767f9364b8afd95cfb968cdaf57977c28109b34887b2e62ea"),
+        ("--mode metabelian --d 3 --max-n 18", "2b33e2d6db377ad7e5b10c36a3a870260bf4fcf5eeeb9ec5380459e8d105a0cc"),
     ),
-    ids=("Wplus-d4-n7", "W-d4-n7", "metabelian-d4-n10"),
+    ids=("Wplus-d4-n7", "W-d4-n7", "metabelian-d4-n10", "metabelian-d2-n75", "metabelian-d3-n18"),
 )
 def test_growth_search_bytes_are_pinned(capsys, argv, digest):
     code, out = run_cli(["growth", *argv.split()], capsys)

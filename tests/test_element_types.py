@@ -5,7 +5,9 @@ that validate through `poly.checked_terms` and share the arithmetic of
 `poly.TermElement`. These tests pin what that design promises: no hash, no
 instance `__dict__`, equality by shape and terms, results of arithmetic that
 the public constructor rebuilds unchanged, one mismatch error per type, and
-no type that defines the shared arithmetic again.
+no type that defines the shared arithmetic again. An operand of the wrong
+type, given to a bracket kernel or to an entry point that takes elements,
+raises `ValueError`, never `AttributeError` or `TypeError`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from fractions import Fraction
 
 import pytest
 
+from liegrowth import metabelian
+from liegrowth.expr import Generator, evaluate
 from liegrowth.metabelian import MetabelianElement
 from liegrowth.poly import MultiPoly, TermElement, checked_terms, scaled
-from liegrowth.wreath import WreathElement
+from liegrowth.presentations import tower_commutation_report
+from liegrowth.wreath import WreathElement, magnus_embedding, wreath_bracket
 
 # (element, an element of the same shape, one of another shape, rebuild through the public constructor)
 CASES = {
@@ -138,3 +143,40 @@ def test_shared_arithmetic_is_defined_once():
     assert issubclass(MultiPoly, TermElement)
     assert vars(MultiPoly)["__add__"] is TermElement.__add__
     assert shared & set(vars(MultiPoly)) == {"__add__", "__mul__"}
+
+
+W11 = WreathElement(1, 1)
+M2 = MetabelianElement(2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: wreath_bracket(W11, M2), MISMATCH["WreathElement"]),
+        (lambda: wreath_bracket(M2, W11), MISMATCH["WreathElement"]),
+        (lambda: wreath_bracket(W11, 1), MISMATCH["WreathElement"]),
+        (lambda: metabelian.bracket(M2, W11), MISMATCH["MetabelianElement"]),
+        (lambda: metabelian.bracket(W11, M2), MISMATCH["MetabelianElement"]),
+        (lambda: metabelian.bracket(M2, 3), MISMATCH["MetabelianElement"]),
+        (lambda: magnus_embedding(5), "magnus_embedding takes a MetabelianElement, not int"),
+        (lambda: tower_commutation_report(1, 2, 3, 4, 1), "a, b, t and u must be elements of one model"),
+        (lambda: tower_commutation_report(W11, W11, W11, M2, 1), "a, b, t and u must be elements of one model"),
+        (lambda: evaluate(Generator("x", 0), None, wreath_bracket), "assignment must be a mapping, not NoneType"),
+    ],
+    ids=[
+        "wreath_bracket-metabelian",
+        "wreath_bracket-metabelian-left",
+        "wreath_bracket-int",
+        "metabelian.bracket-wreath",
+        "metabelian.bracket-wreath-left",
+        "metabelian.bracket-int",
+        "magnus_embedding-int",
+        "tower_commutation_report-ints",
+        "tower_commutation_report-metabelian-u",
+        "evaluate-None-assignment",
+    ],
+)
+def test_an_operand_of_the_wrong_type_raises_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

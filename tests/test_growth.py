@@ -240,3 +240,33 @@ def test_module_degree_guard_fires_past_level_2(monkeypatch, mode):
     # the unpruned search, guarding every candidate, stops at the same place
     with pytest.raises(ArithmeticError, match=message):
         unpruned_growth(mode, 2, 4)
+
+
+def test_metabelian_search_makes_no_metabelian_bracket(monkeypatch):
+    # the free metabelian algebra is searched as its Magnus image in W
+    def refused(p, q):
+        raise AssertionError("metabelian.bracket called")
+
+    monkeypatch.setattr(metabelian, "bracket", refused)
+    for d, n_max in ((1, 4), (2, 9), (3, 6), (4, 5)):
+        assert growth_bfs(MODE_METABELIAN, d, n_max).gamma == metabelian_growth(d, n_max)
+
+
+def test_module_degree_guard_fires_in_metabelian_mode(monkeypatch):
+    # the wrapper of test_module_degree_guard_fires_past_level_2: a level-2
+    # bracket [a1+t1, a2+t2] has module degree 1, and its level-3 brackets,
+    # three t1-letters further, degree 5; the unpruned oracle guards no
+    # metabelian search, so only growth_bfs is run
+    real = growthmod.wreath_bracket
+
+    def overshooting(p, q):
+        out = real(p, q)
+        if out and p.module_degree() >= 1:
+            t1 = WreathElement.gen_t(0, p.m, p.n)
+            for _ in range(3):
+                out = real(out, t1)
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    with pytest.raises(ArithmeticError, match=r"^module degree 5 overflows the level-3 cap$"):
+        growth_bfs(MODE_METABELIAN, 2, 4)
