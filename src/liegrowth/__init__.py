@@ -20,7 +20,6 @@ from .expr import (
     evaluate,
     format_expr,
     left_normalize,
-    left_normed,
     parse_expr,
 )
 from .growth import (

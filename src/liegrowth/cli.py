@@ -10,6 +10,9 @@ Subcommands:
 ``dims`` and ``growth`` write CSV, or JSON with ``--format json``;
 ``euler-fit`` and ``verify`` always write JSON.
 
+``main`` may be called many times in one process, as the benchmark and the
+tests do; it builds its parser once, on the first call, and reuses it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error. A failed
 internal cross-check (an ``ArithmeticError``) is a verification failure;
 bad arguments and unreadable files are usage errors. Output is
@@ -20,6 +23,7 @@ fixed order and JSON keys are written in a fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -224,6 +228,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- parser
 
+# Built once per process: parsing leaves the parser unchanged. The handlers
+# set as `fn` and the suite reports behind `--suite` look up `growthmod.*`,
+# `check_presentation`, `model_laws_report` and the other suite functions by
+# name when called, so replacing one by name still takes effect after the
+# first call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liegrowth",

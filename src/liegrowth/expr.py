@@ -95,8 +95,9 @@ LieExpr = Union[Generator, Bracket]
 
 Word = tuple[Generator, ...]
 Combination = dict[Word, int]
-# a node memo of _fold: id(node) -> (node, value); keeping the node keeps its id from reuse
-Memo = dict[int, tuple[Bracket, V]]
+# a node memo of _fold: id(node) -> (node, value); keeping the node keeps its id from reuse.
+# _fold reads and writes only brackets, but a caller may store leaves in the same memo
+Memo = dict[int, tuple[LieExpr, V]]
 # on _fold's stack, marks that both children of the node beneath it are folded
 _BRACKETED = object()
 
@@ -142,13 +143,6 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
 
 def _not_a_node(node: object) -> ValueError:
     return ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
-
-
-def left_normed(letters: Sequence[Generator]) -> LieExpr:
-    """Build the left-nested bracket [[..[g0,g1],..],gk] from letters."""
-    if not letters:
-        raise ValueError("empty word")
-    return reduce(Bracket, letters)
 
 
 # ---------------------------------------------------------------- text format
@@ -274,8 +268,11 @@ def evaluate(
     """Structural fold: leaves via assignment (`leaf_value`), brackets via the callback.
 
     Trees that share bracket nodes can share one `memo` (see `_fold`), so
-    that each node is walked and bracketed once over all of them.
+    that each node is walked and bracketed once over all of them. A memo that
+    is not a dict raises `ValueError`.
     """
+    if memo is not None and type(memo) is not dict:
+        raise ValueError(f"memo must be a dict, not {type(memo).__name__}")
     return _fold(e, partial(leaf_value, assignment), bracket, memo)
 
 

@@ -18,12 +18,13 @@ m * sum n^r in the plain model). Both presentations build each tower once,
 from the tower one torus letter shorter, and relators share the tower objects.
 So building a relator costs two slotted objects, a `Relator` and its root
 `Bracket` (three for a square link, whose right-hand side is a bracket too),
-and checking it costs one bracket per side: `check_presentation` looks a
-side's leaf children up in the assignment, and takes its tower children from
-one memo keyed by tree node, which `evaluate` fills the first time a tower is
-seen. Each shared tower is thus walked and bracketed once over the whole
-presentation. A side is stored in the memo too, so a side that is also a
-subtree elsewhere is bracketed once.
+and checking it costs one bracket per side: `check_presentation` takes a
+side's children, leaves and towers alike, from one memo keyed by tree node.
+A leaf is looked up in the assignment the first time it is seen, and
+`evaluate` fills in a tower the first time it is seen. Each shared leaf is
+thus looked up, and each shared tower walked and bracketed, once over the
+whole presentation. A side is stored in the memo too, so a side that is also
+a subtree elsewhere is bracketed once.
 
 A presentation records its model: `wreath_presentation` builds one for W and
 `wplus_presentation` one for Wplus, and `check_presentation` evaluates it
@@ -129,18 +130,34 @@ def wplus_presentation(m: int, n: int, s_max: int = 5) -> Presentation:
 
 
 def check_presentation(pres: Presentation) -> RelationReport:
-    """Evaluate every relator in the presentation's model; nonzero values become witnesses."""
+    """Evaluate every relator in the presentation's model; nonzero values become witnesses.
+
+    `ValueError` unless `pres` is a `Presentation` whose relators are a tuple
+    or list of `Relator`s and whose bounds are a dict.
+    """
+    if type(pres) is not Presentation:
+        raise ValueError(f"check_presentation takes a Presentation, not {type(pres).__name__}")
+    # the types are tested once here, not per relator in the loop below
+    if type(pres.relators) not in (tuple, list) or not set(map(type, pres.relators)) <= {Relator}:
+        raise ValueError("a presentation's relators must be a tuple or list of Relators")
+    if type(pres.bounds) is not dict:
+        raise ValueError(f"a presentation's bounds must be a dict, not {type(pres.bounds).__name__}")
     assignment = standard_assignment(pres.m, pres.n, pres.mode)
     # relators share their tower nodes, so one memo over all of them walks and
     # brackets each node once
     memo: Memo[WreathElement] = {}
 
     def child(node: LieExpr) -> WreathElement:
-        # a tower is evaluated the first time it is seen, and read from the memo after
-        if type(node) is not Bracket:
-            return leaf_value(assignment, node)
+        # a leaf is looked up and a tower evaluated the first time it is seen,
+        # and either is read from the memo after
         entry = memo.get(id(node))
-        return evaluate(node, assignment, wreath_bracket, memo) if entry is None else entry[1]
+        if entry is not None:
+            return entry[1]
+        if type(node) is Bracket:
+            return evaluate(node, assignment, wreath_bracket, memo)
+        value = leaf_value(assignment, node)
+        memo[id(node)] = (node, value)
+        return value
 
     def side(node: LieExpr) -> WreathElement:
         # one bracket of the two children, stored, as a side may be a subtree elsewhere

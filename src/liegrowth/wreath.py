@@ -239,6 +239,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _seeded(seed: int) -> random.Random:
+    """A generator seeded by `seed`; `ValueError` for a seed `random.Random` refuses."""
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an int, not {type(seed).__name__}") from None
+
+
 def standard_assignment(m: int, n: int, mode: str = MODE_WPLUS) -> dict[Generator, WreathElement]:
     """Generator -> model element map: a_k, t_i, and (in Wplus) u_i, in that order."""
     _check_mode(mode)
@@ -334,10 +342,12 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     x2 -> 2*x1 and x3 -> 3*x1, x3 depends on 3/2*x2, not on 3*x1. Then
     `trials` random expressions check that normal form followed by embedding
     equals direct evaluation under x_i -> a_i + t_i. Each degree and each
-    trial counts as one check.
+    trial counts as one check. A seed that `random.Random` refuses raises
+    `ValueError` before any bracket is made.
     """
     check_int("d and n_max", 1, d, n_max)
     check_int("trials", 0, trials)
+    rng = _seeded(seed)
     report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
     x = [images[Generator("x", i)] for i in range(d)]
@@ -366,7 +376,6 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
                 report.failures.append(f"{image_of} is 0")
         report.ranks.append((n, rank, expected))
         report.check(rank == expected, lambda: f"degree {n}: rank {rank} != expected {expected}")
-    rng = random.Random(seed)
     gens = [Generator("x", i) for i in range(d)]
     for _ in range(trials):
         e = random_expr(rng, gens, rng.randint(1, 6))
@@ -407,14 +416,15 @@ def model_laws_report(
     that the iterated bracket [a_l, t_{j1}, ..., t_{js}] equals the module
     monomial a_l * t_{j1} * ... * t_{js}, and that the towers of torus length
     s span the degree-s module slice (exact rank d * C(s+d-1, d-1)). An
-    unknown mode, or a d, trials or span_degree that `poly.check_int`
-    rejects, raises ValueError before any bracket is made.
+    unknown mode, a d, trials or span_degree that `poly.check_int` rejects,
+    or a seed that `random.Random` refuses raises ValueError before any
+    bracket is made.
     """
     _check_mode(mode)
     check_int("d", 1, d)
     check_int("trials", 0, trials)
     check_int("span_degree", 0, span_degree)
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     report = RelationReport("model-laws", mode, d, d, {"trials": trials})
     check = report.check
 

@@ -5,8 +5,9 @@ from the coin-change recurrence, basis monomials of the metabelian algebra
 are found by filtering every word against the ordering predicate and counted
 by a closed form, the leaves of an expression are counted with an explicit
 stack instead of `expr._fold`, and the fold itself by plain recursion
-(`reference_fold`), a left-normed word is evaluated as a plain
-chain of brackets, not through an expression tree, gamma(n) comes from the
+(`reference_fold`), a left-normed word is built as a tree one letter at a
+time (`left_normed`), as the presentations once were, and evaluated as a
+plain chain of brackets, not through an expression tree, gamma(n) comes from the
 filtration search without the pruning of `growth.growth_bfs`, the Wplus
 graded counts come from listing exponent vectors instead of their closed
 form, and the enveloping series comes from multiplying truncated factors
@@ -28,6 +29,7 @@ through the validated constructor, the reference for the packed draw.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import product
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -219,6 +221,14 @@ def random_element_by_constructor(rng, m: int, n: int, mode: str) -> WreathEleme
     powers = (1, 2) if mode == MODE_WPLUS else (1,)
     torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
     return WreathElement(m, n, terms, torus)
+
+
+def left_normed(letters: Sequence) -> Bracket:
+    """The left-nested bracket [[..[g0,g1],..],gk] of the letters, the tree a
+    presentation's relator once was built as, one letter at a time."""
+    if not letters:
+        raise ValueError("empty word")
+    return reduce(Bracket, letters)
 
 
 def evaluate_word(word, assignment: Mapping, bracket: Callable[[V, V], V]) -> V:

@@ -10,6 +10,7 @@ from decimal import Decimal
 import pytest
 
 from _oracles import euler_product_direct
+from liegrowth import cli
 from liegrowth import growth as growthmod
 from liegrowth.cli import main
 
@@ -294,6 +295,50 @@ def test_output_bytes_are_stable(tmp_path):
         assert main(["growth", "--d", "2", "--max-n", "6", "--out", str(path)]) == 0
         growth_outputs.append(path.read_bytes())
     assert growth_outputs[0] == growth_outputs[1]
+
+
+def test_main_builds_one_parser_and_reuses_it(tmp_path, monkeypatch, capsys):
+    # one process calls main many times, as the benchmark does; every call
+    # after the first reuses the parser, and gives the bytes the first gave
+    cli._build_parser.cache_clear()
+    calls = (
+        (["growth", "--d", "2", "--max-n", "5"], 0),
+        (["verify", "--suite", "presentation", "--d", "2", "--bound-s", "2"], 0),
+        (["verify", "--suite", "towers", "--mode", "W"], 2),
+        (["euler-fit", "--d", "2", "--fit-n", "32"], 0),
+        (["verify", "--suite", "model-laws", "--d", "2", "--trials", "3"], 0),
+    )
+    rounds = []
+    for r in range(2):
+        outputs = []
+        for i, (argv, code) in enumerate(calls):
+            path = tmp_path / f"round{r}-call{i}"
+            argv = [*argv, "--out", str(path)]
+            if code == 2:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2 and not path.exists()
+                outputs.append(capsys.readouterr().err)
+            else:
+                assert main(argv) == 0, argv
+                outputs.append(path.read_bytes())
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
+    assert cli._build_parser.cache_info().misses == 1
+    # the suites look their functions up by name when called, so one replaced
+    # after the parser is built is the one called
+    real, checked = cli.check_presentation, []
+
+    def recording(pres):
+        checked.append(pres.bounds)
+        return real(pres)
+
+    monkeypatch.setattr(cli, "check_presentation", recording)
+    path = tmp_path / "patched"
+    assert main(["verify", "--suite", "presentation", "--d", "2", "--bound-s", "2", "--out", str(path)]) == 0
+    assert checked == [{"s_max": 2}]
+    assert path.read_bytes() == rounds[0][1]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # stdout of eight commands at a fixed configuration, byte for byte

@@ -7,7 +7,9 @@ instance `__dict__`, equality by shape and terms, results of arithmetic that
 the public constructor rebuilds unchanged, one mismatch error per type, and
 no type that defines the shared arithmetic again. An operand of the wrong
 type, given to a bracket kernel or to an entry point that takes elements,
-raises `ValueError`, never `AttributeError` or `TypeError`.
+raises `ValueError`, never `AttributeError` or `TypeError`; so does an
+argument of the wrong type given to `check_presentation`, to `evaluate` as
+its memo, or as the seed of a random check.
 """
 
 from __future__ import annotations
@@ -17,11 +19,19 @@ from fractions import Fraction
 import pytest
 
 from liegrowth import metabelian
-from liegrowth.expr import Generator, evaluate
+from liegrowth.expr import Bracket, Generator, evaluate
 from liegrowth.metabelian import MetabelianElement
 from liegrowth.poly import MultiPoly, TermElement, checked_terms, scaled
-from liegrowth.presentations import tower_commutation_report
-from liegrowth.wreath import WreathElement, magnus_embedding, wreath_bracket
+from liegrowth.presentations import Presentation, check_presentation, tower_commutation_report
+from liegrowth.wreath import (
+    MODE_W,
+    WreathElement,
+    certify_embedding,
+    magnus_embedding,
+    model_laws_report,
+    standard_assignment,
+    wreath_bracket,
+)
 
 # (element, an element of the same shape, one of another shape, rebuild through the public constructor)
 CASES = {
@@ -162,6 +172,18 @@ M2 = MetabelianElement(2)
         (lambda: tower_commutation_report(1, 2, 3, 4, 1), "a, b, t and u must be elements of one model"),
         (lambda: tower_commutation_report(W11, W11, W11, M2, 1), "a, b, t and u must be elements of one model"),
         (lambda: evaluate(Generator("x", 0), None, wreath_bracket), "assignment must be a mapping, not NoneType"),
+        (lambda: check_presentation(5), "check_presentation takes a Presentation, not int"),
+        (
+            lambda: check_presentation(Presentation((1, 2), {}, MODE_W, 1, 1)),
+            "a presentation's relators must be a tuple or list of Relators",
+        ),
+        (lambda: check_presentation(Presentation((), None, MODE_W, 1, 1)), "a presentation's bounds must be a dict, not NoneType"),
+        (
+            lambda: evaluate(Bracket(Generator("a", 0), Generator("t", 0)), standard_assignment(1, 1, MODE_W), wreath_bracket, []),
+            "memo must be a dict, not list",
+        ),
+        (lambda: model_laws_report(2, seed=[1]), "seed must be an int, not list"),
+        (lambda: certify_embedding(2, 3, seed=[1]), "seed must be an int, not list"),
     ],
     ids=[
         "wreath_bracket-metabelian",
@@ -174,6 +196,12 @@ M2 = MetabelianElement(2)
         "tower_commutation_report-ints",
         "tower_commutation_report-metabelian-u",
         "evaluate-None-assignment",
+        "check_presentation-int",
+        "check_presentation-int-relators",
+        "check_presentation-None-bounds",
+        "evaluate-list-memo",
+        "model_laws_report-list-seed",
+        "certify_embedding-list-seed",
     ],
 )
 def test_an_operand_of_the_wrong_type_raises_value_error(call, message):

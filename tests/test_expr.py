@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import evaluate_combination, leaf_count, reference_fold
+from _oracles import evaluate_combination, leaf_count, left_normed, reference_fold
 from conftest import lie_dags, lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
@@ -17,7 +17,6 @@ from liegrowth.expr import (
     evaluate,
     format_expr,
     left_normalize,
-    left_normed,
     parse_expr,
     random_expr,
 )

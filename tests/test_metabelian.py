@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import basis_words_by_filter, graded_dim_closed
+from _oracles import basis_words_by_filter, graded_dim_closed, left_normed
 from conftest import lie_exprs, seeded_rng, x_gens
-from liegrowth.expr import Bracket, Generator, evaluate, left_normed, parse_expr, random_expr
+from liegrowth.expr import Bracket, Generator, evaluate, parse_expr, random_expr
 from liegrowth.metabelian import (
     MetabelianElement,
     basis_monomials,

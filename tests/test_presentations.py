@@ -6,8 +6,9 @@ from itertools import combinations, product
 
 import pytest
 
+from _oracles import left_normed
 from liegrowth import presentations
-from liegrowth.expr import Bracket, Generator, UnboundGeneratorError, format_expr, left_normed, parse_expr
+from liegrowth.expr import Bracket, Generator, UnboundGeneratorError, format_expr, parse_expr
 from liegrowth.presentations import (
     Relator,
     check_presentation,
@@ -339,9 +340,10 @@ def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
     assert calls.count(("a1", "t1")) == 1
     assert calls.count(("a1*t1", "t2")) == 1
     assert len(calls) == 2 + 3 + 2
-    # the tower's leaves are read once, on its first walk; then a2 twice and
-    # the right-hand side's three leaves
-    assert looked_up == [a1, t1, t2, a2, a2, a1, t2, t1]
+    # the tower's leaves are read on its first walk; then a2, once, as the
+    # memo holds the relator roots' leaf children too; then the right-hand
+    # side's tower [a1,t2] on its walk, and t1, its root's leaf child
+    assert looked_up == [a1, t1, t2, a2, a1, t2, t1]
 
 
 def test_deep_relators_are_checked_without_recursion():
