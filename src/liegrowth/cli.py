@@ -111,23 +111,20 @@ def _fit_points(fit_n: int) -> list[int]:
 
 
 def _cmd_euler_fit(args: argparse.Namespace) -> int:
-    if args.input is not None:
+    mode = "input" if args.input is not None else args.mode
+    if mode == "input":
         a = _read_graded_csv(args.input, args.fit_n)
-        target = args.target
-        mode = "input"
-    elif args.mode == growthmod.MODE_METABELIAN:
+    elif mode == growthmod.MODE_METABELIAN:
         if args.d == 1:
             raise ValueError(
                 "the metabelian algebra on 1 generator is one-dimensional, so every b_n is 1"
                 " and there is no growth exponent to fit; use --d 2 or more"
             )
         a = [0] + [metabelian.graded_dim(args.d, n) for n in range(1, 2 * args.fit_n + 1)]
-        target = args.target if args.target is not None else args.d / (args.d + 1)
-        mode = args.mode
     else:
         a = growthmod.wplus_graded_dims(args.d, 2 * args.fit_n)
-        target = args.target if args.target is not None else args.d / (args.d + 1)
-        mode = args.mode
+    # a model's default target is the exponent d/(d+1) of its growth type
+    target = args.d / (args.d + 1) if args.target is None and mode != "input" else args.target
     b = series.euler_transform(a)
     fit = series.fit_stretched_exponent(b, _fit_points(args.fit_n))
     passed = None if target is None else abs(fit.final - target) <= args.tolerance
@@ -337,7 +334,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -269,10 +269,12 @@ def evaluate(
 
     Trees that share bracket nodes can share one `memo` (see `_fold`), so
     that each node is walked and bracketed once over all of them. A memo that
-    is not a dict raises `ValueError`.
+    is not a dict, or a bracket that cannot be called, raises `ValueError`.
     """
     if memo is not None and type(memo) is not dict:
         raise ValueError(f"memo must be a dict, not {type(memo).__name__}")
+    if not callable(bracket):
+        raise ValueError(f"bracket must be callable, not {type(bracket).__name__}")
     return _fold(e, partial(leaf_value, assignment), bracket, memo)
 
 

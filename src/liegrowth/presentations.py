@@ -23,8 +23,7 @@ side's children, leaves and towers alike, from one memo keyed by tree node.
 A leaf is looked up in the assignment the first time it is seen, and
 `evaluate` fills in a tower the first time it is seen. Each shared leaf is
 thus looked up, and each shared tower walked and bracketed, once over the
-whole presentation. A side is stored in the memo too, so a side that is also
-a subtree elsewhere is bracketed once.
+whole presentation.
 
 A presentation records its model: `wreath_presentation` builds one for W and
 `wplus_presentation` one for Wplus, and `check_presentation` evaluates it
@@ -160,16 +159,16 @@ def check_presentation(pres: Presentation) -> RelationReport:
         return value
 
     def side(node: LieExpr) -> WreathElement:
-        # one bracket of the two children, stored, as a side may be a subtree elsewhere
+        # one bracket of the two children, unless the side is a tower already known
         if type(node) is Bracket and id(node) not in memo:
-            memo[id(node)] = (node, wreath_bracket(child(node.left), child(node.right)))
+            return wreath_bracket(child(node.left), child(node.right))
         return child(node)
 
     report = RelationReport("presentation", pres.mode, pres.m, pres.n, dict(pres.bounds))
     for rel in pres.relators:
         lhs = side(rel.lhs)
         diff = lhs if rel.rhs is None else lhs - side(rel.rhs)
-        report.check(diff.is_zero(), lambda: f"{rel.label} evaluated to {diff}")
+        report.check(None if diff.is_zero() else f"{rel.label} evaluated to {diff}")
     return report
 
 
@@ -205,7 +204,7 @@ def tower_commutation_report(
     report = RelationReport("towers", MODE_WPLUS, a.m, a.n, {"i_max": bound, "j_max": bound})
     for label, fn in _TOWER_HYPOTHESES:
         value = fn(a, b, t, u)
-        report.check(value.is_zero(), lambda: f"hypothesis {label} evaluated to {value}")
+        report.check(None if value.is_zero() else f"hypothesis {label} evaluated to {value}")
     if report.failures:
         return report
     towers_a = [a]
@@ -216,7 +215,7 @@ def tower_commutation_report(
     for i in range(bound + 1):
         for j in range(bound + 1):
             value = wreath_bracket(towers_a[i], towers_b[j])
-            report.check(value.is_zero(), lambda: f"[[a,t^{i}],[b,t^{j}]] evaluated to {value}")
+            report.check(None if value.is_zero() else f"[[a,t^{i}],[b,t^{j}]] evaluated to {value}")
     return report
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from _oracles import left_normed
-from liegrowth import presentations
+from liegrowth import presentations, wreath
 from liegrowth.expr import Bracket, Generator, UnboundGeneratorError, format_expr, parse_expr
 from liegrowth.presentations import (
     Relator,
@@ -17,7 +17,7 @@ from liegrowth.presentations import (
     wplus_presentation,
     wreath_presentation,
 )
-from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement
+from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement, certify_embedding, model_laws_report
 
 
 def test_wreath_presentation_all_relators_vanish():
@@ -371,3 +371,24 @@ def test_presentations_reject_negative_bounds():
     _, a, b, t, u = standard_tower_instances(2)[0]
     with pytest.raises(ValueError, match=r"^bound must be >= 0$"):
         tower_commutation_report(a, b, t, u, -1)
+
+
+def test_passing_suites_format_nothing(monkeypatch):
+    # every check site writes `None if ok else f"..."`, so a passing suite
+    # builds no witness text: each formatter it could reach raises here
+    def refuse(*args):
+        raise AssertionError("a passing check formatted its witness")
+
+    monkeypatch.setattr(WreathElement, "__str__", refuse)
+    monkeypatch.setattr(Relator, "label", property(refuse))
+    monkeypatch.setattr(presentations, "format_expr", refuse)
+    monkeypatch.setattr(wreath, "format_expr", refuse)
+    reports = [
+        check_presentation(wreath_presentation(2, 2, 3)),
+        check_presentation(wplus_presentation(2, 2, 2)),
+        *(tower_commutation_report(a, b, t, u, 3) for _, a, b, t, u in standard_tower_instances(2)),
+        certify_embedding(2, 4, trials=5),
+        model_laws_report(2, MODE_W, trials=5, span_degree=2),
+        model_laws_report(2, MODE_WPLUS, trials=5, span_degree=2),
+    ]
+    assert all(rep.passed and rep.checked for rep in reports)
