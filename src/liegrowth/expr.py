@@ -20,7 +20,7 @@ and ``evaluate`` differ only in what they do at a leaf and at a bracket.
 ``_fold`` and ``evaluate`` can carry a node memo (``Memo``) across calls, so
 trees that share subtrees, as the relators of a presentation share their
 towers, walk and bracket each shared node once. ``parse_expr`` is one loop
-over the tokens with a stack of open brackets. A ``Bracket``'s ``==``,
+over the text with a stack of open brackets. A ``Bracket``'s ``==``,
 ``hash`` and ``repr`` go through the text format. None of these recurses, so
 no depth of tree reaches the interpreter's recursion limit.
 
@@ -154,11 +154,37 @@ def format_expr(e: LieExpr) -> str:
 
 
 def parse_expr(text: str) -> LieExpr:
-    """Parse the text format; inverse of format_expr."""
+    """Parse the text format; inverse of format_expr.
+
+    One loop over the text: each token is recognized where it starts and goes
+    straight to the stack of open brackets, so a text with several faults
+    reports the first one reached.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"expected a str, not {type(text).__name__}")
     # the entries read so far of each open bracket; open_lists[0] takes the whole input
     open_lists: list[list[LieExpr]] = [[]]
     want_entry = True
-    for pos, tok in enumerate(_tokenize(text)):
+    pos = -1  # the number of the token read last
+    i, n = 0, len(text)
+    while i < n:
+        start = i
+        tok = text[i]
+        i += 1
+        # the frequent characters first; isspace last, as the text format rarely holds a space
+        if tok in "[],":
+            pass  # a token of one character
+        elif tok in KINDS:
+            while i < n and text[i] in "0123456789":  # str.isdigit also takes '²' and '١'
+                i += 1
+            if i == start + 1:
+                raise ParseError(f"generator {tok!r} needs a 1-based index")
+            tok = text[start:i]
+        elif tok.isspace():
+            continue
+        else:
+            raise ParseError(f"unexpected character {tok!r} at position {start}")
+        pos += 1
         if want_entry:
             if tok == "[":
                 open_lists.append([])
@@ -185,37 +211,10 @@ def parse_expr(text: str) -> LieExpr:
                 raise ParseError("a bracket needs at least two entries")
             open_lists[-1].append(reduce(Bracket, items))
     if want_entry:
-        raise ParseError("unexpected end of input")
+        raise ParseError("empty input" if pos < 0 else "unexpected end of input")
     if len(open_lists) > 1:
         raise ParseError("expected ']'")
     return open_lists[0][0]
-
-
-def _tokenize(text: str) -> list[str]:
-    if not isinstance(text, str):
-        raise ParseError(f"expected a str, not {type(text).__name__}")
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "[],":
-            tokens.append(ch)
-            i += 1
-        elif ch in KINDS:
-            j = i + 1
-            while j < len(text) and text[j] in "0123456789":  # str.isdigit also takes '²' and '١'
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"generator {ch!r} needs a 1-based index")
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    if not tokens:
-        raise ParseError("empty input")
-    return tokens
 
 
 # ------------------------------------------------------- left-normed spanning

@@ -320,12 +320,12 @@ def magnus_embedding(elem: MetabelianElement) -> WreathElement:
     if type(elem) is not MetabelianElement:
         raise ValueError(f"magnus_embedding takes a MetabelianElement, not {type(elem).__name__}")
     d = elem.d
-    images = magnus_generator_images(d)
+    x = list(magnus_generator_images(d).values())
     total = WreathElement.zero(d, d)
-    for word, coeff in sorted(elem.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        val = images[Generator("x", word[0])]
+    for word, coeff in elem.terms.items():
+        val = x[word[0]]
         for i in word[1:]:
-            val = wreath_bracket(val, images[Generator("x", i)])
+            val = wreath_bracket(val, x[i])
         total = total + val * coeff
     return total
 
@@ -352,7 +352,7 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     rng = _seeded(seed)
     report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
-    x = [images[Generator("x", i)] for i in range(d)]
+    x = list(images.values())
     image: dict[tuple[int, ...], WreathElement] = {}
     extra = d << _BITS * d
     for n in range(1, n_max + 1):
@@ -378,9 +378,8 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
                 report.failures.append(f"{image_of} is 0")
         report.ranks.append((n, rank, expected))
         report.check(None if rank == expected else f"degree {n}: rank {rank} != expected {expected}")
-    gens = [Generator("x", i) for i in range(d)]
     for _ in range(trials):
-        e = random_expr(rng, gens, rng.randint(1, 6))
+        e = random_expr(rng, list(images), rng.randint(1, 6))
         via_normal_form = magnus_embedding(metabelian.normalize_expr(e, d))
         direct = evaluate(e, images, wreath_bracket)
         report.check(None if via_normal_form == direct else f"homomorphism property failed on {format_expr(e)}")

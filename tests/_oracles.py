@@ -24,6 +24,11 @@ the layout of the basis; `wreath_text` writes that layout as the text format
 of an element, term by term, as `str` did on the tuple-keyed dicts.
 `random_element_by_constructor` draws the model-law elements in that layout
 through the validated constructor, the reference for the packed draw.
+
+`parse_expr_two_pass` is the parser that `expr.parse_expr` replaced: it turns
+the whole text into a token list first, then feeds that list to the stack of
+open brackets, so a fault in a character is reported before any fault of
+structure, wherever each stands.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from liegrowth import metabelian
-from liegrowth.expr import Bracket
+from liegrowth.expr import KINDS, Bracket, Generator, LieExpr, ParseError
 from liegrowth.poly import MultiPoly, Rational, format_terms, monomial_text
 from liegrowth.rowspace import RowSpace
 from liegrowth.series import _graded_range
@@ -229,6 +234,71 @@ def left_normed(letters: Sequence) -> Bracket:
     if not letters:
         raise ValueError("empty word")
     return reduce(Bracket, letters)
+
+
+def parse_expr_two_pass(text: str) -> LieExpr:
+    """The text format read in two passes: the token list of the whole text, then the bracket stack."""
+    # the entries read so far of each open bracket; open_lists[0] takes the whole input
+    open_lists: list[list[LieExpr]] = [[]]
+    want_entry = True
+    for pos, tok in enumerate(_tokenize(text)):
+        if want_entry:
+            if tok == "[":
+                open_lists.append([])
+                continue
+            if tok[0] not in KINDS:
+                raise ParseError(f"unexpected token {tok!r}")
+            try:
+                index = int(tok[1:])
+            except ValueError:  # past int's limit on the digits of a str
+                raise ParseError(f"index of {tok[0]!r} at token {pos} is too long ({len(tok) - 1} digits)") from None
+            if index < 1:
+                raise ParseError(f"index in {tok!r} must be >= 1")
+            open_lists[-1].append(Generator(tok[0], index - 1))
+            want_entry = False
+        elif len(open_lists) == 1:
+            raise ParseError(f"trailing input at token {pos}")
+        elif tok == ",":
+            want_entry = True
+        elif tok != "]":
+            raise ParseError("expected ']'")
+        else:
+            items = open_lists.pop()
+            if len(items) < 2:
+                raise ParseError("a bracket needs at least two entries")
+            open_lists[-1].append(reduce(Bracket, items))
+    if want_entry:
+        raise ParseError("unexpected end of input")
+    if len(open_lists) > 1:
+        raise ParseError("expected ']'")
+    return open_lists[0][0]
+
+
+def _tokenize(text: str) -> list[str]:
+    if not isinstance(text, str):
+        raise ParseError(f"expected a str, not {type(text).__name__}")
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "[],":
+            tokens.append(ch)
+            i += 1
+        elif ch in KINDS:
+            j = i + 1
+            while j < len(text) and text[j] in "0123456789":  # str.isdigit also takes '²' and '١'
+                j += 1
+            if j == i + 1:
+                raise ParseError(f"generator {ch!r} needs a 1-based index")
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {i}")
+    if not tokens:
+        raise ParseError("empty input")
+    return tokens
 
 
 def evaluate_word(word, assignment: Mapping, bracket: Callable[[V, V], V]) -> V:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import evaluate_combination, leaf_count, left_normed, reference_fold
+from _oracles import evaluate_combination, leaf_count, left_normed, parse_expr_two_pass, reference_fold
 from conftest import lie_dags, lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
@@ -75,6 +75,76 @@ def test_parse_rejects_malformed():
         with pytest.raises(ParseError) as exc:
             parse_expr(bad)
         assert str(exc.value) == f"expected a str, not {kind}"
+
+
+def test_parse_takes_unicode_spaces_and_rejects_zero_width():
+    # str.isspace separates tokens, as ' ' does; a zero-width character is no space
+    for text, printed in (
+        ("[x1,\u00a0x2]", "[x1,x2]"),
+        ("\x1c x1", "x1"),
+        ("\u3000[x1,x2]", "[x1,x2]"),
+        ("[x1,x2]\u2028", "[x1,x2]"),
+    ):
+        assert format_expr(parse_expr(text)) == printed
+    for bad in ("\u200b", "\ufeff[x1,x2]"):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(bad)
+        assert str(exc.value) == f"unexpected character {bad[0]!r} at position 0"
+
+
+def test_parse_reports_the_first_fault_reached():
+    # each text has a fault of structure before a bad character; the structure fault is reported
+    table = [
+        ("[,y", "unexpected token ','"),
+        ("x1]z", "trailing input at token 1"),
+        ("x1 x2 x", "trailing input at token 1"),
+        ("[x1 x2 y", "expected ']'"),
+        ("]\u200b", "unexpected token ']'"),
+        ("x0 y", "index in 'x0' must be >= 1"),
+        ("[x1]\u00b2", "a bracket needs at least two entries"),
+    ]
+    for bad, message in table:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(bad)
+        assert str(exc.value) == message, bad
+
+
+# brackets, commas, the four letters, ASCII and other digits, Unicode spaces and zero-width characters
+_PARSE_ALPHABET = "[],xatu0123456789\u00b2\u0661 \x1c\u00a0\u3000\u200b\ufeff"
+# the faults found in a character, which the two-pass oracle reports before any fault of structure
+_CHARACTER_FAULTS = ("unexpected character", "generator")
+
+
+@st.composite
+def _parse_texts(draw):
+    """Texts over `_PARSE_ALPHABET`: free strings, or printed trees with a few characters put in."""
+    if draw(st.booleans()):
+        return draw(st.text(_PARSE_ALPHABET, max_size=24))
+    text = format_expr(draw(lie_exprs(d=3, max_size=6)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_PARSE_ALPHABET)) + text[at:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400)
+@given(_parse_texts())
+def test_parse_agrees_with_two_pass_oracle(text):
+    tree, fault = _parse_outcome(parse_expr, text)
+    expected_tree, expected_fault = _parse_outcome(parse_expr_two_pass, text)
+    assert (fault is None) == (expected_fault is None)
+    if fault is None:
+        assert tree == expected_tree and format_expr(tree) == format_expr(expected_tree)
+    elif fault != expected_fault:
+        # only the order of the faults differs: a fault of structure reached before a bad character
+        assert expected_fault.startswith(_CHARACTER_FAULTS) and not fault.startswith(_CHARACTER_FAULTS)
 
 
 def test_format_round_trip_examples():
