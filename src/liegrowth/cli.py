@@ -27,8 +27,9 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from decimal import Decimal
-from typing import Sequence
 
 from . import growth as growthmod
 from . import metabelian, series
@@ -42,18 +43,23 @@ from .presentations import (
 from .wreath import MODE_W, MODE_WPLUS, RelationReport, certify_embedding, model_laws_report
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write one text, or lines as they are made, to `out` or stdout.
+
+    A str is written whole: `writelines` would take it one character at a time.
+    """
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        if isinstance(text, str):
             fh.write(text)
+        else:
+            fh.writelines(text)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV lines of the rows, each ending in a newline, made one at a time."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _json(obj: dict) -> str:
@@ -145,7 +151,7 @@ def _cmd_euler_fit(args: argparse.Namespace) -> int:
     if args.dump_coeffs is not None:
         # str() refuses an int past 4,300 digits by default, and the limit is
         # global to the interpreter; Decimal holds it exactly and prints it whole
-        rows = [(n, Decimal(v)) for n, v in enumerate(b)]
+        rows = ((n, Decimal(v)) for n, v in enumerate(b))
         _emit(_csv(("n", "b_n"), rows), args.dump_coeffs)
     return 0 if passed in (True, None) else 1
 

@@ -44,8 +44,9 @@ truth value, `+`, `-`, negation and scalar `*` from either side, over the
 another type or shape, a scalar included, raises `ValueError` with the left
 operand's `_MISMATCH` text. `_trusted` and `is_zero` stay in each type, as
 they run on hot paths: every bracket builds its result with `_trusted`, and
-the relation checks ask `is_zero` of each relator. Written once over
-`_unpack`, either costs three to ten times as much a call.
+the relation checks ask `is_zero` of each tower pair and law
+(`check_presentation` tests a relator's two dicts inline, without the call).
+Written once over `_unpack`, either costs three to ten times as much a call.
 """
 
 from __future__ import annotations

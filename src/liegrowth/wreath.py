@@ -54,7 +54,7 @@ from math import comb
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Rational, TermElement, check_int, checked_terms, format_terms, monomial_text
+from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms, monomial_text
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -287,7 +287,11 @@ class RelationReport:
     def check(self, failure: str | None) -> None:
         """Count one check, and append its witness text unless it is None (passed).
 
-        Callers write ``None if ok else f"..."``, so a passing check formats nothing.
+        Callers write ``None if ok else f"..."``, so a passing check formats
+        nothing. The embedding suite, the model laws and the tower hypotheses
+        call it per check. The hot loops, the relators of `check_presentation`
+        and the tower pairs of `tower_commutation_report`, append their
+        failures and add to `checked` in bulk instead.
         """
         self.checked += 1
         if failure is not None:
@@ -403,6 +407,14 @@ def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElem
     return WreathElement._trusted(m, n, *({key: c for key, c in part.items() if c} for part in (terms, torus)))
 
 
+def _sum_into(total: WreathElement, *more: WreathElement) -> WreathElement:
+    """total + sum(more), summed into total's own dicts: total must be a fresh bracket result."""
+    for x in more:
+        add_into(total.terms, x.terms)
+        add_into(total.torus, x.torus)
+    return total
+
+
 def model_laws_report(
     d: int,
     mode: str = MODE_WPLUS,
@@ -434,12 +446,12 @@ def model_laws_report(
         q = _random_element(rng, d, d, mode)
         r = _random_element(rng, d, d, mode)
         pq = wreath_bracket(p, q)
-        anti = pq + wreath_bracket(q, p)
+        anti = _sum_into(wreath_bracket(q, p), pq)
         check(None if anti.is_zero() else f"antisymmetry failed: p={p}, q={q}")
-        jac = (
-            wreath_bracket(pq, r)
-            + wreath_bracket(wreath_bracket(q, r), p)
-            + wreath_bracket(wreath_bracket(r, p), q)
+        jac = _sum_into(
+            wreath_bracket(pq, r),
+            wreath_bracket(wreath_bracket(q, r), p),
+            wreath_bracket(wreath_bracket(r, p), q),
         )
         check(None if jac.is_zero() else f"Jacobi failed: p={p}, q={q}, r={r}")
         check(None if not pq.torus else f"commutator left the module: [{p}, {q}] = {pq}")
@@ -460,8 +472,8 @@ def model_laws_report(
                 for js in combinations_with_replacement(range(d), s)
             }
         for (l, js), val in towers.items():
-            mono = WreathElement(d, d, {(l, tuple(js.count(j) for j in range(d))): 1})
-            check(None if val == mono else f"tower a{l + 1},{js} is not the expected monomial")
+            mono = {_module_key((l, tuple(js.count(j) for j in range(d))), d, d): 1}
+            check(None if val.terms == mono and not val.torus else f"tower a{l + 1},{js} is not the expected monomial")
             if space.add(val.coords()):
                 count += 1
         expected = d * comb(s + d - 1, d - 1)

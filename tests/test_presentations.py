@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
+import json
 from dataclasses import replace
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from _oracles import left_normed
-from liegrowth import presentations, wreath
+from liegrowth import cli, presentations, wreath
 from liegrowth.expr import Bracket, Generator, UnboundGeneratorError, format_expr, parse_expr
 from liegrowth.presentations import (
     Relator,
@@ -392,3 +395,87 @@ def test_passing_suites_format_nothing(monkeypatch):
         model_laws_report(2, MODE_WPLUS, trials=5, span_degree=2),
     ]
     assert all(rep.passed and rep.checked for rep in reports)
+
+
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_one_nonzero_relator_among_zero_ones_is_the_one_failure(where):
+    # [a1,t1] on the presentation's own leaves: in the middle or at the end it
+    # finds both in the memo and is checked inline, and it must still be
+    # counted and reported with its label
+    relators = list(wreath_presentation(2, 2, 2).relators)
+    t1, a1 = relators[0].lhs.left, relators[4].lhs.left  # [t1,t1] and [a1,a1]
+    relators.insert(where % (len(relators) + 1), Relator(Bracket(a1, t1)))
+    rep = check_presentation(_pres(*relators))
+    assert rep.checked == len(relators)
+    assert rep.failures == ["[a1,t1] evaluated to a1*t1"]
+
+
+def test_a_tower_pair_that_does_not_vanish_is_reported(monkeypatch):
+    # a bracket that adds a1 to [[a,t^2],[b,t^3]] alone: the hypotheses hold,
+    # and the one pair that fails is named among the 4 * 4 counted in bulk
+    real = presentations.wreath_bracket
+
+    def broken(p, q):
+        out = real(p, q)
+        if p.terms and q.terms and (p.module_degree(), q.module_degree()) == (2, 3):
+            out = out + WreathElement.gen_a(0, p.m, p.n)
+        return out
+
+    monkeypatch.setattr(presentations, "wreath_bracket", broken)
+    _, a, b, t, u = standard_tower_instances(2)[0]
+    rep = tower_commutation_report(a, b, t, u, 3)
+    assert rep.checked == 6 + 4 * 4
+    assert rep.failures == ["[[a,t^2],[b,t^3]] evaluated to a1"]
+
+
+def test_check_presentation_looks_up_the_bracket_when_called(monkeypatch):
+    # the benchmark's tracer replaces presentations.wreath_bracket by name after
+    # import; the inline common relator must call the replacement too, so that
+    # the traced bracket counts repeat
+    pres = wreath_presentation(2, 2, 4)
+    real = presentations.wreath_bracket
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(presentations, "wreath_bracket", counting)
+    assert check_presentation(pres).passed
+    assert len(calls) == 580  # test_check_presentation_makes_each_bracket_once
+    # a bracket that adds a1 to every value leaves no relator at 0
+    monkeypatch.setattr(presentations, "wreath_bracket", lambda p, q: real(p, q) + WreathElement.gen_a(0, 2, 2))
+    rep = check_presentation(pres)
+    assert rep.checked == len(rep.failures) == len(pres.relators)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize(
+    "suite, d, opts",
+    [
+        *(("presentation", d, {"mode": MODE_W, "bound_s": b}) for d in (1, 2, 3) for b in (0, 1, 3)),
+        *(("presentation", d, {"mode": MODE_WPLUS, "bound_s": b}) for d in (1, 2, 4) for b in (0, 2, 5)),
+        *(("towers", d, {"bound_s": b}) for d in (1, 2, 3) for b in (0, 4)),
+        ("embedding", 2, {"max_n": 4}),
+        ("embedding", 3, {"max_n": 3}),
+        *(("model-laws", d, {"mode": mode, "trials": 3}) for d in (1, 2) for mode in (MODE_W, MODE_WPLUS)),
+    ],
+)
+def test_each_suite_checks_as_many_as_the_benchmark_counts(tmp_path, suite, d, opts):
+    # perfbench/checks.py works the counts out combinatorially, apart from the
+    # program; bulk counting must give the same `checked`
+    argv = ["verify", "--suite", suite, "--d", str(d), "--out", str(tmp_path / "out.json")]
+    for key, value in opts.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["checked"] == _perfbench_checks().expected_checked({"suite": suite, "d": d, **opts})

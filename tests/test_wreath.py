@@ -436,3 +436,73 @@ def test_report_check_counts_every_check_and_formats_only_failures():
     assert report.checked == 4
     assert report.failures == ["first", "second"]
     assert not report.passed
+
+
+def _law_draws(d, trials, mode=MODE_WPLUS, seed=0):
+    """The (p, q, r) that model_laws_report draws, trial by trial."""
+    rng = wreath._seeded(seed)
+    return [[wreath._random_element(rng, d, d, mode) for _ in range(3)] for _ in range(trials)]
+
+
+def _t1_count(*elems):
+    """How many of the elements have a nonzero t1 coefficient."""
+    return sum((-1, 0) in e.decoded()[1] for e in elems)
+
+
+def test_model_laws_report_a_bracket_that_breaks_antisymmetry(monkeypatch):
+    # [p, q] + a1 whenever both operands carry torus letters: [p,q] + [q,p] = 2*a1.
+    # The laws are summed in place into bracket results, and the sum must still show it
+    def not_antisymmetric(p, q):
+        out = wreath_bracket(p, q)
+        return out + WreathElement.gen_a(0, p.m, p.n) if p.torus and q.torus else out
+
+    monkeypatch.setattr(wreath, "wreath_bracket", not_antisymmetric)
+    rep = model_laws_report(2, trials=5)
+    assert rep.checked == 4 * 5 + sum(2 * (s + 1) + 1 for s in range(5))
+    assert len([f for f in rep.failures if f.startswith("antisymmetry failed")]) == 5
+
+
+def test_model_laws_report_a_bracket_that_breaks_only_jacobi(monkeypatch):
+    # doubling [p, q] when both p and q have a t1 term keeps the bracket
+    # antisymmetric and its values in the module, and breaks Jacobi wherever
+    # exactly two of p, q and r have a t1 term
+    def doubled_on_t1(p, q):
+        out = wreath_bracket(p, q)
+        return out * 2 if _t1_count(p, q) == 2 else out
+
+    monkeypatch.setattr(wreath, "wreath_bracket", doubled_on_t1)
+    rep = model_laws_report(2, trials=50)
+    jacobi = [f for f in rep.failures if f.startswith("Jacobi failed")]
+    assert jacobi and len(jacobi) == len(rep.failures)
+    assert len(jacobi) <= sum(_t1_count(*prq) == 2 for prq in _law_draws(2, 50))
+
+
+def test_model_laws_sum_the_torus_parts_too(monkeypatch):
+    # adding t1 when the left operand has more module terms than the right
+    # makes [p,q] + [q,p] = t1 or -t1, a torus part only; whichever of the two
+    # carries it, the sum in place must keep it
+    def t1_added(p, q):
+        out = wreath_bracket(p, q)
+        return out + WreathElement.gen_t(0, p.m, p.n) if len(p.terms) > len(q.terms) else out
+
+    monkeypatch.setattr(wreath, "wreath_bracket", t1_added)
+    rep = model_laws_report(2, trials=50)
+    anti = [f for f in rep.failures if f.startswith("antisymmetry failed")]
+    assert len(anti) == sum(len(p.terms) != len(q.terms) for p, q, _ in _law_draws(2, 50)) > 0
+
+
+def test_model_laws_report_a_tower_with_a_torus_part(monkeypatch):
+    # a tower equal to its monomial in the module but with a torus letter added
+    # is not that monomial
+    def torus_kept(p, q):
+        out = wreath_bracket(p, q)
+        return out + q if not q.terms and not p.torus else out
+
+    monkeypatch.setattr(wreath, "wreath_bracket", torus_kept)
+    rep = model_laws_report(2, MODE_W, trials=0, span_degree=1)
+    assert rep.failures == [
+        "tower a1,(0,) is not the expected monomial",
+        "tower a1,(1,) is not the expected monomial",
+        "tower a2,(0,) is not the expected monomial",
+        "tower a2,(1,) is not the expected monomial",
+    ]
