@@ -17,11 +17,14 @@ Every walk over a tree is one post-order fold, ``_fold``: one loop over one
 stack that holds the right children still to walk and, under a marker, each
 bracket whose children are being walked. ``format_expr``, ``left_normalize``
 and ``evaluate`` differ only in what they do at a leaf and at a bracket.
-``_fold`` and ``evaluate`` can carry a node memo (``Memo``) across calls, so
-trees that share subtrees, as the relators of a presentation share their
-towers, walk and bracket each shared node once. ``parse_expr`` is one loop
+``_fold`` and ``evaluate`` can carry a node memo (``Memo``) across calls. The
+memo holds the value of every node folded, leaf or bracket, so trees that
+share nodes, as the relators of a presentation share their leaves and towers,
+look up each shared leaf and walk and bracket each shared tower once; and one
+memo serves one assignment and one bracket. ``parse_expr`` is one loop
 over the text with a stack of open brackets. A ``Bracket``'s ``==``,
-``hash`` and ``repr`` go through the text format. None of these recurses, so
+``hash`` and ``repr`` go through the text format, which ``format_expr``
+writes in time linear in the size of the tree. None of these recurses, so
 no depth of tree reaches the interpreter's recursion limit.
 
 A ``Bracket`` is a slotted dataclass, not a frozen one, so that making one
@@ -95,8 +98,8 @@ LieExpr = Union[Generator, Bracket]
 
 Word = tuple[Generator, ...]
 Combination = dict[Word, int]
-# a node memo of _fold: id(node) -> (node, value); keeping the node keeps its id from reuse.
-# _fold reads and writes only brackets, but a caller may store leaves in the same memo
+# a node memo of _fold: id(node) -> (node, value) for every node folded, leaf or bracket; keeping
+# the node keeps its id from reuse. Its values come from one leaf function and one bracket
 Memo = dict[int, tuple[LieExpr, V]]
 # on _fold's stack, marks that both children of the node beneath it are folded
 _BRACKETED = object()
@@ -113,8 +116,8 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
     away. `_BRACKETED` popped means the values of its node's two children top
     `values`, which holds only values still waiting for their bracket.
 
-    With a `memo`, a bracket node found there is not descended into, and each
-    bracket value made is recorded under its node.
+    With a `memo`, a node found there is read, not folded again, and the value
+    of each node folded, leaf or bracket, is recorded under its node.
     """
     todo: list[object] = []
     values: list[V] = []
@@ -126,16 +129,18 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
             values[-1] = value = bracket(values[-1], right)
             if memo is not None:
                 memo[id(node)] = (node, value)
+        elif memo is not None and (entry := memo.get(id(node))) is not None:
+            values.append(entry[1])
         elif type(node) is Generator:
-            values.append(leaf(node))
-        elif type(node) is not Bracket:
-            raise _not_a_node(node)
-        elif memo is None or (entry := memo.get(id(node))) is None:
+            values.append(value := leaf(node))
+            if memo is not None:
+                memo[id(node)] = (node, value)
+        elif type(node) is Bracket:
             todo += (node, _BRACKETED, node.right)
             node = node.left
             continue
         else:
-            values.append(entry[1])
+            raise _not_a_node(node)
         if not todo:
             return values[0]
         node = todo.pop()
@@ -149,8 +154,26 @@ def _not_a_node(node: object) -> ValueError:
 
 def format_expr(e: LieExpr) -> str:
     # a left factor that is a bracket prints as a list, and the right factor
-    # joins that list, so left-normed chains print as flat lists
-    return _fold(e, str, lambda l, r: (l[:-1] if l[0] == "[" else "[" + l) + "," + r + "]")
+    # joins that list, so left-normed chains print as flat lists. The fold's
+    # values are start indices into `pieces`, one piece per leaf and one "]"
+    # per bracket; a piece gains at most two characters, so the time is linear
+    pieces: list[str] = []
+
+    def leaf(gen: Generator) -> int:
+        pieces.append(str(gen))
+        return len(pieces) - 1
+
+    def bracket(left: int, right: int) -> int:
+        if right - left == 1:  # a leaf
+            pieces[left] = "[" + pieces[left]
+        else:  # a bracket: its list goes on
+            pieces[right - 1] = ""
+        pieces[right] = "," + pieces[right]
+        pieces.append("]")
+        return left
+
+    _fold(e, leaf, bracket)
+    return "".join(pieces)
 
 
 def parse_expr(text: str) -> LieExpr:
@@ -266,9 +289,11 @@ def evaluate(
 ) -> V:
     """Structural fold: leaves via assignment (`leaf_value`), brackets via the callback.
 
-    Trees that share bracket nodes can share one `memo` (see `_fold`), so
-    that each node is walked and bracketed once over all of them. A memo that
-    is not a dict, or a bracket that cannot be called, raises `ValueError`.
+    Trees that share nodes can share one `memo` (see `_fold`), which holds
+    every node's value, so that each leaf is looked up, and each bracket node
+    walked and bracketed, once over all of them. One memo serves one
+    assignment and one bracket. A memo that is not a dict, or a bracket that
+    cannot be called, raises `ValueError`.
     """
     if memo is not None and type(memo) is not dict:
         raise ValueError(f"memo must be a dict, not {type(memo).__name__}")

@@ -114,11 +114,9 @@ def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
 
 def add_into(out: dict[K, Rational], terms: Mapping[K, Rational], c: Rational = 1) -> None:
     """out += c * terms, in place; `c` must be nonzero, and out keeps no zeros."""
-    unit = c == 1
     get = out.get
     for k, v in terms.items():
-        if not unit:
-            v = v * c
+        v = v * c
         old = get(k)
         if old is None:
             out[k] = v

@@ -22,14 +22,14 @@ and all but the square links are made by mapping `Bracket` and `Relator`
 over the `product` of the towers and letters they pair.
 
 Checking a relator costs one bracket per side: `check_presentation` takes a
-side's children, leaves and towers alike, from one memo keyed by tree node.
-A leaf is looked up in the assignment the first time it is seen, and
-`evaluate` fills in a tower the first time it is seen. Each shared leaf is
-thus looked up, and each shared tower walked and bracketed, once over the
-whole presentation. The common relator, [x, y] = 0 with x and y already in
-the memo, is checked in the loop itself: two memo reads and one bracket.
-Square links, bare sides and nodes seen for the first time take the general
-path. A relator's label is formatted only if it fails, and the relators are
+side's children, leaves and towers alike, from one memo keyed by tree node,
+the node memo of `expr`'s fold. A child not in the memo yet goes to
+`evaluate`, whose fold records the value of every node it meets, leaf or
+tower. Each shared leaf is thus looked up in the assignment, and each shared
+tower walked and bracketed, once over the whole presentation. The common
+relator, [x, y] = 0 with x and y already in the memo, is checked in the loop
+itself: two memo reads and one bracket. Square links, bare sides and nodes
+seen for the first time take the general path. A relator's label is formatted only if it fails, and the relators are
 counted once, not one by one.
 
 A presentation records its model: `wreath_presentation` builds one for W and
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, starmap
 
-from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr, leaf_value
+from .expr import Bracket, Generator, LieExpr, Memo, evaluate, format_expr
 from .poly import check_int
 from .wreath import MODE_W, MODE_WPLUS, RelationReport, WreathElement, standard_assignment, wreath_bracket
 
@@ -150,21 +150,15 @@ def check_presentation(pres: Presentation) -> RelationReport:
     if type(pres.bounds) is not dict:
         raise ValueError(f"a presentation's bounds must be a dict, not {type(pres.bounds).__name__}")
     assignment = standard_assignment(pres.m, pres.n, pres.mode)
-    # relators share their tower nodes, so one memo over all of them walks and
-    # brackets each node once
+    # relators share their leaf and tower nodes, so one memo over all of them
+    # looks up each leaf, and walks and brackets each tower, once
     memo: Memo[WreathElement] = {}
 
     def child(node: LieExpr) -> WreathElement:
         # a leaf is looked up and a tower evaluated the first time it is seen,
-        # and either is read from the memo after
+        # by the fold, which records it; either is read from the memo after
         entry = memo.get(id(node))
-        if entry is not None:
-            return entry[1]
-        if type(node) is Bracket:
-            return evaluate(node, assignment, wreath_bracket, memo)
-        value = leaf_value(assignment, node)
-        memo[id(node)] = (node, value)
-        return value
+        return evaluate(node, assignment, wreath_bracket, memo) if entry is None else entry[1]
 
     def side(node: LieExpr) -> WreathElement:
         # one bracket of the two children, unless the side is a tower already known
@@ -173,7 +167,6 @@ def check_presentation(pres: Presentation) -> RelationReport:
         return child(node)
 
     report = RelationReport("presentation", pres.mode, pres.m, pres.n, dict(pres.bounds))
-    failures = report.failures
     get = memo.get
     for rel in pres.relators:
         lhs = rel.lhs
@@ -185,7 +178,7 @@ def check_presentation(pres: Presentation) -> RelationReport:
         else:
             diff = side(lhs) if rel.rhs is None else side(lhs) - side(rel.rhs)
         if diff.terms or diff.torus:  # diff.is_zero(), without the call
-            failures.append(f"{rel.label} evaluated to {diff}")
+            report.failures.append(f"{rel.label} evaluated to {diff}")
     report.checked = len(pres.relators)
     return report
 

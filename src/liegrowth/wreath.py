@@ -201,10 +201,9 @@ def _add_product(out: Terms, terms: Terms, torus: Terms, sign: int) -> None:
     get = out.get
     for letter, a in torus.items():
         a = a * sign
-        unit = a == 1
         for key, c in terms.items():
             key -= letter
-            prod = c if unit else c * a
+            prod = c * a
             old = get(key)
             if old is None:
                 out[key] = prod

@@ -25,10 +25,11 @@ of an element, term by term, as `str` did on the tuple-keyed dicts.
 `random_element_by_constructor` draws the model-law elements in that layout
 through the validated constructor, the reference for the packed draw.
 
-`parse_expr_two_pass` is the parser that `expr.parse_expr` replaced: it turns
-the whole text into a token list first, then feeds that list to the stack of
-open brackets, so a fault in a character is reported before any fault of
-structure, wherever each stands.
+`format_expr_by_strings` is the string fold that `expr.format_expr`
+replaced. `parse_expr_two_pass` is the parser that `expr.parse_expr`
+replaced: it turns the whole text into a token list first, then feeds that
+list to the stack of open brackets, so a fault in a character is reported
+before any fault of structure, wherever each stands.
 """
 
 from __future__ import annotations
@@ -65,16 +66,25 @@ def leaf_count(e) -> int:
 def reference_fold(e, leaf: Callable, bracket: Callable, memo: dict | None = None):
     """The fold `expr._fold` makes, by plain recursion, for the small trees of
     the tests: leaf(gen) at a leaf and bracket(left, right) at a bracket, the
-    left factor first; a bracket found in `memo` (id -> (node, value)) is not
-    descended into, and each bracket made is recorded there."""
-    if not isinstance(e, Bracket):
-        return leaf(e)
+    left factor first; a node found in `memo` (id -> (node, value)) is read,
+    not folded again, and the value of each node folded, leaf or bracket, is
+    recorded there."""
     if memo is not None and id(e) in memo:
         return memo[id(e)][1]
-    value = bracket(reference_fold(e.left, leaf, bracket, memo), reference_fold(e.right, leaf, bracket, memo))
+    if isinstance(e, Bracket):
+        value = bracket(reference_fold(e.left, leaf, bracket, memo), reference_fold(e.right, leaf, bracket, memo))
+    else:
+        value = leaf(e)
     if memo is not None:
         memo[id(e)] = (e, value)
     return value
+
+
+def format_expr_by_strings(e) -> str:
+    """The text format as `expr.format_expr` wrote it before its pieces list:
+    a fold over strings, each bracket a new string of its two factors, so its
+    time is quadratic on a long chain."""
+    return reference_fold(e, str, lambda l, r: (l[:-1] if l[0] == "[" else "[" + l) + "," + r + "]")
 
 
 def partition_counts(n_max: int) -> list[int]:

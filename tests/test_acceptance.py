@@ -1,7 +1,8 @@
 """Acceptance suite.
 
 One test per criterion; each prints a single `criterion N: PASS (...)` line
-when it succeeds (visible with `pytest -s` or in the -v test listing).
+when it succeeds (visible with `pytest -s` or in the -v test listing). The
+last test caps the time of the text format on long expression chains.
 Tolerances and runtime caps are pinned here and nowhere else.
 """
 
@@ -12,11 +13,12 @@ import math
 import random
 import time
 from dataclasses import replace
+from functools import reduce
 
 from _oracles import euler_product_direct, graded_dim_closed, partition_counts
 from liegrowth import metabelian
 from liegrowth.cli import main
-from liegrowth.expr import Bracket, Generator, evaluate, random_expr
+from liegrowth.expr import Bracket, Generator, evaluate, format_expr, random_expr
 from liegrowth.growth import (
     MODE_WPLUS,
     growth_bfs,
@@ -186,3 +188,30 @@ def test_criterion_8_deterministic_outputs(tmp_path):
         if argv[0] in ("euler-fit", "verify"):
             json.loads(runs[0])
     _passed(8, "repeated runs byte-identical across all four subcommands")
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - start
+
+
+def _right_nested(letters):
+    tree = letters[-1]
+    for g in reversed(letters[:-1]):
+        tree = Bracket(g, tree)
+    return tree
+
+
+def test_long_chains_format_hash_and_compare_in_linear_time():
+    # 160,000 letters: a fold that copies the text so far at each bracket
+    # (tests/_oracles.format_expr_by_strings) takes about 5 s on the left-normed chain
+    letters = [Generator("x", i % 3) for i in range(160_000)]
+    for build, length in ((lambda: reduce(Bracket, letters), 480_001), (lambda: _right_nested(letters), 799_997)):
+        e, f = build(), build()
+        text, formatting = _timed(format_expr, e)
+        assert len(text) == length
+        _, hashing = _timed(hash, e)
+        equal, comparing = _timed(e.__eq__, f)
+        assert equal
+        assert max(formatting, hashing, comparing) < 2.0, (length, formatting, hashing, comparing)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import evaluate_combination, leaf_count, left_normed, parse_expr_two_pass, reference_fold
+from _oracles import (
+    evaluate_combination,
+    format_expr_by_strings,
+    leaf_count,
+    left_normed,
+    parse_expr_two_pass,
+    reference_fold,
+)
 from conftest import lie_dags, lie_exprs, seeded_rng, x_gens
 from liegrowth.expr import (
     Bracket,
@@ -224,15 +231,47 @@ def test_fold_matches_a_recursive_reference_on_trees_and_shared_nodes(e):
     ref_made, ref_read = [], []
     reference_fold(e, lambda g: ref_read.append(g) or str(g), lambda l, r: ref_made.append((l, r)) or (l, r), {})
     assert made == ref_made and read == ref_read
-    # and each distinct bracket node is bracketed once, its value kept under its id
+    # and each distinct node, leaf or bracket, is read or bracketed once, its value kept under its id
     nodes, stack = {}, [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Bracket) and id(node) not in nodes:
+        if id(node) not in nodes:
             nodes[id(node)] = node
-            stack += (node.left, node.right)
-    assert len(made) == len(nodes) and memo.keys() == nodes.keys()
+            if isinstance(node, Bracket):
+                stack += (node.left, node.right)
+    assert memo.keys() == nodes.keys()
+    assert len(made) == sum(isinstance(node, Bracket) for node in nodes.values())
+    assert sorted(map(id, read)) == sorted(key for key, node in nodes.items() if isinstance(node, Generator))
     assert all(memo[key][0] is node and memo[key][1] == shape(node) for key, node in nodes.items())
+
+
+def test_evaluate_records_every_node_and_reads_a_known_leaf_from_the_memo():
+    x1, x2, x3 = x_gens(3)
+    inner = Bracket(x2, x3)
+    e = Bracket(Bracket(x1, inner), x2)
+    read = []
+
+    class Reading(dict):
+        def __getitem__(self, gen):
+            read.append(gen)
+            return super().__getitem__(gen)
+
+    assignment = Reading({x1: "1", x2: "2", x3: "3"})
+    memo = {id(x3): (x3, "known")}
+    assert evaluate(e, assignment, lambda l, r: f"({l} {r})", memo) == "((1 (2 known)) 2)"
+    # x3 came from the memo, and the shared leaf x2 was looked up once
+    assert read == [x1, x2]
+    assert {key: node for key, (node, _) in memo.items()} == {id(n): n for n in (x1, x2, x3, inner, e.left, e)}
+    assert memo[id(x1)][1] == "1" and memo[id(inner)][1] == "(2 known)" and memo[id(e)][1] == "((1 (2 known)) 2)"
+    # a second tree is read from the memo where it shares nodes: no lookup, one bracket
+    made = []
+    value = evaluate(Bracket(inner, x1), assignment, lambda l, r: made.append(1) or f"({l} {r})", memo)
+    assert value == "((2 known) 1)" and read == [x1, x2] and made == [1]
+
+
+@given(st.one_of(lie_exprs(d=3, max_size=12), lie_dags(d=3, max_brackets=12)))
+def test_format_expr_matches_the_string_fold(e):
+    assert format_expr(e) == format_expr_by_strings(e)
 
 
 def test_evaluate_antisymmetric_bracket_kills_repeated_leaf():

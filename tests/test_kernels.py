@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -136,6 +137,24 @@ def test_wreath_bracket_of_brackets():
                     result = wreath_bracket(x, y)
                     assert result == _reference_bracket(x, y)
                     _assert_well_formed(result)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_wreath_bracket_with_unit_and_non_unit_torus_coefficients(mode):
+    # each torus coefficient, times the sign of its side, is 1, -1 or not a unit
+    m, n = 2, 2
+    rng = random.Random(11)
+    coeffs = (1, -1, 3, Fraction(-2, 3))
+    for c, c2 in product(coeffs, repeat=2):
+        module = [_random_poly(rng, n) for _ in range(m)]
+        other = [_random_poly(rng, n) for _ in range(m)]
+        u_block = [c2, 0] if mode == MODE_WPLUS else None
+        p = from_polys(m, n, module, [c, 0], u_block)
+        q = from_polys(m, n, other, [0, c2], u_block)
+        for x, y in ((p, q), (q, p)):
+            result = wreath_bracket(x, y)
+            assert result == _reference_bracket(x, y)
+            _assert_well_formed(result)
 
 
 def test_action_poly_matches_public_formula():

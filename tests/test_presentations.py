@@ -233,12 +233,18 @@ def test_check_presentation_makes_each_bracket_once(monkeypatch, mode, d, bound,
     assert rep.passed and rep.checked == len(pres.relators)
     assert len(calls) == brackets
     # presentations.evaluate is called once per distinct tower [a_k, t_i1, ..., t_ir]
-    # with r >= 1, and never on a relator side or a leaf
+    # with r >= 1, and once per leaf that a side meets as a child before any
+    # tower holds it: the d leaves a_k and the d leaves t_i (W) or u_i (Wplus),
+    # so 64, 366, 165 and 390 calls; never on a relator side
     sides = {id(side) for rel in pres.relators for side in (rel.lhs, rel.rhs)}
-    assert len(evaluated) == towers
-    assert len(set(map(format_expr, evaluated))) == towers
+    assert len(evaluated) == towers + 2 * d
+    leaves = [e for e in evaluated if type(e) is Generator]
+    assert sorted(g.kind for g in leaves) == ["a"] * d + ["t" if mode == MODE_W else "u"] * d
+    assert len(set(map(id, leaves))) == len(set(leaves)) == 2 * d
+    trees = [e for e in evaluated if type(e) is not Generator]
+    assert len(set(map(format_expr, trees))) == towers
     assert not any(id(e) in sides for e in evaluated)
-    for e in evaluated:
+    for e in trees:
         assert type(e) is Bracket
         word = [e]
         while type(word[0]) is Bracket:
@@ -306,21 +312,30 @@ def test_check_presentation_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
-    real, real_assignment = presentations.wreath_bracket, presentations.standard_assignment
-    calls, looked_up = [], []
-
-    def counting(p, q):
-        calls.append((str(p), str(q)))
-        return real(p, q)
+def _record_lookups(monkeypatch) -> list:
+    """Make `check_presentation`'s assignment record each generator it is asked for, in order."""
+    real_assignment = presentations.standard_assignment
+    looked_up = []
 
     class CountingAssignment(dict):
         def __getitem__(self, gen):
             looked_up.append(gen)
             return super().__getitem__(gen)
 
-    monkeypatch.setattr(presentations, "wreath_bracket", counting)
     monkeypatch.setattr(presentations, "standard_assignment", lambda *a: CountingAssignment(real_assignment(*a)))
+    return looked_up
+
+
+def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
+    real = presentations.wreath_bracket
+    calls = []
+
+    def counting(p, q):
+        calls.append((str(p), str(q)))
+        return real(p, q)
+
+    monkeypatch.setattr(presentations, "wreath_bracket", counting)
+    looked_up = _record_lookups(monkeypatch)
     a1, a2, t1, t2 = (Generator(k, i) for k, i in (("a", 0), ("a", 1), ("t", 0), ("t", 1)))
     tower = Bracket(Bracket(a1, t1), t2)
     pres = presentations.Presentation(
@@ -343,10 +358,29 @@ def test_shared_bracket_node_is_walked_and_bracketed_once(monkeypatch):
     assert calls.count(("a1", "t1")) == 1
     assert calls.count(("a1*t1", "t2")) == 1
     assert len(calls) == 2 + 3 + 2
-    # the tower's leaves are read on its first walk; then a2, once, as the
-    # memo holds the relator roots' leaf children too; then the right-hand
-    # side's tower [a1,t2] on its walk, and t1, its root's leaf child
-    assert looked_up == [a1, t1, t2, a2, a1, t2, t1]
+    # the tower's leaves are read on its first walk, then a2; the memo holds
+    # every leaf after its first lookup, so the right-hand side's tower
+    # [a1,t2] and its root's leaf child t1 read none
+    assert looked_up == [a1, t1, t2, a2]
+
+
+@pytest.mark.parametrize(
+    "build, m, n, bound, leaves", [(wreath_presentation, 2, 2, 3, 4), (wplus_presentation, 3, 3, 3, 9)]
+)
+def test_check_presentation_looks_up_each_leaf_once(monkeypatch, build, m, n, bound, leaves):
+    looked_up = _record_lookups(monkeypatch)
+    pres = build(m, n, bound)
+    assert check_presentation(pres).passed
+    # every leaf object of the presentation, once each
+    objects, stack = {}, [side for rel in pres.relators for side in (rel.lhs, rel.rhs) if side is not None]
+    while stack:
+        node = stack.pop()
+        if type(node) is Bracket:
+            stack += (node.left, node.right)
+        else:
+            objects[id(node)] = node
+    assert len(objects) == leaves
+    assert sorted(map(id, looked_up)) == sorted(objects)
 
 
 def test_deep_relators_are_checked_without_recursion():
