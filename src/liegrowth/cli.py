@@ -93,9 +93,9 @@ def _cmd_growth(args: argparse.Namespace) -> int:
         if wplus:
             spanning = growthmod.wplus_spanning_count(args.d, n)
             bound = growthmod.wplus_growth_bound(args.d, n)
-            if report.gamma[n] > bound:
+            if not spanning <= report.gamma[n] <= bound:
                 raise ArithmeticError(
-                    f"gamma({n}) = {report.gamma[n]} exceeds the growth bound {bound}"
+                    f"gamma({n}) = {report.gamma[n]} is outside [spanning count {spanning}, growth bound {bound}]"
                 )
             row += [spanning, bound]
         rows.append(tuple(row))

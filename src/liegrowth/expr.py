@@ -140,14 +140,10 @@ def _fold(e: LieExpr, leaf: Callable[[Generator], V], bracket: Callable[[V, V], 
             node = node.left
             continue
         else:
-            raise _not_a_node(node)
+            raise ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
         if not todo:
             return values[0]
         node = todo.pop()
-
-
-def _not_a_node(node: object) -> ValueError:
-    return ValueError(f"expression node must be a Generator or a Bracket, not {type(node).__name__}")
 
 
 # ---------------------------------------------------------------- text format
@@ -271,11 +267,9 @@ def _bracket_words(w1: Word, w2: Word) -> Combination:
 
 # ------------------------------------------------------------------ evaluation
 
-def leaf_value(assignment: Mapping[Generator, V], node: LieExpr) -> V:
-    """The value of a leaf: `UnboundGeneratorError` if it is unbound, `ValueError` if it is not a `Generator`
-    or `assignment` is not a mapping."""
-    if type(node) is not Generator:
-        raise _not_a_node(node)
+def _leaf_value(assignment: Mapping[Generator, V], node: Generator) -> V:
+    """The value of a leaf: `UnboundGeneratorError` if it is unbound, `ValueError` if `assignment` is not a
+    mapping. `_fold` calls it only on a `Generator`."""
     try:
         return assignment[node]
     except KeyError:
@@ -287,7 +281,7 @@ def leaf_value(assignment: Mapping[Generator, V], node: LieExpr) -> V:
 def evaluate(
     e: LieExpr, assignment: Mapping[Generator, V], bracket: Callable[[V, V], V], memo: Memo | None = None
 ) -> V:
-    """Structural fold: leaves via assignment (`leaf_value`), brackets via the callback.
+    """Structural fold: leaves via assignment, brackets via the callback.
 
     Trees that share nodes can share one `memo` (see `_fold`), which holds
     every node's value, so that each leaf is looked up, and each bracket node
@@ -299,7 +293,7 @@ def evaluate(
         raise ValueError(f"memo must be a dict, not {type(memo).__name__}")
     if not callable(bracket):
         raise ValueError(f"bracket must be callable, not {type(bracket).__name__}")
-    return _fold(e, partial(leaf_value, assignment), bracket, memo)
+    return _fold(e, partial(_leaf_value, assignment), bracket, memo)
 
 
 # ------------------------------------------------------------- random inputs

@@ -2,18 +2,23 @@
 
 One test per criterion; each prints a single `criterion N: PASS (...)` line
 when it succeeds (visible with `pytest -s` or in the -v test listing). The
-last test caps the time of the text format on long expression chains.
+tests of criteria 3, 4 and 7 stand for claims of the paper, as README's
+Claims table says, and the next test checks that table. The last test caps
+the time of the text format on long expression chains.
 Tolerances and runtime caps are pinned here and nowhere else.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import random
+import re
 import time
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 from _oracles import euler_product_direct, graded_dim_closed, partition_counts
 from liegrowth import metabelian
@@ -40,6 +45,8 @@ from liegrowth.wreath import (
     magnus_generator_images,
     wreath_bracket,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _passed(num: int, label: str) -> None:
@@ -96,6 +103,12 @@ def test_criterion_2_normal_form_soundness():
 
 
 def test_criterion_3_presentation_suites():
+    """Claim: the relators of the Wplus presentation hold in Wplus.
+
+    Stand-in: for d <= 3, the Wplus relators to s_max = 5 and the pair
+    relators to length 6 vanish in Wplus, and the tower commutations hold for
+    i, j <= 10 in the base and step instances. That they suffice is open.
+    """
     start = time.perf_counter()
     relators = 0
     for d in (1, 2, 3):
@@ -114,6 +127,11 @@ def test_criterion_3_presentation_suites():
 
 
 def test_criterion_4_embedding_certification():
+    """Claim: the free metabelian algebra embeds in W (x_i -> a_i + t_i).
+
+    Stand-in: for d <= 3 and each degree n <= 8, the images of the basis
+    monomials have the rank of the graded dimension.
+    """
     for d in (1, 2, 3):
         rep = certify_embedding(d, 8, seed=0)
         assert rep.passed, rep.failures
@@ -148,6 +166,13 @@ def test_criterion_6_euler_transform_oracles():
 
 
 def test_criterion_7_exponent_reproduction():
+    """Claim: U(Wplus) has growth of type e^(n^(d/(d+1))).
+
+    Stand-in: the stretched-exponent fit of the exact b_n at n = 256..2048
+    lands within 0.10 of d/(d+1) for d <= 3, and recovers the synthetic
+    exponents 2/3 and 3/4 within 0.02. From d = 2 on, a window of 0.10 also
+    holds the next type, (d+1)/(d+2), so this does not tell the types apart.
+    """
     start = time.perf_counter()
     points = [256, 512, 1024, 2048]
     finals = []
@@ -188,6 +213,30 @@ def test_criterion_8_deterministic_outputs(tmp_path):
         if argv[0] in ("euler-fit", "verify"):
             json.loads(runs[0])
     _passed(8, "repeated runs byte-identical across all four subcommands")
+
+
+def _section(text: str, heading: str) -> list[str]:
+    """The lines of README's section `## heading`, up to the next `## ` heading."""
+    lines = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0].splitlines()
+    return [line.strip() for line in lines]
+
+
+def test_claims_ledger_names_real_tests_and_cli_commands():
+    readme = (ROOT / "README.md").read_text()
+    # as CI's CLI-examples step reads them: each `liegrowth ...` line, less its comment
+    commands = {re.sub(r" *#.*", "", line) for line in _section(readme, "CLI") if line.startswith("liegrowth ")}
+    rows = [line.strip("|").split("|") for line in _section(readme, "Claims") if line.startswith("|")][2:]
+    assert len(rows) >= 7
+    for claim, test, command, reach in rows:
+        tests, shown = re.findall(r"`([^`]+)`", test), re.findall(r"`([^`]+)`", command)
+        if not tests:
+            assert not shown and re.fullmatch(r" open: ROADMAP items? \d+((, \d+)* and \d+)? ", reach), claim
+            continue
+        assert len(tests) == len(shown) == 1, claim
+        path, name = tests[0].split("::")
+        defined = {node.name for node in ast.parse((ROOT / path).read_text()).body if isinstance(node, ast.FunctionDef)}
+        assert name in defined, claim
+        assert shown[0] in commands, claim
 
 
 def _timed(fn, *args):

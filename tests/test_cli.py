@@ -620,6 +620,34 @@ def test_failed_w_closed_form_check_exits_1(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "patched,value,message",
+    (
+        ("wplus_spanning_count", 7, "gamma(1) = 6 is outside [spanning count 7, growth bound 7]"),
+        ("wplus_growth_bound", 5, "gamma(1) = 6 is outside [spanning count 6, growth bound 5]"),
+    ),
+    ids=("lower", "upper"),
+)
+def test_wplus_growth_table_checks_both_bounds(monkeypatch, capsys, patched, value, message):
+    """Claim: gamma(n) of Wplus grows like n^d.
+
+    Each row of `growth --mode Wplus` checks spanning_count(d, n) <= gamma(n)
+    <= growth_bound(d, n), two polynomials of degree d in n, so a table that
+    exits 0 shows gamma ~ n^d on its range. Stand-in: the tables for d <= 4,
+    n <= 8 exit 0, and a table with a failing lower or upper bound exits 1
+    with a message that names n, gamma(n) and both bounds. (The growth bound
+    is the spanning count at 2n - 1, so a patched spanning count moves both.)
+    """
+    for d in range(1, 5):
+        assert main(["growth", "--mode", "Wplus", "--d", str(d), "--max-n", "8"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(growthmod, patched, lambda d, n: value)
+    assert main(["growth", "--mode", "Wplus", "--d", "2", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failed: {message}\n"
+
+
+@pytest.mark.parametrize(
     "rows,message",
     (
         ("n,a_n\n1,2\n1,5\n2,3\n", "given twice"),

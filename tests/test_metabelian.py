@@ -83,6 +83,8 @@ def test_empty_word_and_bad_monomials_are_rejected():
         normalize_word([], 2)
     with pytest.raises(ValueError, match="not a basis monomial"):
         MetabelianElement(2, {(0, 1): 1})
+    with pytest.raises(ValueError, match="not a basis monomial"):
+        MetabelianElement(2, {(): 1})
 
 
 def test_sum_across_generator_counts_is_rejected():
