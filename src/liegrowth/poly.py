@@ -17,7 +17,8 @@ stay inline `type(i) is int` tests: they run once per leaf or letter of a
 normal form, where a call would cost more than the test itself.
 
 The helpers here keep that rule: `exact` converts one coefficient, `scaled`
-multiplies a term dict by a scalar (by 0 it gives `{}`), `add_into` is the
+multiplies a term dict by a scalar (by 0 it gives `{}`), `ints_in_place`
+stores the integral values of a term dict as `int`s, `add_into` is the
 one in-place sum, and it deletes a key whose sum is 0; `format_terms` is the
 one place that writes a term dict as the signed string `c*m + m - ...`, and
 `monomial_text` writes an exponent tuple as `t1*t2^2`. The only other
@@ -106,10 +107,15 @@ def scaled(terms: Mapping[K, Rational], c: Rational) -> dict[K, Rational]:
     if not c:
         return {}
     out = {k: v * c for k, v in terms.items()}
-    for k, v in out.items():
-        if type(v) is not int and v.denominator == 1:
-            out[k] = v.numerator
+    ints_in_place(out)
     return out
+
+
+def ints_in_place(terms: dict[K, Rational]) -> None:
+    """Store each integral `Fraction` of a term dict as its `int`, in place."""
+    for k, v in terms.items():
+        if type(v) is not int and v.denominator == 1:
+            terms[k] = v.numerator
 
 
 def add_into(out: dict[K, Rational], terms: Mapping[K, Rational], c: Rational = 1) -> None:

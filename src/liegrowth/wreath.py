@@ -33,9 +33,10 @@ constructor `WreathElement(m, n, terms, torus)` takes, checks through
 an exponent of 2^32 or more. A bracket raises one exponent, and so the
 exponent sum, by at most 2, so a field carries into the next, or the field
 sum `module_degree` reads overflows, only after more than 2^62 nested
-brackets. Coefficients follow `poly`. Brackets and the arithmetic operators
-build results with `_trusted`, which stores packed dicts as given; every
-caller keeps the invariant of `poly`.
+brackets. Coefficients follow `poly`. Brackets, the arithmetic operators,
+the Magnus images a_i + t_i and the model-law draw build their elements with
+`_trusted` from packed keys, and it stores the dicts as given; every caller
+keeps the invariant of `poly`.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -54,7 +55,7 @@ from math import comb
 from . import metabelian
 from .expr import Generator, evaluate, format_expr, random_expr
 from .metabelian import MetabelianElement
-from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms, monomial_text
+from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms, ints_in_place, monomial_text
 from .rowspace import RowSpace
 
 MODE_W = "W"
@@ -311,15 +312,21 @@ class RelationReport:
 # ------------------------------------------------------------------- embedding
 
 def magnus_generator_images(d: int) -> dict[Generator, WreathElement]:
-    """x_i -> a_i + t_i in the model with m = n = d."""
+    """x_i -> a_i + t_i in the model with m = n = d; `ValueError` unless d is an int >= 1."""
+    check_int("d", 1, d)
+    # a_{i+1} has the key i << 64d, t_{i+1} the key -1 << 64(d-1-i) (module docstring)
     return {
-        Generator("x", i): WreathElement.gen_a(i, d, d) + WreathElement.gen_t(i, d, d)
+        Generator("x", i): WreathElement._trusted(d, d, {i << _BITS * d: 1}, {-1 << _BITS * (d - 1 - i): 1})
         for i in range(d)
     }
 
 
 def magnus_embedding(elem: MetabelianElement) -> WreathElement:
-    """Image of a normal-form element under x_i -> a_i + t_i (in W, m = n = elem.d)."""
+    """Image of a normal-form element under x_i -> a_i + t_i (in W, m = n = elem.d).
+
+    Each word's image is summed in place into a fresh zero, and integral
+    coefficients are stored as `int`s, as the public constructor stores them.
+    """
     if type(elem) is not MetabelianElement:
         raise ValueError(f"magnus_embedding takes a MetabelianElement, not {type(elem).__name__}")
     d = elem.d
@@ -329,7 +336,11 @@ def magnus_embedding(elem: MetabelianElement) -> WreathElement:
         val = x[word[0]]
         for i in word[1:]:
             val = wreath_bracket(val, x[i])
-        total = total + val * coeff
+        add_into(total.terms, val.terms, coeff)
+        add_into(total.torus, val.torus, coeff)
+    # halves of two words may sum to an integral Fraction on a shared module
+    # term; the torus holds one letter per degree-1 word, each added once
+    ints_in_place(total.terms)
     return total
 
 
@@ -392,16 +403,36 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 # ------------------------------------------------------------------ model laws
 
 def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElement:
-    """Up to two module terms per a_k, exponents and coefficients drawn small, and every torus letter of the mode."""
+    """Up to two module terms per a_k, exponents and coefficients drawn small, and every torus letter of the mode.
+
+    Each value is drawn as `rng.randint` draws it, with the same `getrandbits`
+    calls: randint(lo, hi) is lo + r for the first r = getrandbits(k) below
+    the width hi - lo + 1, k the bit length of the width. So the term count
+    and each exponent (0..2) take 2 bits, a module coefficient (-3..3) and a
+    torus coefficient (-2..2) 3 bits, and the stream and every element are
+    the ones randint gives, without the Python frames of randint, randrange
+    and _randbelow for each value.
+    """
+    bits = rng.getrandbits
     terms: Terms = {}
     for k in range(m):
-        for _ in range(rng.randint(0, 2)):
+        while (count := bits(2)) > 2:
+            pass
+        for _ in range(count):
             key = k
             for _ in range(n):
-                key = key << _BITS | rng.randint(0, 2)
-            terms[key] = rng.randint(-3, 3)
-    powers = (1, 2) if mode == MODE_WPLUS else (1,)
-    torus = {-power << _BITS * (n - 1 - i): rng.randint(-2, 2) for power in powers for i in range(n)}
+                while (e := bits(2)) > 2:
+                    pass
+                key = key << _BITS | e
+            while (c := bits(3)) > 6:
+                pass
+            terms[key] = c - 3
+    torus: Terms = {}
+    for power in (1, 2) if mode == MODE_WPLUS else (1,):
+        for i in range(n):
+            while (c := bits(3)) > 4:
+                pass
+            torus[-power << _BITS * (n - 1 - i)] = c - 2
     # a zero drawn is dropped, as the constructor drops it
     return WreathElement._trusted(m, n, *({key: c for key, c in part.items() if c} for part in (terms, torus)))
 

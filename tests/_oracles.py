@@ -23,7 +23,11 @@ kernel is tested against. Each view reads the element through `decoded()`,
 the layout of the basis; `wreath_text` writes that layout as the text format
 of an element, term by term, as `str` did on the tuple-keyed dicts.
 `random_element_by_constructor` draws the model-law elements in that layout
-through the validated constructor, the reference for the packed draw.
+through the validated constructor, the reference for the packed draw, and
+`magnus_generator_images_by_constructor` and `magnus_embedding_by_sums` build
+the Magnus images and embedding as `wreath` once did, through the generator
+constructors and one `+` per word: the references for the images built from
+packed keys and the embedding summed in place.
 
 `format_expr_by_strings` is the string fold that `expr.format_expr`
 replaced. `parse_expr_two_pass` is the parser that `expr.parse_expr`
@@ -236,6 +240,21 @@ def random_element_by_constructor(rng, m: int, n: int, mode: str) -> WreathEleme
     powers = (1, 2) if mode == MODE_WPLUS else (1,)
     torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
     return WreathElement(m, n, terms, torus)
+
+
+def magnus_generator_images_by_constructor(d: int) -> dict[Generator, WreathElement]:
+    """x_i -> a_i + t_i, each image the sum of the generators `gen_a` and `gen_t` build."""
+    return {Generator("x", i): WreathElement.gen_a(i, d, d) + WreathElement.gen_t(i, d, d) for i in range(d)}
+
+
+def magnus_embedding_by_sums(elem: metabelian.MetabelianElement) -> WreathElement:
+    """The Magnus image of a normal form, each word's image scaled and added with `+`."""
+    d = elem.d
+    x = list(magnus_generator_images_by_constructor(d).values())
+    total = WreathElement.zero(d, d)
+    for word, coeff in elem.terms.items():
+        total = total + evaluate_word(word, x, wreath_bracket) * coeff
+    return total
 
 
 def left_normed(letters: Sequence) -> Bracket:

@@ -4,10 +4,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _oracles import action_poly, random_element_by_constructor, wreath_text
+from _oracles import (
+    action_poly,
+    magnus_embedding_by_sums,
+    magnus_generator_images_by_constructor,
+    random_element_by_constructor,
+    wreath_text,
+)
 from conftest import seeded_rng, x_gens
 from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
@@ -225,6 +231,41 @@ def test_exponents_are_bounded_and_a_bracket_passes_the_bound():
 
 
 # ------------------------------------------------------------------ embedding
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2"])
+def test_magnus_images_reject_a_d_that_is_not_a_positive_int(bad):
+    with pytest.raises(ValueError, match=r"^d must be"):
+        magnus_generator_images(bad)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_magnus_images_match_the_constructor_build(d):
+    got = magnus_generator_images(d)
+    want = magnus_generator_images_by_constructor(d)
+    assert list(got) == list(want) == x_gens(d)
+    for gen, image in got.items():
+        assert list(image.terms.items()) == list(want[gen].terms.items())
+        assert list(image.torus.items()) == list(want[gen].torus.items())
+
+
+@st.composite
+def normal_forms(draw):
+    """A normal form over d <= 4 of basis monomials of degree <= 5, with int and `Fraction` coefficients."""
+    d = draw(st.integers(1, 4))
+    monos = [mono for n in range(1, 6) for mono in basis_monomials(d, n)]
+    return MetabelianElement(d, draw(st.dictionaries(st.sampled_from(monos), coefficients, max_size=8)))
+
+
+# two words whose images share the term a1*t2*t3, where halves cancel (-1/2) or sum to 1 (1/2)
+@example(MetabelianElement(3, {(1, 0, 2): Fraction(1, 2), (2, 0, 1): Fraction(-1, 2)}))
+@example(MetabelianElement(3, {(1, 0, 2): Fraction(1, 2), (2, 0, 1): Fraction(1, 2)}))
+@given(normal_forms())
+def test_magnus_embedding_sums_in_place_as_the_operators_sum(elem):
+    got = magnus_embedding(elem)
+    assert got == magnus_embedding_by_sums(elem)
+    for part in (got.terms, got.torus):
+        assert all(c and (type(c) is int or c.denominator > 1) for c in part.values())
+
 
 def test_magnus_image_of_degree_two():
     got = magnus_embedding(normalize_word((1, 0), 2))
