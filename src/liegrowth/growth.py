@@ -32,8 +32,12 @@ mode. B is the abelian ideal of module elements; it holds every bracket.
    combination of accepted elements, induction on the mover index, from
    the highest down, shows that every skipped bracket already lies in the
    span. This holds for any generator order.
-3. The module-degree guard runs only on candidates that raise the rank: a
-   rejected candidate lies in the span of vectors that passed the guard,
+3. The module-degree guard runs only on candidates that raise the rank, once
+   per level: one max over every module key of the level's accepted
+   candidates (`wreath.max_module_degree`) against the cap 2(level - 1). It
+   exceeds the cap exactly when some accepted candidate does, and only then
+   is the first such candidate, in the order of acceptance, found and named.
+   A rejected candidate lies in the span of vectors that passed the guard,
    so its support lies in the union of theirs, and the cap never decreases
    with the level.
 
@@ -72,7 +76,7 @@ from typing import Sequence
 from . import metabelian
 from .poly import check_int
 from .rowspace import RowSpace
-from .wreath import MODE_W, MODE_WPLUS, magnus_generator_images, standard_assignment, wreath_bracket
+from .wreath import MODE_W, MODE_WPLUS, magnus_generator_images, max_module_degree, standard_assignment, wreath_bracket
 
 MODE_METABELIAN = "metabelian"
 GROWTH_MODES = (MODE_METABELIAN, MODE_W, MODE_WPLUS)
@@ -100,10 +104,13 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
     bracketed only with the generators that have a torus part; from level 3
     on an element made with the i-th mover is bracketed only with the
     movers from the i-th on; and the module-degree guard (ArithmeticError)
-    checks every rank-raising candidate the search makes. The result is
-    checked against the closed form of its mode (`wplus_gamma_closed`,
-    `w_gamma_closed` or `metabelian.growth`, looked up when the search
-    runs); a mismatch raises ArithmeticError.
+    checks every rank-raising candidate the search makes, in one read of
+    all the keys of a level, and names the first candidate that overflows.
+    The rank test takes a bracket's module terms as its vector, since a
+    bracket has a zero torus. The result is checked against the closed form
+    of its mode (`wplus_gamma_closed`, `w_gamma_closed` or
+    `metabelian.growth`, looked up when the search runs); a mismatch raises
+    ArithmeticError.
     """
     if mode not in GROWTH_MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
@@ -130,14 +137,17 @@ def growth_bfs(mode: str, d: int, n_max: int, generator_order: Sequence[int] | N
         for e, start in frontier:
             for j in range(start, len(movers)):
                 cand = wreath_bracket(e, movers[j])
-                vec = cand.coords()
+                # a bracket has a zero torus, so its terms are its coordinates
+                vec = cand.terms
                 if vec and space.add(vec):
-                    # each letter raises the module degree by at most 2
-                    deg = cand.module_degree()
-                    if deg > 2 * (level - 1):
-                        raise ArithmeticError(f"module degree {deg} overflows the level-{level} cap")
                     # [[e', g_i], g_j] = [[e', g_j], g_i] in the abelian ideal
                     fresh.append((cand, j if level >= 3 else 0))
+        # each letter raises the module degree by at most 2; one read of every
+        # accepted key, and on overflow the first accepted candidate is named
+        cap = 2 * (level - 1)
+        if max_module_degree((cand for cand, _ in fresh), d) > cap:
+            deg = next(deg for cand, _ in fresh if (deg := cand.module_degree()) > cap)
+            raise ArithmeticError(f"module degree {deg} overflows the level-{level} cap")
         gamma.append(space.rank)
         frontier = fresh
     graded = [0] + [gamma[k] - gamma[k - 1] for k in range(1, n_max + 1)]

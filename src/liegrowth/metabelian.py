@@ -33,7 +33,7 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .expr import LieExpr, left_normalize
-from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms
+from .poly import Rational, TermElement, add_into, check_int, checked_terms, format_terms, ints_in_place
 
 Monomial = tuple[int, ...]
 
@@ -171,7 +171,9 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
     """Lie bracket of two normal-form elements, re-normalized.
 
     The normal forms of the words w1 + w2 are summed into one term dict; a
-    pair of terms that both lie in the derived subalgebra brackets to 0. An
+    pair of terms that both lie in the derived subalgebra brackets to 0, and
+    an integral coefficient is stored as an `int`, as the constructor and
+    `wreath.magnus_embedding` store it. An
     operand that is not a `MetabelianElement` over the other's generators
     raises `ValueError`.
 
@@ -193,6 +195,8 @@ def bracket(p: MetabelianElement, q: MetabelianElement) -> MetabelianElement:
             else:
                 continue
             add_into(out, _normalize(word), scale)
+    # Fraction-weighted words may sum to an integral Fraction on a shared monomial
+    ints_in_place(out)
     return MetabelianElement._trusted(p.d, out)
 
 

@@ -32,11 +32,12 @@ constructor `WreathElement(m, n, terms, torus)` takes, checks through
 `poly.checked_terms` (`ValueError` for a malformed key) and packs. It rejects
 an exponent of 2^32 or more. A bracket raises one exponent, and so the
 exponent sum, by at most 2, so a field carries into the next, or the field
-sum `module_degree` reads overflows, only after more than 2^62 nested
-brackets. Coefficients follow `poly`. Brackets, the arithmetic operators,
-the Magnus images a_i + t_i and the model-law draw build their elements with
-`_trusted` from packed keys, and it stores the dicts as given; every caller
-keeps the invariant of `poly`.
+sum overflows, only after more than 2^62 nested brackets. `max_module_degree`
+reads that sum off every module key of several elements in one generator,
+and `module_degree` is it for one element. Coefficients follow `poly`.
+Brackets, the arithmetic operators, the Magnus images a_i + t_i and the
+model-law draw build their elements with `_trusted` from packed keys, and it
+stores the dicts as given; every caller keeps the invariant of `poly`.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
 a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
@@ -47,6 +48,7 @@ randomized checks confirm the homomorphism property.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
@@ -105,6 +107,16 @@ def _field_sum(n: int) -> tuple[int, int, int]:
     return sum(1 << _BITS * j for j in range(n)), _FIELD << _BITS * (n - 1), _BITS * (n - 1)
 
 
+def max_module_degree(elements: Iterable[WreathElement], n: int) -> int:
+    """Max total degree of a module term of `elements`, all with n torus variables; -1 if none has one.
+
+    One generator reads every key, with no call per element: `growth.growth_bfs` guards a level at once.
+    """
+    mul, mask, shift = _field_sum(n)
+    # the default stays -1 under the shift
+    return max((key * mul & mask for e in elements for key in e.terms), default=-1) >> shift
+
+
 @dataclass(slots=True, repr=False)
 class WreathElement(TermElement):
     """Module terms plus torus letters, two term dicts with packed int keys.
@@ -158,10 +170,7 @@ class WreathElement(TermElement):
 
     def module_degree(self) -> int:
         """Max total degree of a module term; -1 if the module part is 0."""
-        if not self.terms:
-            return -1
-        mul, mask, shift = _field_sum(self.n)
-        return max(key * mul & mask for key in self.terms) >> shift
+        return max_module_degree((self,), self.n)
 
     def decoded(self) -> tuple[dict, dict]:
         """`terms` and `torus` in the layout of the basis: {(k, exps): c} and {(-power, i): c}."""

@@ -19,6 +19,7 @@ from liegrowth.growth import (
     wplus_spanning_count,
 )
 from liegrowth.metabelian import growth as metabelian_growth
+from liegrowth.rowspace import RowSpace
 from liegrowth.wreath import MODE_W, MODE_WPLUS, WreathElement
 
 
@@ -112,6 +113,25 @@ def test_candidates_count_the_brackets_made(monkeypatch):
         total += sum(rep.candidates)
     assert made == total == 18095
     assert growth_bfs(MODE_WPLUS, 2, 1).candidates == [0, 0]
+
+
+def test_rank_tests_of_a_benchmark_pass_are_pinned(monkeypatch):
+    # the traced run reads rowspace.add.calls 17,995 and rowspace.add.grew
+    # 17,689: the 54 generators and the 17,941 nonzero candidates, each
+    # tested once, whether its vector is its coords() or its terms
+    calls = grew = 0
+    real = RowSpace.add
+
+    def counting(space, vec):
+        nonlocal calls, grew
+        calls += 1
+        grew += (result := real(space, vec))
+        return result
+
+    monkeypatch.setattr(RowSpace, "add", counting)
+    for mode, d, n_max in BENCHMARK_SEARCHES:
+        growth_bfs(mode, d, n_max)
+    assert (calls, grew) == (17995, 17689)
 
 
 def test_growth_sandwich():
@@ -269,4 +289,69 @@ def test_module_degree_guard_fires_in_metabelian_mode(monkeypatch):
 
     monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
     with pytest.raises(ArithmeticError, match=r"^module degree 5 overflows the level-3 cap$"):
+        growth_bfs(MODE_METABELIAN, 2, 4)
+
+
+def test_module_degree_guard_names_the_first_overflowing_candidate(monkeypatch):
+    # the first nonzero level-2 bracket, [a1,t1], is pushed two t1-letters
+    # further (degree 3), every later one four (degree 5): both are accepted
+    # at level 2, whose cap is 2, and the guard names the first, not the max
+    real = growthmod.wreath_bracket
+    first = True
+
+    def overshooting(p, q):
+        nonlocal first
+        out = real(p, q)
+        if out:
+            t1 = WreathElement.gen_t(0, p.m, p.n)
+            for _ in range(2 if first else 4):
+                out = real(out, t1)
+            first = False
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    with pytest.raises(ArithmeticError, match=r"^module degree 3 overflows the level-2 cap$"):
+        growth_bfs(MODE_W, 2, 4)
+
+
+def test_module_degree_guard_reads_every_candidate_of_a_level(monkeypatch):
+    # of the four nonzero level-2 brackets only the second, [a1,t2], is
+    # pushed two t1-letters further (degree 3): it is neither the first nor
+    # the last accepted candidate of its level, and the guard still names it
+    real = growthmod.wreath_bracket
+    nonzero = 0
+
+    def overshooting(p, q):
+        nonlocal nonzero
+        out = real(p, q)
+        if out:
+            nonzero += 1
+            if nonzero == 2:
+                t1 = WreathElement.gen_t(0, p.m, p.n)
+                out = real(real(out, t1), t1)
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    with pytest.raises(ArithmeticError, match=r"^module degree 3 overflows the level-2 cap$"):
+        growth_bfs(MODE_W, 2, 4)
+    assert nonzero == 4
+
+
+def test_module_degree_guard_reads_every_key_of_a_candidate(monkeypatch):
+    # every level-2 bracket, +-[a1+t1, a2+t2] = +-(a1*t2 - a2*t1), gets the
+    # term a1*t1^5 between its two keys, in key order and in insertion order:
+    # its smallest (the pivot), first, largest and last keys have degree 1,
+    # and only a1*t1^5 overflows the cap 2
+    real = growthmod.wreath_bracket
+
+    def overshooting(p, q):
+        out = real(p, q)
+        if out:
+            low, high = sorted(out.decoded()[0].items())
+            out = WreathElement(p.m, p.n, dict([low, ((0, (5, 0)), 1), high]))
+            assert list(out.decoded()[0]) == [(0, (0, 1)), (0, (5, 0)), (1, (1, 0))]
+        return out
+
+    monkeypatch.setattr(growthmod, "wreath_bracket", overshooting)
+    with pytest.raises(ArithmeticError, match=r"^module degree 5 overflows the level-2 cap$"):
         growth_bfs(MODE_METABELIAN, 2, 4)

@@ -146,6 +146,31 @@ def test_bracket_jacobi(e1, e2, e3):
     assert total.is_zero()
 
 
+def test_bracket_stores_an_integral_sum_of_halves_as_an_int():
+    # [x3,x2]/2 - [x2,x1]/2 bracketed with x1 + x3: the words [x2,x1,x3]
+    # and [x3,x2,x1] both normalize onto [x2,x1,x3], where the halves sum to -1
+    p = MetabelianElement(3, {(2, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)})
+    q = MetabelianElement(3, {(0,): 1, (2,): 1})
+    c = bracket(p, q).terms[(1, 0, 2)]
+    assert c == -1 and type(c) is int
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def fraction_weighted(draw, d):
+    """A normal form over x1..xd of basis monomials of degree <= 3, with int and `Fraction` coefficients."""
+    monos = [mono for n in range(1, 4) for mono in basis_monomials(d, n)]
+    return MetabelianElement(d, draw(st.dictionaries(st.sampled_from(monos), coefficients, max_size=6)))
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(fraction_weighted(d), fraction_weighted(d))))
+def test_bracket_stores_every_integral_coefficient_as_an_int(pair):
+    for c in bracket(*pair).terms.values():
+        assert c and (type(c) is int or c.denominator > 1)
+
+
 def test_commuting_element_identities():
     """If [p,q] = 0 then [p,[q,r]] = [q,[p,r]] and [p,r,q] = [q,r,p]."""
     d = 3

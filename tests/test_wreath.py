@@ -28,6 +28,7 @@ from liegrowth.wreath import (
     decode_key,
     magnus_embedding,
     magnus_generator_images,
+    max_module_degree,
     model_laws_report,
     standard_assignment,
     wreath_bracket,
@@ -190,6 +191,19 @@ def test_decoded_gives_back_the_constructor_input(layout):
     assert WreathElement(m, n, *e.decoded()) == e
     assert str(e) == wreath_text(terms, torus)
     assert e.module_degree() == max((sum(exps) for _, exps in terms), default=-1)
+
+
+@given(st.data())
+def test_max_module_degree_is_the_max_of_the_module_degrees(data):
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    # an element with no module term (torus only, or zero) has degree -1
+    modules = st.dictionaries(st.tuples(st.integers(0, m - 1), _exponents(n)), coefficients, max_size=4)
+    layouts = data.draw(st.lists(st.tuples(modules, st.sampled_from(({}, {(-1, 0): 1}))), max_size=5))
+    elements = [WreathElement(m, n, terms, torus) for terms, torus in layouts]
+    degrees = [max((sum(exps) for _, exps in terms), default=-1) for terms, _ in layouts]
+    assert [e.module_degree() for e in elements] == degrees
+    assert max_module_degree(elements, n) == max(degrees, default=-1)
 
 
 def test_extra_keys_of_the_certificate_sort_after_every_module_key(monkeypatch):
