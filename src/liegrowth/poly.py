@@ -6,9 +6,13 @@ rational coefficients: an `int` where the value is integral, a
 `fractions.Fraction` where it is not. Most coefficients in this package are
 integers, and `int` arithmetic runs in C while `Fraction` arithmetic runs in
 Python and calls `gcd`. Invariant: no stored coefficient is zero, and each is
-an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`;
-an operation on a non-integral `Fraction` may leave an integral `Fraction`,
-which compares and hashes equal to its `int`.
+an `int` or a `Fraction`, never a `float`. Arithmetic on `int`s stays `int`,
+and the constructors, `+`, `-` and scalar `*` store an integral value as an
+`int`. Two hot kernels may leave an integral `Fraction`, which compares and
+hashes equal to its `int`: `wreath.wreath_bracket`, where halves of
+`Fraction`-weighted elements sum on one module term, and the residuals and
+rows of `rowspace.RowSpace`. Neither pays a pass over its result for it, as
+they run once per bracket and once per rank update of every search and check.
 
 `check_int(names, low, *values)` checks every size, bound and count the
 public API takes: an `int`, not a `bool`, at or above `low`, or `ValueError`.
@@ -195,6 +199,7 @@ class TermElement:
         sums = list(map(dict, parts))
         for out, theirs in zip(sums, others):
             add_into(out, theirs, c)
+            ints_in_place(out)
         return self._trusted(*shape, *sums)
 
     def __add__(self, other: object):
@@ -261,6 +266,7 @@ class MultiPoly(TermElement):
                 {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in other.terms.items()},
                 c1,
             )
+        ints_in_place(out)
         return MultiPoly._trusted(self.nvars, out)
 
     def __str__(self) -> str:

@@ -411,39 +411,27 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
 
 # ------------------------------------------------------------------ model laws
 
-def _random_element(rng: random.Random, m: int, n: int, mode: str) -> WreathElement:
-    """Up to two module terms per a_k, exponents and coefficients drawn small, and every torus letter of the mode.
+def _random_element(rng: random.Random, d: int, mode: str) -> WreathElement:
+    """A random element of the model with m = n = d: module terms under each a_k, and every torus letter of the mode.
 
-    Each value is drawn as `rng.randint` draws it, with the same `getrandbits`
-    calls: randint(lo, hi) is lo + r for the first r = getrandbits(k) below
-    the width hi - lo + 1, k the bit length of the width. So the term count
-    and each exponent (0..2) take 2 bits, a module coefficient (-3..3) and a
-    torus coefficient (-2..2) 3 bits, and the stream and every element are
-    the ones randint gives, without the Python frames of randint, randrange
-    and _randbelow for each value.
+    Each value is one `rng.getrandbits` field over a power-of-two range, with
+    no rejection: the number of module terms under each a_k is the sum of two
+    bits (0..2, mean 1), an exponent takes 2 bits (0..3), a module
+    coefficient 3 bits (-3..4) and a torus coefficient 2 bits (-1..2). A
+    repeated module key keeps its place and its last value, as in the
+    constructor, and a zero drawn is dropped.
     """
     bits = rng.getrandbits
     terms: Terms = {}
-    for k in range(m):
-        while (count := bits(2)) > 2:
-            pass
-        for _ in range(count):
+    for k in range(d):
+        for _ in range(bits(1) + bits(1)):
             key = k
-            for _ in range(n):
-                while (e := bits(2)) > 2:
-                    pass
-                key = key << _BITS | e
-            while (c := bits(3)) > 6:
-                pass
-            terms[key] = c - 3
-    torus: Terms = {}
-    for power in (1, 2) if mode == MODE_WPLUS else (1,):
-        for i in range(n):
-            while (c := bits(3)) > 4:
-                pass
-            torus[-power << _BITS * (n - 1 - i)] = c - 2
-    # a zero drawn is dropped, as the constructor drops it
-    return WreathElement._trusted(m, n, *({key: c for key, c in part.items() if c} for part in (terms, torus)))
+            for _ in range(d):
+                key = key << _BITS | bits(2)
+            terms[key] = bits(3) - 3
+    powers = (1, 2) if mode == MODE_WPLUS else (1,)
+    torus = {-power << _BITS * (d - 1 - i): bits(2) - 1 for power in powers for i in range(d)}
+    return WreathElement._trusted(d, d, *({key: c for key, c in part.items() if c} for part in (terms, torus)))
 
 
 def _sum_into(total: WreathElement, *more: WreathElement) -> WreathElement:
@@ -481,9 +469,9 @@ def model_laws_report(
     check = report.check
 
     for _ in range(trials):
-        p = _random_element(rng, d, d, mode)
-        q = _random_element(rng, d, d, mode)
-        r = _random_element(rng, d, d, mode)
+        p = _random_element(rng, d, mode)
+        q = _random_element(rng, d, mode)
+        r = _random_element(rng, d, mode)
         pq = wreath_bracket(p, q)
         anti = _sum_into(wreath_bracket(q, p), pq)
         check(None if anti.is_zero() else f"antisymmetry failed: p={p}, q={q}")

@@ -229,17 +229,17 @@ def from_polys(
     return WreathElement(m, n, terms, torus)
 
 
-def random_element_by_constructor(rng, m: int, n: int, mode: str) -> WreathElement:
+def random_element_by_constructor(rng, d: int, mode: str) -> WreathElement:
     """The model-law draw of `wreath._random_element`, in the layout of the basis
     through the validated constructor: the same `rng` calls in the same order."""
     terms = {}
-    for k in range(m):
-        for _ in range(rng.randint(0, 2)):
-            exps = tuple(rng.randint(0, 2) for _ in range(n))
-            terms[k, exps] = rng.randint(-3, 3)
+    for k in range(d):
+        for _ in range(rng.getrandbits(1) + rng.getrandbits(1)):
+            exps = tuple(rng.getrandbits(2) for _ in range(d))
+            terms[k, exps] = rng.getrandbits(3) - 3
     powers = (1, 2) if mode == MODE_WPLUS else (1,)
-    torus = {(-power, i): rng.randint(-2, 2) for power in powers for i in range(n)}
-    return WreathElement(m, n, terms, torus)
+    torus = {(-power, i): rng.getrandbits(2) - 1 for power in powers for i in range(d)}
+    return WreathElement(d, d, terms, torus)
 
 
 def magnus_generator_images_by_constructor(d: int) -> dict[Generator, WreathElement]:

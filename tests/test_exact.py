@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import torus_blocks
 from conftest import add_augmented, augment, combine
@@ -117,6 +119,51 @@ def test_scalar_products_store_integral_values_as_int():
     for result in (p * Fraction(1, 3), p * 0.5):
         assert all(_is_exact(c) and c for c in result.terms.values())
     assert (p * 0).is_zero() and (m * Fraction(0)).is_zero() and (e * 0.0).is_zero()
+
+
+def test_sums_and_products_store_integral_values_as_int():
+    # halves that sum to a whole: `+` and `-` store the `int`, as `2 * a` does
+    a = MetabelianElement(2, {(0,): Fraction(1, 2)})
+    w = WreathElement(1, 1, {(0, (0,)): Fraction(1, 2)}, {(-1, 0): Fraction(-1, 2)})
+    for total, twice in ((a + a, 2 * a), (a - -a, 2 * a), (w + w, 2 * w), (w - -w, 2 * w)):
+        assert total == twice
+        assert [type(c) for c in total.terms.values()] == [int]
+    assert [type(c) for c in (w + w).torus.values()] == [int]
+    product = MultiPoly(1, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)}) * MultiPoly(1, {(0,): 2})
+    assert product.terms == {(1,): 1, (0,): -1}
+    assert [type(c) for c in product.terms.values()] == [int, int]
+
+
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+_EXPS = [(i, j) for i in range(2) for j in range(2)]
+
+
+def _term_dicts(keys):
+    return st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=4)
+
+
+# Fraction-weighted elements of each type over a few keys, so that sums meet on shared keys
+FRACTION_WEIGHTED = {
+    "MultiPoly": _term_dicts(_EXPS).map(lambda terms: MultiPoly(2, terms)),
+    "MetabelianElement": _term_dicts([mono for n in (1, 2, 3) for mono in basis_monomials(2, n)]).map(
+        lambda terms: MetabelianElement(2, terms)
+    ),
+    "WreathElement": st.builds(
+        lambda terms, torus: WreathElement(2, 2, terms, torus),
+        _term_dicts([(k, exps) for k in range(2) for exps in _EXPS]),
+        _term_dicts([(-power, i) for power in (1, 2) for i in range(2)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(FRACTION_WEIGHTED))
+@given(data=st.data())
+def test_sums_and_differences_store_every_integral_coefficient_as_an_int(kind, data):
+    x, y = data.draw(FRACTION_WEIGHTED[kind]), data.draw(FRACTION_WEIGHTED[kind])
+    for result in (x + y, x - y):
+        for part in result._unpack()[1]:
+            for c in part.values():
+                assert c and (type(c) is int or c.denominator > 1)
 
 
 # ------------------------------------------------------- int in, int out

@@ -69,7 +69,7 @@ def test_poly_str_is_deterministic():
             "5/2 - 4*t2^3 - t1*t2*t3",
             "MultiPoly(3, 5/2 - 4*t2^3 - t1*t2*t3)",
         ),
-        # a product of Fractions leaves integral Fraction coefficients
+        # a product of Fractions stores its integral coefficients as ints (test_exact pins their types)
         (
             MultiPoly(1, {(1,): F(1, 2), (0,): F(-1, 2)}) * MultiPoly(1, {(0,): 2}),
             "-1 + t1",

@@ -73,8 +73,8 @@ def test_torus_is_abelian_and_commutators_land_in_module():
     from liegrowth.wreath import _random_element
 
     for _ in range(20):
-        p = _random_element(rng, 2, 2, MODE_WPLUS)
-        q = _random_element(rng, 2, 2, MODE_WPLUS)
+        p = _random_element(rng, 2, MODE_WPLUS)
+        q = _random_element(rng, 2, MODE_WPLUS)
         pq = wreath_bracket(p, q)
         assert not pq.torus
 
@@ -383,18 +383,19 @@ def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
 
 def test_model_law_failures_are_pinned(monkeypatch):
     # [p, q] -> 2p breaks every law the report checks, and keeps the torus
-    # part, so each kind of failure string appears once with its witnesses
+    # part, so each kind of failure string appears once with its witnesses;
+    # seed 1 is the first whose p has a module term, for the abelian check
     monkeypatch.setattr(wreath, "wreath_bracket", lambda p, q: p * 2)
-    rep = model_laws_report(2, trials=1, span_degree=1)
-    p = "-a1*t1 - a2*t1*t2 + 2*t1 - t2 + 2*u1 - u2"
-    q = "a1 + 3*a2*t1^2*t2^2 + 2*t1 - t2 - 2*u2"
-    r = "-a1*t2^2 - 3*a1*t1*t2^2 + a2*t1*t2 - t1 + 2*t2 + u1 + u2"
+    rep = model_laws_report(2, seed=1, trials=1, span_degree=1)
+    p = "3*a1*t1^3*t2^3 - t1 + 2*u1"
+    q = "-2*a1*t1*t2^3 - t1 + 2*t2 + 2*u1"
+    r = "-3*a1*t1^3*t2^3 + 3*a2*t1*t2^2 - t1 + t2 + 2*u1 - u2"
     assert rep.checked == 12
     assert rep.failures == [
         f"antisymmetry failed: p={p}, q={q}",
         f"Jacobi failed: p={p}, q={q}, r={r}",
-        f"commutator left the module: [{p}, {q}] = -2*a1*t1 - 2*a2*t1*t2 + 4*t1 - 2*t2 + 4*u1 - 2*u2",
-        "module part not abelian: -a1*t1 - a2*t1*t2, a1 + 3*a2*t1^2*t2^2",
+        f"commutator left the module: [{p}, {q}] = 6*a1*t1^3*t2^3 - 2*t1 + 4*u1",
+        "module part not abelian: 3*a1*t1^3*t2^3, -2*a1*t1*t2^3",
         "tower a1,(0,) is not the expected monomial",
         "tower a1,(1,) is not the expected monomial",
         "tower a2,(0,) is not the expected monomial",
@@ -411,11 +412,65 @@ def test_random_model_elements_match_the_constructor_draw(d, mode):
     for seed in range(6):
         rng, ref_rng = seeded_rng(seed), seeded_rng(seed)
         for _ in range(8):
-            got = wreath._random_element(rng, d, d, mode)
-            want = random_element_by_constructor(ref_rng, d, d, mode)
+            got = wreath._random_element(rng, d, mode)
+            want = random_element_by_constructor(ref_rng, d, mode)
             assert list(got.terms.items()) == list(want.terms.items())
             assert list(got.torus.items()) == list(want.torus.items())
             assert rng.getstate() == ref_rng.getstate()
+
+
+def test_random_model_elements_cover_every_value_of_their_ranges():
+    # over many draws each exponent 0..3 occurs, each nonzero module (-3..4)
+    # and torus (-1..2) coefficient occurs, and no zero is stored
+    rng = seeded_rng(0)
+    exps, module, torus = set(), set(), set()
+    for _ in range(400):
+        e = wreath._random_element(rng, 2, MODE_WPLUS)
+        terms, letters = e.decoded()
+        exps.update(x for _, key_exps in terms for x in key_exps)
+        module.update(terms.values())
+        torus.update(letters.values())
+    assert exps == set(range(4))
+    assert module == set(range(-3, 5)) - {0}
+    assert torus == {-1, 1, 2}
+
+
+def _faulty_bracket(fault):
+    """`wreath_bracket` with one kernel fault (None for none), built from the kernel's own `_add_product`."""
+
+    # `_add_product` shifts a key by -letter, so negated letters shift it by +letter
+    act = (lambda torus: {-letter: c for letter, c in torus.items()}) if fault == "shift +letter" else dict
+
+    def bracket(p, q):
+        out = {}
+        tp, tq = act(p.torus), act(q.torus)
+        if tq and p.terms:
+            wreath._add_product(out, p.terms, tq, 1)
+        if tp and q.terms and fault != "drop second product":
+            wreath._add_product(out, q.terms, tp, 1 if fault == "same sign" else -1)
+        return WreathElement._trusted(p.m, p.n, out, dict(p.torus) if fault == "keep p's torus" else {})
+
+    return bracket
+
+
+@pytest.mark.parametrize("mode", [MODE_W, MODE_WPLUS])
+@pytest.mark.parametrize(
+    "fault, kinds",
+    [
+        (None, ()),  # the control: the same construction without a fault passes
+        ("drop second product", ("antisymmetry failed", "Jacobi failed")),
+        ("same sign", ("antisymmetry failed", "Jacobi failed")),
+        ("keep p's torus", ("commutator left the module",)),
+        ("shift +letter", ("tower ",)),
+    ],
+)
+def test_model_laws_catch_each_kernel_fault(monkeypatch, fault, kinds, mode):
+    # at the default seed and trials the draw must reach each fault
+    monkeypatch.setattr(wreath, "wreath_bracket", _faulty_bracket(fault))
+    rep = model_laws_report(2, mode)
+    assert rep.passed == (not kinds)
+    for kind in kinds:
+        assert any(f.startswith(kind) for f in rep.failures), (fault, kind)
 
 
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
@@ -496,7 +551,7 @@ def test_report_check_counts_every_check_and_formats_only_failures():
 def _law_draws(d, trials, mode=MODE_WPLUS, seed=0):
     """The (p, q, r) that model_laws_report draws, trial by trial."""
     rng = wreath._seeded(seed)
-    return [[wreath._random_element(rng, d, d, mode) for _ in range(3)] for _ in range(trials)]
+    return [[wreath._random_element(rng, d, mode) for _ in range(3)] for _ in range(trials)]
 
 
 def _t1_count(*elems):
