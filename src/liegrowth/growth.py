@@ -41,11 +41,26 @@ mode. B is the abelian ideal of module elements; it holds every bracket.
    so its support lies in the union of theirs, and the cap never decreases
    with the level.
 
-For the extended model two counting functions accompany the search. A module
-monomial a_i * t^beta first appears at level 1 + sum_j ceil(beta_j / 2)
-(u-letters contribute exponent pairs). Each coordinate contributes the
-generating function (1+t)/(1-t), so the graded counts are the coefficients
-of d * ((1+t)/(1-t))^d, for n > d a polynomial of degree d-1 in n:
+The closed forms of W and Wplus hold for every n, by a weight argument.
+Give a_k the weight e_k, t_i the weight f_i and u_i the weight 2f_i. A
+bracket adds weights, and the basis elements a_k * t^beta, t_i and u_i have
+pairwise distinct weights (e_k + beta, f_i, 2f_i), so every weight space is
+one-dimensional. The span of the monomials of length at most n is the sum
+of its weight parts, so it holds a weight space whole once one monomial of
+that length has a nonzero value there, and gamma(n) counts those weights.
+A monomial of weight e_k + beta has one a-letter, and its torus letters
+add up to beta: t_j adds 1 to beta_j and u_j adds 2. So in Wplus its length
+is at least 1 + sum_j ceil(beta_j / 2), and in W at least 1 + |beta|. The
+tower [a_k, u.., t..] with floor(beta_j / 2) letters u_j and beta_j mod 2
+letters t_j (in W, beta_j letters t_j) is a_k * t^beta, of exactly that
+length, and t_i and u_i have length 1. So the closed forms below hold for
+every n. The search stays as the cross-check of the machinery (the
+bracket, the rank test and the pruning) up to the n it runs.
+
+For the extended model two counting functions accompany the search. Each
+coordinate, through ceil(beta_j / 2), contributes the generating function
+(1+t)/(1-t), so the graded counts are the coefficients of
+d * ((1+t)/(1-t))^d, for n > d a polynomial of degree d-1 in n:
 
     a_1 = 3d,  a_n = d * sum_{k=0}^{min(d, n-1)} C(d, k) * C(n-2-k+d, d-1),
 

@@ -35,7 +35,10 @@ class RowSpace:
     give the i-th vector an extra key i, after every other key, with
     coefficient 1. The vector is dependent exactly when the residual
     `add_with_witness` returns has its pivot among the extra keys, and then
-    the residual is a relation among the vectors (`wreath.certify_embedding`).
+    the residual is a relation among the vectors. No module reads a witness
+    now (the tests do); `add_with_witness` stays as the body of `add` and
+    as the name the benchmark's tracer wraps, until the tracer moves to
+    `add`.
     """
 
     def __init__(self):

@@ -40,18 +40,25 @@ model-law draw build their elements with `_trusted` from packed keys, and it
 stores the dicts as given; every caller keeps the invariant of `poly`.
 
 The Magnus-style embedding sends the i-th free metabelian generator to
-a_i + t_i (with m = n = d). It is certified, not assumed: per-degree exact
-rank computations check that embedded basis monomials stay independent, and
-randomized checks confirm the homomorphism property.
+a_i + t_i (with m = n = d), and it is injective in every degree. For a
+module element m, [m, a_j + t_j] = m * t_j, since B is abelian and m has no
+torus part. So, by induction on the degree, a basis monomial [x_{w0}, x_{w1},
+...] (w0 > w1 <= w2 <= ...) with content c maps to a_{w0} t^(c - e_{w0}) -
+a_{w1} t^(c - e_{w1}). w1 is the least letter of c and w0 > w1, so no other
+basis monomial of the degree holds the key a_{w0} t^(c - e_{w0}) in its
+image, and these private keys make the images independent.
+`certify_embedding` checks the closed form and the private keys up to a
+given degree, and random expressions check the homomorphism property.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from . import metabelian
@@ -354,21 +361,34 @@ def magnus_embedding(elem: MetabelianElement) -> WreathElement:
 
 
 def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> RelationReport:
-    """Certify injectivity degree by degree, plus the homomorphism property.
+    """Certify injectivity by the closed form of the basis images, plus the homomorphism property.
 
-    For each degree n <= n_max the images of the degree-n basis monomials are
-    flattened to sparse vectors and their exact rank must equal the graded
-    dimension. The i-th image gets the extra key extra + i, above every key
-    of W(d, d) (extra is the key of (d, (0, .., 0))), so `RowSpace` reduces
-    the rows of `[A | I]`: an image adds to the rank exactly when its
-    residual's pivot is a key of W(d, d), and
-    otherwise the extra keys of the residual name its dependent combination
-    (or the image is 0). A witness may name an earlier dependent image: with
-    x2 -> 2*x1 and x3 -> 3*x1, x3 depends on 3/2*x2, not on 3*x1. Then
-    `trials` random expressions check that normal form followed by embedding
-    equals direct evaluation under x_i -> a_i + t_i. Each degree and each
-    trial counts as one check. A seed that `random.Random` refuses raises
-    `ValueError` before any bracket is made.
+    A basis monomial w = [x_{w0}, x_{w1}, ..., x_{w(n-1)}] (w0 > w1 <= w2
+    <= ...) with content c, its letter counts, has the image
+
+        a_{w0} t^(c - e_{w0}) - a_{w1} t^(c - e_{w1}),
+
+    and x_i has a_i + t_i. By induction: [x_{w0}, x_{w1}] maps to
+    a_{w0} t_{w1} - a_{w1} t_{w0}, and [m, a_j + t_j] = m * t_j for a module
+    element m, since B is abelian and m has no torus part. w1 is the least
+    letter of c and w0 > w1, so no other basis monomial of degree n holds the
+    key a_{w0} t^(c - e_{w0}) in its image: these private keys make the
+    images of every degree independent.
+
+    This checks the induction up to degree n_max. Each image is built as
+    the bracket of its prefix's image with one generator image and compared
+    with the closed form, which is built from packed keys, not from the
+    generator images, so a wrong generator image shows. A mismatch appends a
+    failure naming the degree, the monomial, the closed form and the value
+    found. The rank of a degree counts the images that hold a key no other
+    image of the degree holds. Those images are independent, so the count
+    is the exact rank whenever it reaches the graded dimension, as it must.
+    Then `trials` random expressions check that normal form followed by
+    embedding equals direct evaluation under x_i -> a_i + t_i; a failure
+    names the expression and both values. Each degree's rank and each trial
+    count as one check; an image's failure is appended and not counted.
+    A seed that `random.Random` refuses raises `ValueError` before any
+    bracket is made.
     """
     check_int("d and n_max", 1, d, n_max)
     check_int("trials", 0, trials)
@@ -376,36 +396,36 @@ def certify_embedding(d: int, n_max: int, seed: int = 0, trials: int = 25) -> Re
     report = RelationReport("embedding", MODE_W, d, d, {"max_n": n_max}, ranks=[])
     images = magnus_generator_images(d)
     x = list(images.values())
+    # unit[i] is t_{i+1} as a packed exponent, and minus its torus key; lead[k] + c
+    # is the key of a_{k+1} t^(c - e_{k+1}) for a packed exponent c that holds t_{k+1}
+    unit = [1 << _BITS * (d - 1 - i) for i in range(d)]
+    lead = [(k << _BITS * d) - unit[k] for k in range(d)]
     image: dict[tuple[int, ...], WreathElement] = {}
-    extra = d << _BITS * d
+    content: dict[tuple[int, ...], int] = {}  # a monomial's letter counts as a packed exponent
     for n in range(1, n_max + 1):
         monos = metabelian.basis_monomials(d, n)
         expected = metabelian.graded_dim(d, n)
         # a prefix of a basis monomial is a basis monomial, of the degree before
         image = {m: wreath_bracket(image[m[:-1]], x[m[-1]]) if n > 1 else x[m[0]] for m in monos}
-        space = RowSpace()
-        rank = 0
-        for idx, mono in enumerate(monos):
-            residual = space.add_with_witness({**image[mono].coords(), extra + idx: 1})[1]
-            if min(residual) < extra:
-                rank += 1
-                continue
-            image_of = f"degree {n}: image of {metabelian.format_monomial(mono)}"
-            witness = {key - extra: -c for key, c in residual.items() if key != extra + idx}
-            if witness:
-                deps = " + ".join(
-                    f"{c}*{metabelian.format_monomial(monos[i])}" for i, c in sorted(witness.items())
-                )
-                report.failures.append(f"{image_of} depends on {deps}")
-            else:
-                report.failures.append(f"{image_of} is 0")
+        content = {m: content[m[:-1]] + unit[m[-1]] if n > 1 else unit[m[0]] for m in monos}
+        for mono, got in image.items():
+            c = content[mono]
+            want = ({lead[mono[0]] + c: 1}, {-c: 1}) if n == 1 else ({lead[mono[0]] + c: 1, lead[mono[1]] + c: -1}, {})
+            if (got.terms, got.torus) != want:
+                closed = WreathElement._trusted(d, d, *want)
+                report.failures.append(f"degree {n}: image of {metabelian.format_monomial(mono)} is {got}, expected {closed}")
+        vectors = [got.coords() for got in image.values()]
+        private = {key for key, count in Counter(chain.from_iterable(vectors)).items() if count == 1}
+        rank = sum(not private.isdisjoint(vec) for vec in vectors)
         report.ranks.append((n, rank, expected))
         report.check(None if rank == expected else f"degree {n}: rank {rank} != expected {expected}")
     for _ in range(trials):
         e = random_expr(rng, list(images), rng.randint(1, 6))
-        via_normal_form = magnus_embedding(metabelian.normalize_expr(e, d))
+        via = magnus_embedding(metabelian.normalize_expr(e, d))
         direct = evaluate(e, images, wreath_bracket)
-        report.check(None if via_normal_form == direct else f"homomorphism property failed on {format_expr(e)}")
+        report.check(
+            None if via == direct else f"homomorphism property failed on {format_expr(e)}: via normal form {via}, direct {direct}"
+        )
     return report
 
 

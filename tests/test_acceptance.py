@@ -129,8 +129,10 @@ def test_criterion_3_presentation_suites():
 def test_criterion_4_embedding_certification():
     """Claim: the free metabelian algebra embeds in W (x_i -> a_i + t_i).
 
-    Stand-in: for d <= 3 and each degree n <= 8, the images of the basis
-    monomials have the rank of the graded dimension.
+    Every degree follows from the closed form of the basis images and their
+    private keys (`certify_embedding`'s docstring). Stand-in: for d <= 3 and
+    each degree n <= 8, every image has its closed form, and the images with
+    a private key number the graded dimension.
     """
     for d in (1, 2, 3):
         rep = certify_embedding(d, 8, seed=0)

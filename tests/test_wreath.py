@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from liegrowth import wreath
 from liegrowth.expr import Generator, evaluate, parse_expr, random_expr
 from liegrowth.metabelian import MetabelianElement, basis_monomials, graded_dim, normalize_expr, normalize_word
 from liegrowth.poly import MultiPoly
-from liegrowth.rowspace import RowSpace
 from liegrowth.wreath import (
     MODE_W,
     MODE_WPLUS,
@@ -206,30 +206,6 @@ def test_max_module_degree_is_the_max_of_the_module_degrees(data):
     assert max_module_degree(elements, n) == max(degrees, default=-1)
 
 
-def test_extra_keys_of_the_certificate_sort_after_every_module_key(monkeypatch):
-    rows = []
-
-    class Recording(RowSpace):
-        def add_with_witness(self, vec):
-            rows.append(list(vec))
-            return super().add_with_witness(vec)
-
-    monkeypatch.setattr(wreath, "RowSpace", Recording)
-    for d in (1, 2, 3):
-        rows.clear()
-        assert certify_embedding(d, 4, trials=0).passed
-        extras = [row[-1] for row in rows]
-        # per degree, the i-th image's extra key decodes to (d, (0, .., 0, i))
-        assert [decode_key(key, d) for key in extras] == [
-            (d, (0,) * (d - 1) + (i,)) for n in range(1, 5) for i in range(graded_dim(d, n))
-        ]
-        module = [key for row in rows for key in row[:-1]]
-        # the largest key the constructor takes, and one a bracket raised past it
-        largest = WreathElement(d, d, {(d - 1, (TOP,) * d): 1})
-        (raised,) = wreath_bracket(largest, u(d - 1, d, d)).terms
-        assert max(module + _torus_keys(d) + [*largest.terms, raised]) < min(extras)
-
-
 def test_exponents_are_bounded_and_a_bracket_passes_the_bound():
     e = WreathElement(2, 2, {(0, (TOP, 5)): 1})
     assert e.decoded() == ({(0, (TOP, 5)): 1}, {})
@@ -305,34 +281,35 @@ def test_certify_embedding_small():
         assert all(rank == expected == graded_dim(d, n) for n, rank, expected in rep.ranks)
 
 
-def test_zero_image_is_reported_as_zero(monkeypatch):
-    # x2 -> 2 * image(x1) kills every basis monomial of degree >= 2
-    real = wreath.magnus_generator_images
+def _key(d, mono, k):
+    """The module key (k, c - e_k) of a_{k+1} t^(c - e_{k+1}), for the content c of mono."""
+    return k, tuple(mono.count(i) - (i == k) for i in range(d))
 
-    def collapsed(d):
-        images = real(d)
-        images[Generator("x", 1)] = images[Generator("x", 0)] * 2
-        return images
 
-    monkeypatch.setattr(wreath, "magnus_generator_images", collapsed)
-    rep = certify_embedding(2, 4, trials=2)
-    assert rep.failures == [
-        "degree 1: image of x2 depends on 2*x1",
-        "degree 1: rank 1 != expected 2",
-        "degree 2: image of [x2,x1] is 0",
-        "degree 2: rank 0 != expected 1",
-        "degree 3: image of [x2,x1,x1] is 0",
-        "degree 3: image of [x2,x1,x2] is 0",
-        "degree 3: rank 0 != expected 2",
-        "degree 4: image of [x2,x1,x1,x1] is 0",
-        "degree 4: image of [x2,x1,x1,x2] is 0",
-        "degree 4: image of [x2,x1,x2,x2] is 0",
-        "degree 4: rank 0 != expected 3",
-    ]
+def _closed_form(d, mono):
+    """The image of a basis monomial by the closed form, through the public constructor:
+    a_{w0} + t_{w0} in degree 1, else a_{w0} t^(c - e_{w0}) - a_{w1} t^(c - e_{w1})."""
+    if len(mono) == 1:
+        return WreathElement(d, d, {_key(d, mono, mono[0]): 1}, {(-1, mono[0]): 1})
+    return WreathElement(d, d, {_key(d, mono, mono[0]): 1, _key(d, mono, mono[1]): -1})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_basis_images_have_the_closed_form_and_private_keys(d):
+    for n in range(1, 8):
+        monos = basis_monomials(d, n)
+        closed = [_closed_form(d, mono) for mono in monos]
+        assert [magnus_embedding(MetabelianElement(d, {mono: 1})) for mono in monos] == closed
+        # the key a_{w0} t^(c - e_{w0}) of each image is in no other image of the degree
+        held = Counter(key for image in closed for key in image.decoded()[0])
+        assert all(held[_key(d, mono, mono[0])] == 1 for mono in monos)
 
 
 def _collapsed_images(monkeypatch, images_of):
-    """certify_embedding with x_i -> images_of(real images)[i] in degree 1."""
+    """certify_embedding with x_i -> images_of(real images)[i] in degree 1.
+
+    `magnus_embedding` reads the same images, so the homomorphism trials pass.
+    """
     real = wreath.magnus_generator_images
 
     def collapsed(d):
@@ -343,28 +320,68 @@ def _collapsed_images(monkeypatch, images_of):
     monkeypatch.setattr(wreath, "magnus_generator_images", collapsed)
 
 
-def test_dependent_image_names_its_combination(monkeypatch):
+def test_zero_images_are_reported_against_their_closed_forms(monkeypatch):
+    # x2 -> 2 * image(x1) kills every basis monomial of degree >= 2
+    _collapsed_images(monkeypatch, lambda x: [x[0], x[0] * 2])
+    rep = certify_embedding(2, 4, trials=2)
+    assert rep.checked == 4 + 2  # max_n + trials: the failures of images are not counted
+    assert rep.ranks == [(1, 0, 2), (2, 0, 1), (3, 0, 2), (4, 0, 3)]
+    assert rep.failures == [
+        "degree 1: image of x2 is 2*a1 + 2*t1, expected a2 + t2",
+        "degree 1: rank 0 != expected 2",
+        "degree 2: image of [x2,x1] is 0, expected -a1*t2 + a2*t1",
+        "degree 2: rank 0 != expected 1",
+        "degree 3: image of [x2,x1,x1] is 0, expected -a1*t1*t2 + a2*t1^2",
+        "degree 3: image of [x2,x1,x2] is 0, expected -a1*t2^2 + a2*t1*t2",
+        "degree 3: rank 0 != expected 2",
+        "degree 4: image of [x2,x1,x1,x1] is 0, expected -a1*t1^2*t2 + a2*t1^3",
+        "degree 4: image of [x2,x1,x1,x2] is 0, expected -a1*t1*t2^2 + a2*t1^2*t2",
+        "degree 4: image of [x2,x1,x2,x2] is 0, expected -a1*t2^3 + a2*t1*t2^2",
+        "degree 4: rank 0 != expected 3",
+    ]
+
+
+def test_dependent_images_are_reported_against_their_closed_forms(monkeypatch):
+    # x3 -> x1 + 2*x2 shares every key of degree 1 with x1 or x2, and in degree 2
+    # [x3,x1] = 2*[x2,x1] and [x3,x2] = -[x2,x1]; the count of images with a private
+    # key is then 0, below the exact ranks 2 and 1, and [x2,x1] keeps its closed form
     _collapsed_images(monkeypatch, lambda x: [x[0], x[1], x[0] + x[1] * 2])
-    rep = certify_embedding(3, 1, trials=0)
+    rep = certify_embedding(3, 2, trials=1)
+    assert rep.checked == 2 + 1  # max_n + trials
+    assert rep.ranks == [(1, 0, 3), (2, 0, 3)]
     assert rep.failures == [
-        "degree 1: image of x3 depends on 1*x1 + 2*x2",
-        "degree 1: rank 2 != expected 3",
+        "degree 1: image of x3 is a1 + 2*a2 + t1 + 2*t2, expected a3 + t3",
+        "degree 1: rank 0 != expected 3",
+        "degree 2: image of [x3,x1] is -2*a1*t2 + 2*a2*t1, expected -a1*t3 + a3*t1",
+        "degree 2: image of [x3,x2] is a1*t2 - a2*t1, expected -a2*t3 + a3*t2",
+        "degree 2: rank 0 != expected 3",
     ]
 
 
-def test_witness_may_name_an_earlier_dependent_image(monkeypatch):
-    # x2 -> 2*x1 and x3 -> 3*x1: the residual of x3 reduces through the
-    # relation row of x2, so x3's witness is 3/2*x2, not 3*x1; both are true
-    _collapsed_images(monkeypatch, lambda x: [x[0], x[0] * 2, x[0] * 3])
-    rep = certify_embedding(3, 1, trials=0)
+def test_a_sign_the_rank_cannot_see_fails_the_closed_form(monkeypatch):
+    # a bracket of the wrong sign keeps every private key, so only the comparison
+    # with the closed form fails, in the even degrees, where the signs do not cancel
+    monkeypatch.setattr(wreath, "wreath_bracket", lambda p, q: -wreath_bracket(p, q))
+    rep = certify_embedding(2, 4, trials=0)
+    assert rep.checked == 4
+    assert rep.ranks == [(1, 2, 2), (2, 1, 1), (3, 2, 2), (4, 3, 3)]
     assert rep.failures == [
-        "degree 1: image of x2 depends on 2*x1",
-        "degree 1: image of x3 depends on 3/2*x2",
-        "degree 1: rank 1 != expected 3",
+        "degree 2: image of [x2,x1] is a1*t2 - a2*t1, expected -a1*t2 + a2*t1",
+        "degree 4: image of [x2,x1,x1,x1] is a1*t1^2*t2 - a2*t1^3, expected -a1*t1^2*t2 + a2*t1^3",
+        "degree 4: image of [x2,x1,x1,x2] is a1*t1*t2^2 - a2*t1^2*t2, expected -a1*t1*t2^2 + a2*t1^2*t2",
+        "degree 4: image of [x2,x1,x2,x2] is a1*t2^3 - a2*t1*t2^2, expected -a1*t2^3 + a2*t1*t2^2",
     ]
-    images = wreath.magnus_generator_images(3)
-    x1, x2, x3 = (images[Generator("x", i)] for i in range(3))
-    assert x2 == x1 * 2 and x3 == x2 * Fraction(3, 2)
+
+
+def test_a_wrong_torus_the_rank_cannot_see_fails_the_closed_form(monkeypatch):
+    # x1 -> a1 + 2*t1 keeps every private key, so the rank stays full
+    _collapsed_images(monkeypatch, lambda x: [x[0] + t(0), x[1]])
+    rep = certify_embedding(2, 2, trials=0)
+    assert rep.ranks == [(1, 2, 2), (2, 1, 1)]
+    assert rep.failures == [
+        "degree 1: image of x1 is a1 + 2*t1, expected a1 + t1",
+        "degree 2: image of [x2,x1] is -a1*t2 + 2*a2*t1, expected -a1*t2 + a2*t1",
+    ]
 
 
 def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
@@ -373,11 +390,11 @@ def test_homomorphism_witnesses_are_in_the_text_format(monkeypatch):
     rep = certify_embedding(3, 1, seed=1, trials=6)
     assert rep.checked == 1 + 6  # one degree and six trials
     assert rep.failures == [
-        "homomorphism property failed on [x2,x1]",
-        "homomorphism property failed on x2",
-        "homomorphism property failed on [x3,[x2,x3],x1]",
-        "homomorphism property failed on [x2,[x1,[x3,[x2,x3]]]]",
-        "homomorphism property failed on [x3,x1]",
+        "homomorphism property failed on [x2,x1]: via normal form 0, direct -a1*t2 + a2*t1",
+        "homomorphism property failed on x2: via normal form 0, direct a2 + t2",
+        "homomorphism property failed on [x3,[x2,x3],x1]: via normal form 0, direct -a2*t1*t3^2 + a3*t1*t2*t3",
+        "homomorphism property failed on [x2,[x1,[x3,[x2,x3]]]]: via normal form 0, direct -a2*t1*t2*t3^2 + a3*t1*t2^2*t3",
+        "homomorphism property failed on [x3,x1]: via normal form 0, direct -a1*t3 + a3*t1",
     ]
 
 
@@ -474,25 +491,18 @@ def test_model_laws_catch_each_kernel_fault(monkeypatch, fault, kinds, mode):
 
 
 def test_embedding_images_are_built_from_prefixes(monkeypatch):
-    # the certificate ranks each monomial's image as the bracket of its
-    # prefix's image with one generator; it must be the monomial's embedding,
-    # once the extra key of the i-th image of a degree, (d, (0, .., i)) when
-    # decoded, is stripped
-    ranked = []
+    # each image of degree n >= 2 is one bracket of its prefix's image with a
+    # generator image, so the certificate makes one bracket per basis monomial
+    calls = []
 
-    class Recording(RowSpace):
-        def add_with_witness(self, vec):
-            ranked.append([(k, c) for k, c in vec.items() if decode_key(k, d)[0] != d])
-            return super().add_with_witness(vec)
+    def counting(p, q):
+        calls.append((p, q))
+        return wreath_bracket(p, q)
 
-    monkeypatch.setattr(wreath, "RowSpace", Recording)
+    monkeypatch.setattr(wreath, "wreath_bracket", counting)
     d, n_max = 3, 5
     assert certify_embedding(d, n_max, trials=0).passed
-    assert ranked == [
-        list(magnus_embedding(MetabelianElement(d, {mono: 1})).coords().items())
-        for n in range(1, n_max + 1)
-        for mono in basis_monomials(d, n)
-    ]
+    assert len(calls) == sum(graded_dim(d, n) for n in range(2, n_max + 1))
 
 
 def test_embedding_commutes_with_normal_form():
