@@ -164,19 +164,20 @@ def _read_graded_csv(path: str, fit_n: int) -> list[int]:
     b_n depends only on a_1..a_n, and the fit reads b up to 2 * fit_n.
     """
     values: dict[int, int] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a spreadsheet export may lead with a BOM
         lines = [ln.strip() for ln in fh if ln.strip()]
     start = 1 if lines and lines[0].lower().replace(" ", "") == "n,a_n" else 0
     for ln in lines[start:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad csv row: {ln!r}")
-        n = int(parts[0])
+        try:
+            n_text, a_text = ln.split(",")
+            n, a_n = int(n_text), int(a_text)
+        except ValueError:  # not two fields, or a field that is not an integer
+            raise ValueError(f"bad csv row: {ln!r}") from None
         if n < 1:
             raise ValueError(f"bad csv row: {ln!r} (n must be >= 1)")
         if n in values:
             raise ValueError(f"bad csv row: {ln!r} (n = {n} given twice)")
-        values[n] = int(parts[1])
+        values[n] = a_n
     if not values:
         raise ValueError("empty sequence file")
     needed, n_max = 2 * fit_n, max(values)

@@ -14,15 +14,20 @@ whose division must always be exact (asserted); the tests check it against a
 direct truncated product and against the recurrence taken one n at a time.
 The sums are built by splitting [0, N] at its midpoint: once the left half is
 solved, its share of every sum in the right half is one square Toeplitz
-product, whose entries c_1..c_(2M-1) depend only on its size M; Karatsuba
-splits it into three half-size products down to blocks of 32, where plain
-dot products run, and then the right half is solved. Until n is solved, b's
+product, whose entries c_1..c_(2M-1) depend only on its size M, and then the
+right half is solved. A transposed Toom-3 split (the transposition principle
+of the middle product, applied to Toom-Cook) pads M to a multiple of 3 and
+makes the square product five third-size ones, down to blocks of 32, where
+plain dot products run. Each split scales its result by 6, and the square
+product is divided by 6^depth once, row by row; a nonzero remainder is
+reported as a non-integral step at that row's n. Until n is solved, b's
 slot n holds its partial sum, so no second list of length N is made. For
-Wplus d = 3 at N = 4,096 this takes 1,972,404 small-by-big products where
-the one-n-at-a-time recurrence takes 8,390,656, and the recursion depth
-grows with log2(N). All coefficients are exact Python integers; with
-a_n ~ n^(d-1) the b_n grow like exp(n^(d/(d+1))), which is what the
-estimator measures:
+Wplus d = 3 at N = 4,096 this takes 1,278,544 small-by-big products, every
+row of each square product computed, where the one-n-at-a-time recurrence
+takes 8,390,656. The depth of the midpoint split grows with log2(N), and
+that of the Toom-3 kernel with log3(M). All coefficients are exact Python
+integers; with a_n ~ n^(d-1) the b_n grow like exp(n^(d/(d+1))), which is
+what the estimator measures:
 
     alpha_hat(n) = log2( ln b_{2n} / ln b_n )
 
@@ -94,35 +99,61 @@ def _solve(c: list[int], b: list[int], lo: int, hi: int) -> None:
 def _toeplitz_add(t: list[int], v: list[int], out: list[int], off: int, rows: int) -> None:
     """Add rows 0..rows-1 of T v to out[off:], where T[i][k] = t[M-1+i-k] and M = len(v).
 
-    With T = [[A, B], [C, A]] in half-size Toeplitz blocks, T v is
-    (P + (B-A) v1, P + (C-A) v0) for P = A (v0 + v1): three half-size
-    products (Karatsuba). An odd M is padded by one zero column and one
-    unwritten row. P reaches both halves without a list of its own: the lower
-    half first holds its difference from the upper half, and gets the upper
-    half back once P is added there.
+    `_toom3` returns T v times a scale, 6 for each level of its splits; the
+    division by that scale is checked row by row.
+    """
+    product, scale = _toom3(t, v)
+    for n, y in zip(range(off, off + rows), product):
+        quotient, rest = divmod(y, scale)
+        if rest:
+            raise ArithmeticError(f"divisor-sum recurrence not integral at n = {n}")
+        out[n] += quotient
+
+
+def _toom3(t: list[int], v: list[int]) -> tuple[list[int], int]:
+    """All M rows of T v times 6^depth, and 6^depth, for T[i][k] = t[M-1+i-k] and M = len(v).
+
+    p zeros on both ends of t and on the end of v pad M to 3m, and the rows
+    past M are dropped. In m-size blocks, row r of T is (T(d_(r+2)),
+    T(d_(r+1)), T(d_r)) against v = (v0, v1, v2), with d_c = t[cm : cm+2m-1].
+    Toom-3 at 0, 1, -1, 2 and infinity, transposed, makes these five
+    third-size products q_p = T(w_p) e_p, each weight on the small side:
+
+        w0 = 6d0 - 3d1 - 6d2 + 3d3,     e0 = v2
+        w1 = 6d1 + 3d2 - 3d3,           e1 = v0 + v1 + v2
+        w2 = 3d2 - 2d1 - d3,            e2 = v0 - v1 + v2
+        w3 = d3 - d1,                   e3 = v2 + 2v1 + 4v0
+        w4 = 12d1 - 6d2 - 12d3 + 6d4,   e4 = v0
+
+    and 6y0 = q0 + q1 + q2 + q3, 6y1 = q1 - q2 + 2q3, 6y2 = q1 + q2 + 4q3 + q4.
+    Each product is folded into y0, y1 and y2 before the next one starts.
     """
     M = len(v)
     if M <= _BASE:
         t_rev = t[::-1]
-        for i in range(rows):
-            out[off + i] += sum(map(mul, t_rev[M - 1 - i:2 * M - 1 - i], v))
-        return
-    if M % 2:
-        t = [0, *t, 0]
-        v = [*v, 0]
-        M += 1
-    m = M // 2
-    v0, v1 = v[:m], v[m:]
-    t_a = t[m:3 * m - 1]
-    lower = range(off + m, off + rows)
-    for i in lower:
-        out[i] -= out[i - m]
-    _toeplitz_add(t_a, list(map(add, v0, v1)), out, off, min(rows, m))
-    for i in lower:
-        out[i] += out[i - m]
-    _toeplitz_add(list(map(sub, t[:2 * m - 1], t_a)), v1, out, off, min(rows, m))
-    if rows > m:
-        _toeplitz_add(list(map(sub, t[2 * m:], t_a)), v0, out, off + m, rows - m)
+        return [sum(map(mul, t_rev[M - 1 - i:2 * M - 1 - i], v)) for i in range(M)], 1
+    p = -M % 3
+    if p:
+        t = [*[0] * p, *t, *[0] * p]
+        v = [*v, *[0] * p]
+    m = (M + p) // 3
+    d0, d1, d2, d3, d4 = (t[c * m:(c + 2) * m - 1] for c in range(5))
+    v0, v1, v2 = v[:m], v[m:2 * m], v[2 * m:]
+    w3 = list(map(sub, d3, d1))
+    y0, scale = _toom3([6 * x0 + 3 * (w - 2 * x2) for x0, x2, w in zip(d0, d2, w3)], v2)
+    y1, scale = _toom3([3 * (2 * x1 + x2 - x3) for x1, x2, x3 in zip(d1, d2, d3)], list(map(add, v0, map(add, v1, v2))))
+    y0 = list(map(add, y0, y1))
+    q, scale = _toom3([3 * (x2 - x1) - w for x1, x2, w in zip(d1, d2, w3)], list(map(add, v0, map(sub, v2, v1))))
+    y0 = list(map(add, y0, q))  # one block at a time, so one new block is alive at once
+    y2 = list(map(add, y1, q))
+    y1 = list(map(sub, y1, q))
+    q, scale = _toom3(w3, [u2 + 2 * (u1 + 2 * u0) for u0, u1, u2 in zip(v0, v1, v2)])
+    y0 = list(map(add, y0, q))
+    q = list(map(add, q, q))
+    y1 = list(map(add, y1, q))
+    y2 = list(map(add, y2, map(add, q, q)))
+    q, scale = _toom3([6 * (x4 - x2 - 2 * w) for x2, x4, w in zip(d2, d4, w3)], v0)
+    return [*y0, *y1, *map(add, y2, q[:m - p])], 6 * scale  # the rows past M are padding
 
 
 # ------------------------------------------------------------------- estimator

@@ -159,6 +159,18 @@ def test_euler_fit_input_reads_only_the_rows_the_fit_needs(tmp_path, capsys):
     assert rows[0] == "n,b_n" and len(rows) == 1 + 33 and rows[-1].startswith("32,")
 
 
+def test_euler_fit_input_reads_a_file_led_by_a_utf8_bom(tmp_path, capsys):
+    # spreadsheet CSV exports write a byte order mark before the header
+    text = "n,a_n\n" + "".join(f"{n},{n % 3}\n" for n in range(1, 65))
+    outputs = []
+    for name, data in (("plain.csv", text.encode()), ("bom.csv", b"\xef\xbb\xbf" + text.encode())):
+        src, report = tmp_path / name, tmp_path / f"{name}.json"
+        src.write_bytes(data)
+        assert run_cli(["euler-fit", "--input", str(src), "--fit-n", "32", "--out", str(report)], capsys) == (0, "")
+        outputs.append(report.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_euler_fit_input_with_a_huge_n_allocates_nothing_for_it(tmp_path, capsys):
     # one row at n = 4e9 reaches 2 * fit_n, so it is read and its a_n checked,
     # but no list reaches it; a_1..a_32 are all 0, so every b_n is 1
@@ -656,6 +668,8 @@ def test_wplus_growth_table_checks_both_bounds(monkeypatch, capsys, patched, val
         ("n,a_n\n1,2\n-3,1\n2,3\n", "n must be >= 1"),
         ("n,a_n\n1,2\n2\n", "bad csv row: '2'"),
         ("n,a_n\n1,2,3\n2,3\n", "bad csv row: '1,2,3'"),
+        ("n,a_n\n1,2\n2,x\n", "bad csv row: '2,x'"),
+        ("n,a_n\n1,2\n2,1.5\n", "bad csv row: '2,1.5'"),
         ("", "empty sequence file"),
         ("n,a_n\n", "empty sequence file"),
         ("n,a_n\n1,2\n", "input provides a_n up to n = 1, need 2 for fit_n = 1"),

@@ -27,9 +27,10 @@ def test_euler_transform_all_ones_gives_partitions():
     assert b[4] == 5 and b[10] == 42
 
 
-# At the real base these sizes never reach a square product; bases 1..3 run
-# every branch of the split: the square product, its Karatsuba halves, the
-# odd-size padding and the rows left unwritten.
+# At the real base few of these sizes split a square product; bases 1..3 run
+# every branch: the square product, its three-way split into five third-size
+# products, the padding of its size to a multiple of 3 by one or two zeros,
+# and the rows left unwritten.
 _bases = st.sampled_from((1, 2, 3, series._BASE))
 
 # a value followed by a run of zeros, repeated: zero blocks of every length
@@ -103,6 +104,46 @@ def test_split_matches_the_per_n_recurrence():
     assert euler_transform(a) == euler_transform_by_recurrence(a)
 
 
+def _entries(rng, length):
+    # values up to 2^64, each followed by a run of zeros
+    values = []
+    while len(values) < length:
+        values += [rng.randrange(2 ** 64 + 1), *[0] * rng.randrange(8)]
+    return values[:length]
+
+
+def test_toeplitz_kernel_matches_naive_product(monkeypatch):
+    # every M in 1..100 pads by 0, 1 and 2 and reaches every depth of the
+    # three-way split at bases 1..3; _solve asks for rows M - 1 and M
+    rng = random.Random(37)
+    for base in (1, 2, 3, series._BASE):
+        monkeypatch.setattr(series, "_BASE", base)
+        for M in range(1, 101):
+            t, v = _entries(rng, 2 * M - 1), _entries(rng, M)
+            product = [sum(t[M - 1 + i - k] * v[k] for k in range(M)) for i in range(M)]
+            for rows in (M - 1, M):
+                start = _entries(rng, rows + 6)
+                out = list(start)
+                series._toeplitz_add(t, v, out, 3, rows)
+                assert out == start[:3] + [x + y for x, y in zip(start[3:], product[:rows])] + start[3 + rows:], (
+                    base, M, rows)
+
+
+def test_a_fault_in_a_three_way_sub_product_is_reported(monkeypatch):
+    # at base 1 every product runs in the kernel's base case and every square
+    # product of size 2 or more splits; an off-by-one product leaves a
+    # remainder in the division by 6^depth, which names the row's n
+    monkeypatch.setattr(series, "_BASE", 1)
+    monkeypatch.setattr(series, "mul", lambda x, y: x * y + 1)
+    for M in range(2, 30):
+        with pytest.raises(ArithmeticError, match=r"^divisor-sum recurrence not integral at n = \d+$") as exc:
+            series._toeplitz_add([1] * (2 * M - 1), [1] * M, [0] * (M + 5), 5, M)
+        assert 5 <= int(exc.value.args[0].rsplit(" ", 1)[1]) < 5 + M, M
+    for N in (2, 3, 10, 100):
+        with pytest.raises(ArithmeticError, match=r"^divisor-sum recurrence not integral at n = \d+$"):
+            euler_transform([0] + [1] * N)
+
+
 def test_split_recursion_depth_is_logarithmic(monkeypatch):
     # base 1 recurses furthest; the depth follows the bit length of N, so no
     # input comes near the interpreter's recursion limit
@@ -120,7 +161,7 @@ def test_split_recursion_depth_is_logarithmic(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(series, "_BASE", 1)
-    for name in ("_solve", "_toeplitz_add"):
+    for name in ("_solve", "_toeplitz_add", "_toom3"):
         monkeypatch.setattr(series, name, tracked(getattr(series, name)))
     N = 1000
     assert euler_transform([0] + [1] * N) == partition_counts(N)
